@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlgebraError, PreconditionError
+from .errors import AlgebraError, PreconditionError, SpecParseError
 from .groups import Subgroup, bits, mask_of
 from .lattice import m_constant, subgroup_lattice
 
@@ -638,11 +638,12 @@ def format_rational(fr):
 
 def parse_rational(text):
     parts = text.split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
-    raise PreconditionError(f"malformed rational {text!r}")
+    try:
+        if len(parts) <= 2:
+            return Fraction(*(int(p) for p in parts))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SpecParseError(f"malformed rational {text!r}")
 
 
 def format_element(x):

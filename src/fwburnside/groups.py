@@ -24,8 +24,7 @@ import math
 import re
 from functools import reduce
 from itertools import permutations
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (
     AlgebraError,
@@ -58,7 +57,7 @@ class Group:
 
     __slots__ = ("mul", "n", "label", "identity", "inv", "_cache")
 
-    def __init__(self, mul, label, check=False):
+    def __init__(self, mul, label):
         self.mul = tuple(tuple(int(v) for v in row) for row in mul)
         self.n = len(self.mul)
         self.label = label
@@ -76,8 +75,6 @@ class Group:
             self.inv = tuple(row.index(ident) for row in self.mul)
         except ValueError:
             raise AlgebraError(f"table for {label!r} has a non-invertible element")
-        if check:
-            self.validate()
 
     def __repr__(self):
         return f"<Group {self.label} of order {self.n}>"
@@ -91,18 +88,6 @@ class Group:
     def op(self, a, b):
         return self.mul[a][b]
 
-    def conj(self, a, x):
-        """a x a^-1."""
-        return self.mul[self.mul[a][x]][self.inv[a]]
-
-    def np_table(self):
-        tab = self._cache.get("np_table")
-        if tab is None:
-            tab = np.array(self.mul, dtype=np.int32)
-            tab.setflags(write=False)
-            self._cache["np_table"] = tab
-        return tab
-
     def conj_rows(self):
         """conj_rows()[a][x] = a x a^-1, as plain nested tuples."""
         rows = self._cache.get("conj_rows")
@@ -115,20 +100,55 @@ class Group:
             self._cache["conj_rows"] = rows
         return rows
 
+    def join_mask(self, hmask, g):
+        """Mask of <H, g> for the subgroup mask hmask and the element g.
+
+        The join grows as a union of left cosets xH closed under right
+        multiplication by g, so it costs O(|<H, g>|) table lookups.
+        """
+        if (hmask >> g) & 1:
+            return hmask
+        mul = self.mul
+        hmembers = tuple(bits(hmask))
+        mask = hmask
+        todo = list(hmembers)
+        for y in todo:
+            z = mul[y][g]
+            if not (mask >> z) & 1:
+                row = mul[z]
+                for h in hmembers:
+                    w = row[h]
+                    mask |= 1 << w
+                    todo.append(w)
+        return mask
+
     def validate(self):
-        """Exhaustively check the table axioms; raises AlgebraError on failure."""
-        m = self.np_table()
-        n = self.n
-        if m.shape != (n, n):
-            raise AlgebraError("table is not square")
-        ar = np.arange(n)
-        if not (np.sort(m, axis=1) == ar).all():
+        """Check the group axioms exactly; raises AlgebraError on failure.
+
+        Rows and columns must be permutations. Associativity uses Light's
+        test: (x g) y = x (g y) for g in a generating set only, which is
+        exhaustive because the elements passing it form a closed submagma.
+        """
+        n, mul = self.n, self.mul
+        full = set(range(n))
+        if any(len(row) != n or set(row) != full for row in mul):
             raise AlgebraError(f"{self.label}: some row is not a permutation")
-        if not (np.sort(m, axis=0) == ar[:, None]).all():
+        if any(set(col) != full for col in zip(*mul)):
             raise AlgebraError(f"{self.label}: some column is not a permutation")
-        for a in range(n):
-            if not np.array_equal(m[m[a]], m[a][m]):
-                raise AlgebraError(f"{self.label}: associativity fails at element {a}")
+        whole = (1 << n) - 1
+        mask = 1 << self.identity
+        for g in range(n):
+            if mask == whole:
+                break
+            if (mask >> g) & 1:
+                continue
+            mask = self.join_mask(mask, g)
+            right = itemgetter(*mul[g])
+            for x in range(n):
+                if mul[mul[x][g]] != right(mul[x]):
+                    raise AlgebraError(
+                        f"{self.label}: associativity fails at ({x}*{g})*y"
+                    )
 
     def element_order(self, a):
         k, x = 1, a
@@ -152,9 +172,6 @@ class Group:
 
     # -- subgroup constructors ------------------------------------------------
 
-    def subgroup_from_mask(self, mask):
-        return Subgroup(self, mask)
-
     def subgroup(self, members):
         """Build a subgroup from explicit members, checking the axioms."""
         sub = Subgroup(self, mask_of(members))
@@ -162,23 +179,7 @@ class Group:
         return sub
 
     def generated_subgroup(self, generators):
-        mask = 1 << self.identity
-        for g in generators:
-            mask |= 1 << g
-        mul = self.mul
-        elems = list(bits(mask))
-        frontier = elems
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in elems:
-                    for c in (mul[a][b], mul[b][a]):
-                        if not (mask >> c) & 1:
-                            mask |= 1 << c
-                            new.append(c)
-            elems.extend(new)
-            frontier = new
-        return Subgroup(self, mask)
+        return Subgroup(self, reduce(self.join_mask, generators, 1 << self.identity))
 
     def trivial_subgroup(self):
         return Subgroup(self, 1 << self.identity)
@@ -557,8 +558,6 @@ def _close_perms(gens, degree, cap):
 
 # -- spec parsing -------------------------------------------------------------
 
-_NUM_RE = re.compile(r"[0-9]+")
-
 _PRIMES = {2, 3, 5, 7}
 
 
@@ -583,13 +582,6 @@ def _split_top_level(norm):
         raise SpecParseError("unbalanced bracket", len(norm))
     parts.append((norm[start:], start))
     return parts
-
-
-def _parse_int(text, offset, pos):
-    m = _NUM_RE.match(text, pos)
-    if not m:
-        raise SpecParseError("expected a number", offset + pos)
-    return int(m.group()), m.end()
 
 
 def _parse_cycles(body, offset):

@@ -1,20 +1,20 @@
 """Subgroup lattices with conjugacy classes, Moebius values, and the
 coefficient arithmetic behind the commutativity criteria.
 
-Enumeration generates every cyclic subgroup directly from the elements and
-then closes the collection under pairwise joins, so the result is provably
-complete: any subgroup is the join of its cyclic subgroups. Subgroups are
-ordered by (order, sorted member indices); conjugacy-class representatives
-are the minimal subgroups of their classes under that order, which makes
-every derived table (marks, idempotent coefficients) reproducible.
+Enumeration is by cyclic extension (Neubüser, 1960): starting from the
+trivial subgroup, every subgroup found is joined with one generator of each
+cyclic subgroup, until no new subgroup appears. The result is provably
+complete because any subgroup is the join of its cyclic subgroups.
+Subgroups are ordered by (order, sorted member indices); conjugacy-class
+representatives are the minimal subgroups of their classes under that
+order, which makes every derived table (marks, idempotent coefficients)
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import PreconditionError
 from .groups import Subgroup, bits, mask_of, quotient_group
@@ -56,53 +56,20 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _closure_mask(M, n, seed_mask):
-    """Subgroup generated by the elements of seed_mask (which contains 1)."""
-    S = np.fromiter(bits(seed_mask), dtype=np.int32)
-    while True:
-        P = np.unique(M[np.ix_(S, S)])
-        if P.size == S.size:
-            return mask_of(int(v) for v in P)
-        if P.size * 2 > n:
-            # only the whole group has more than n/2 elements
-            return (1 << n) - 1
-        S = P
-
-
 def _all_subgroup_masks(G):
-    n = G.n
     ident_mask = 1 << G.identity
-    full = (1 << n) - 1
-    mul = G.mul
+    cyclic = {}
+    for g in range(G.n):
+        cyclic.setdefault(G.join_mask(ident_mask, g), g)
+    gens = tuple(cyclic.values())
     known = {ident_mask}
-    for g in range(n):
-        mask, x = ident_mask, g
-        while not (mask >> x) & 1:
-            mask |= 1 << x
-            x = mul[x][g]
-        known.add(mask)
-    M = G.np_table()
-    memo = {}
-    frontier = list(known)
-    while frontier:
-        new = []
-        for bm in frontier:
-            for am in list(known):
-                ab = am & bm
-                if ab == am or ab == bm:
-                    continue
-                key = (am, bm) if am < bm else (bm, am)
-                j = memo.get(key)
-                if j is None:
-                    if am.bit_count() * bm.bit_count() > (n // 2) * ab.bit_count():
-                        j = full
-                    else:
-                        j = _closure_mask(M, n, am | bm)
-                    memo[key] = j
-                if j not in known:
-                    known.add(j)
-                    new.append(j)
-        frontier = new
+    todo = [ident_mask]
+    for hm in todo:
+        for g in gens:
+            j = G.join_mask(hm, g)
+            if j not in known:
+                known.add(j)
+                todo.append(j)
     return known
 
 
@@ -407,11 +374,7 @@ def is_generalized_quaternion(P):
     for a in P.members:
         if G.element_order(a) != half:
             continue
-        amask = 1 << G.identity
-        x = a
-        while not (amask >> x) & 1:
-            amask |= 1 << x
-            x = mul[x][a]
+        amask = G.join_mask(1 << G.identity, a)
         a_sq = a
         for _ in range(half // 2 - 1):
             a_sq = mul[a_sq][a]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from fwburnside import (
     BurnsideElement,
     PreconditionError,
+    SpecParseError,
     basis_element,
     coset_space,
     cyclic_group,
@@ -265,7 +266,7 @@ def test_rational_formatting_roundtrip():
         assert parse_rational(format_rational(fr)) == fr
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(4)) == "4/1"
-    with pytest.raises(PreconditionError):
+    with pytest.raises(SpecParseError):
         parse_rational("1/2/3")
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from fwburnside.cli import main
 
@@ -158,6 +159,16 @@ def test_exit_code_parse_errors(capsys):
     assert run_cli(capsys, "fw", "apply", "S3", "/no/such/file.json")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "element",
+    ['[["2:0", "1/0"]]', '[["2:0", "abc"]]', '[["2:0", 1.5]]', '[["2:0", "1/2/3"]]'],
+)
+def test_bad_rational_exits_one_line(capsys, element):
+    code, out, err = run_cli(capsys, "fw", "apply", "Q8", element)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "malformed rational" in err
+
+
 def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "lattice")[0] == 1
     assert run_cli(capsys, "marks", "S3", "--format", "bogus")[0] == 1
@@ -185,3 +196,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 4
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fwburnside, fwburnside.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

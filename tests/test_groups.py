@@ -1,10 +1,13 @@
+from itertools import permutations
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fwburnside import (
+    AlgebraError,
     CapExceededError,
+    Group,
     InvalidParameterError,
     PreconditionError,
     SpecParseError,
@@ -51,6 +54,50 @@ def test_spec_orders(spec, order):
 def test_validate_on_samples():
     for spec in ("S4", "Q16", "SL(2,3)", "perm:[(1,2);(3,4);(1,3)(2,4)]"):
         construct_group(spec).validate()
+
+
+def test_validate_rejects_non_associative_loop():
+    # a Latin square with identity 0 (a loop) that is not a group
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(AlgebraError, match="associativity"):
+        Group(loop, "loop5").validate()
+
+
+def test_validate_rejects_repeated_row_entry():
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 0]]
+    with pytest.raises(AlgebraError, match="row"):
+        Group(table, "bad3").validate()
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = list(permutations(range(n)))
+
+    def extend(square):
+        if len(square) == n:
+            yield square
+            return
+        for p in rows:
+            if p[0] == len(square) and all(p[j] != r[j] for r in square for j in range(n)):
+                yield from extend(square + [p])
+
+    return extend([tuple(range(n))])
+
+
+def test_validate_matches_cubic_associativity_on_order5_loops():
+    r = range(5)
+    squares = groups = 0
+    for t in _reduced_latin_squares(5):
+        assoc = all(t[t[x][g]][y] == t[x][t[g][y]] for x in r for g in r for y in r)
+        try:
+            Group(t, "loop5").validate()
+            valid = True
+        except AlgebraError:
+            valid = False
+        assert valid == assoc
+        squares += 1
+        groups += assoc
+    assert (squares, groups) == (56, 6)
 
 
 def test_construction_is_memoized():

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fwburnside import (
+    CapExceededError,
     PreconditionError,
     check_divisor_lemma,
     check_gcd_property,
@@ -42,6 +43,8 @@ FROZEN_COUNTS = [
     ("Dic20", 10, 6),
     ("SL(2,3)", 15, 7),
     ("SL(2,5)", 76, 12),
+    ("S5", 156, 19),
+    ("C2xC2xC2xC2", 67, 67),
 ]
 
 
@@ -71,6 +74,41 @@ def brute_subgroup_masks(G):
 def test_lattice_matches_bruteforce(spec):
     G = construct_group(spec)
     assert G.n <= 16 and G.identity == 0
+    lat = subgroup_lattice(G)
+    assert sorted(H.mask for H in lat.subgroups) == brute_subgroup_masks(G)
+
+
+def _cycle_notation(perm):
+    """1-based cycles of a permutation tuple, fixed points included."""
+    seen, out = set(), ""
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = perm[x]
+        out += "(" + ",".join(cycle) + ")"
+    return out
+
+
+# a permutation of points 1..4 times one of points 5..6, so that the groups
+# generated are subdirect products in S4 x S2 and often have order <= 16
+_small_perm = st.tuples(st.permutations(range(4)), st.permutations(range(4, 6))).map(
+    lambda pq: tuple(pq[0]) + tuple(pq[1])
+)
+
+
+@settings(max_examples=30)
+@given(st.lists(_small_perm, min_size=2, max_size=3))
+def test_random_perm_lattice_matches_bruteforce(gens):
+    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    try:
+        G = construct_group(spec, cap=16)
+    except CapExceededError:
+        assume(False)
+    assert G.identity == 0
     lat = subgroup_lattice(G)
     assert sorted(H.mask for H in lat.subgroups) == brute_subgroup_masks(G)
 
