@@ -6,25 +6,28 @@ lower triangular in that order with positive diagonal, so conversion
 between coefficients and marks is exact integer back-substitution; no
 floating point appears anywhere.
 
-Induction, inflation, and deflation act on the transitive basis directly.
-Restriction and fixed points materialize the concrete coset action and
-decompose it by orbit stabilizers; the same machinery doubles as the
-oracle layer for the formula-level shortcuts (tensor induction via marks
-over double cosets, deflation of idempotents in closed form).
+The five linear change-of-group operations are class maps on the
+transitive basis: induction, inflation and deflation send [G/H] to one
+transitive set, restriction follows the Mackey formula over double cosets,
+and fixed points keep [G/K] exactly when the kernel lies in K. Tensor
+induction is multiplicative instead and works on marks over the same
+double cosets. The set-level models these formulas are checked against
+(coset actions, orbit spaces, map spaces) live in oracles.py, which no
+module of the package imports.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import AlgebraError, PreconditionError, SpecParseError
-from .groups import Subgroup, bits, mask_of
-from .lattice import m_constant, subgroup_lattice
+from .errors import PreconditionError, SpecParseError
+from .groups import Subgroup, mask_of
+from .lattice import double_cosets, m_constant, subgroup_lattice
 
 __all__ = [
     "BurnsideElement",
     "MarkVector",
-    "GSet",
     "zero",
     "basis_element",
     "identity_element",
@@ -34,16 +37,12 @@ __all__ = [
     "multiply",
     "is_integral",
     "idempotent",
-    "coset_space",
-    "decompose_gset",
-    "product_gset",
     "restrict",
     "induce",
     "inflate",
     "deflate",
     "fixed_points",
     "tensor_induce",
-    "map_space_gset",
     "deflation_coefficient",
     "deflate_idempotent",
     "transport_element",
@@ -261,157 +260,82 @@ def idempotent(lat, H):
     return e
 
 
-# -- concrete G-sets ----------------------------------------------------------
-
-
-class GSet:
-    """Finite left G-set as an explicit action table action[g][point]."""
-
-    __slots__ = ("group", "size", "action")
-
-    def __init__(self, group, size, action):
-        self.group = group
-        self.size = size
-        self.action = tuple(tuple(row) for row in action)
-
-    def __repr__(self):
-        return f"<GSet over {self.group.label} on {self.size} points>"
-
-    def validate(self):
-        """Exhaustive action-axiom check; raises AlgebraError on failure."""
-        G = self.group
-        if len(self.action) != G.n:
-            raise AlgebraError("action table needs one row per group element")
-        for row in self.action:
-            if len(row) != self.size or any(not 0 <= p < self.size for p in row):
-                raise AlgebraError("action row is not a map into the point set")
-        if self.action[G.identity] != tuple(range(self.size)):
-            raise AlgebraError("identity must act trivially")
-        for a in range(G.n):
-            ra = self.action[a]
-            for b in range(G.n):
-                rab = self.action[G.mul[a][b]]
-                rb = self.action[b]
-                if any(rab[p] != ra[rb[p]] for p in range(self.size)):
-                    raise AlgebraError(f"action is not compatible at ({a}, {b})")
-
-
-def coset_space(G, H):
-    """Left cosets of H with the translation action, points ordered by
-    minimal coset element; cached per (G, H)."""
-    key = ("cosets", H.mask)
-    X = G._cache.get(key)
-    if X is not None:
-        return X
-    if H.parent is not G:
-        raise PreconditionError("subgroup belongs to a different group")
-    mul = G.mul
-    coset_id = [-1] * G.n
-    reps = []
-    for g in range(G.n):
-        if coset_id[g] >= 0:
-            continue
-        t = len(reps)
-        reps.append(g)
-        row = mul[g]
-        for h in H.members:
-            coset_id[row[h]] = t
-    action = tuple(
-        tuple(coset_id[mul[a][r]] for r in reps) for a in range(G.n)
-    )
-    X = GSet(G, len(reps), action)
-    G._cache[key] = X
-    return X
-
-
-def decompose_gset(X):
-    """Write a G-set as a sum of transitive classes via orbit stabilizers."""
-    lat = subgroup_lattice(X.group)
-    G = X.group
-    if len(X.action) != G.n or X.action[G.identity] != tuple(range(X.size)):
-        raise AlgebraError("invalid action table")
-    coeffs = [Fraction(0)] * lat.n_classes()
-    visited = [False] * X.size
-    for p in range(X.size):
-        if visited[p]:
-            continue
-        stab = 0
-        orbit = set()
-        for g in range(G.n):
-            q = X.action[g][p]
-            orbit.add(q)
-            if q == p:
-                stab |= 1 << g
-        for q in orbit:
-            visited[q] = True
-        idx = lat.index.get(stab)
-        if idx is None or len(orbit) * stab.bit_count() != G.n:
-            raise AlgebraError("invalid action table: stabilizer is not a subgroup")
-        coeffs[lat.class_of[idx]] += 1
-    return BurnsideElement(G, coeffs)
-
-
-def product_gset(X, Y):
-    """Cartesian product with the diagonal action (the set-level ring product)."""
-    if X.group is not Y.group:
-        raise PreconditionError("product needs G-sets over the same group")
-    ny = Y.size
-    action = tuple(
-        tuple(rx[p // ny] * ny + ry[p % ny] for p in range(X.size * ny))
-        for rx, ry in zip(X.action, Y.action)
-    )
-    return GSet(X.group, X.size * ny, action)
-
-
 # -- operations along subgroups and quotients ---------------------------------
+#
+# Every operation below sends a transitive set to a sum of transitive sets,
+# so it is a class map (source class -> tuple of target classes) extended
+# linearly by _map_classes.
 
 
-def restrict(x, emb):
-    """Restriction along a subgroup embedding, computed on concrete cosets."""
-    if x.group is not emb.parent:
-        raise PreconditionError("element does not live over the ambient group")
-    lat = subgroup_lattice(x.group)
-    Hgrp = emb.source
-    acc = zero(Hgrp)
+def _map_classes(x, target, image):
+    """Linear extension of a class map: image(c) lists the target classes of
+    the c-th basis element, with repetition; it is called on the support of x."""
+    coeffs = [Fraction(0)] * subgroup_lattice(target).n_classes()
     for c, coef in enumerate(x.coeffs):
         if coef == 0:
             continue
-        X = coset_space(x.group, lat.class_rep(c))
-        XH = GSet(Hgrp, X.size, tuple(X.action[emb.map[h]] for h in range(Hgrp.n)))
-        acc = acc + coef * decompose_gset(XH)
-    return acc
+        for t in image(c):
+            coeffs[t] += coef
+    return BurnsideElement(target, coeffs)
+
+
+def _double_coset_intersections(glat, emb):
+    """For each class [G/K]: the source-side classes of g^-1 K g ∩ H, one per
+    double coset K g H. Cached per (lattice, image of the embedding)."""
+    hmask = emb.image_mask()
+    key = ("mackey_table", hmask)
+    table = glat._cache.get(key)
+    if table is not None:
+        return table
+    G = glat.group
+    hlat = subgroup_lattice(emb.source)
+    H = Subgroup(G, hmask)
+    mul, inv = G.mul, G.inv
+    out = []
+    for c in range(glat.n_classes()):
+        K = glat.class_rep(c)
+        entries = []
+        for g in double_cosets(G, K, H):
+            ig_row = mul[inv[g]]
+            conj = mask_of(mul[ig_row[k]][g] for k in K.members)
+            idx = hlat.index.get(emb.pull_mask(conj & hmask))
+            assert idx is not None, "double-coset intersection must be a subgroup"
+            entries.append(hlat.class_of[idx])
+        out.append(tuple(entries))
+    table = tuple(out)
+    glat._cache[key] = table
+    return table
+
+
+def restrict(x, emb):
+    """Restriction along a subgroup embedding, by the Mackey formula:
+    [G/K] goes to the sum of [H/(g^-1 K g ∩ H)] over double cosets K g H."""
+    if x.group is not emb.parent:
+        raise PreconditionError("element does not live over the ambient group")
+    table = _double_coset_intersections(subgroup_lattice(emb.parent), emb)
+    return _map_classes(x, emb.source, table.__getitem__)
 
 
 def induce(x, emb):
     """Induction along a subgroup embedding: [H/L] goes to [G/L] on the basis."""
     if x.group is not emb.source:
         raise PreconditionError("element does not live over the subgroup")
-    G = emb.parent
     hlat = subgroup_lattice(emb.source)
-    glat = subgroup_lattice(G)
-    coeffs = [Fraction(0)] * glat.n_classes()
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
-        L = emb.push_subgroup(hlat.class_rep(c))
-        coeffs[glat.class_index(L)] += coef
-    return BurnsideElement(G, coeffs)
+    glat = subgroup_lattice(emb.parent)
+    return _map_classes(
+        x, emb.parent, lambda c: (glat.class_index(emb.push_subgroup(hlat.class_rep(c))),)
+    )
 
 
 def inflate(x, qm):
     """Inflation along a quotient map: [(G/N)/(K/N)] goes to [G/K]."""
     if x.group is not qm.target:
         raise PreconditionError("element does not live over the quotient")
-    G = qm.source
     qlat = subgroup_lattice(qm.target)
-    glat = subgroup_lattice(G)
-    coeffs = [Fraction(0)] * glat.n_classes()
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
-        K = qm.pull_subgroup(qlat.class_rep(c))
-        coeffs[glat.class_index(K)] += coef
-    return BurnsideElement(G, coeffs)
+    glat = subgroup_lattice(qm.source)
+    return _map_classes(
+        x, qm.source, lambda c: (glat.class_index(qm.pull_subgroup(qlat.class_rep(c))),)
+    )
 
 
 def deflate(x, qm):
@@ -420,109 +344,30 @@ def deflate(x, qm):
         raise PreconditionError("element does not live over the source group")
     glat = subgroup_lattice(qm.source)
     qlat = subgroup_lattice(qm.target)
-    coeffs = [Fraction(0)] * qlat.n_classes()
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
-        Hbar = qm.push_subgroup(glat.class_rep(c))
-        coeffs[qlat.class_index(Hbar)] += coef
-    return BurnsideElement(qm.target, coeffs)
-
-
-def deflate_gset(X, qm):
-    """Set-level deflation: the orbit space X/N with the residual action."""
-    if X.group is not qm.source:
-        raise PreconditionError("G-set does not live over the source group")
-    nmem = qm.kernel.members
-    orbit_id = [-1] * X.size
-    reps = []
-    for p in range(X.size):
-        if orbit_id[p] >= 0:
-            continue
-        t = len(reps)
-        reps.append(p)
-        stackless = {X.action[nn][p] for nn in nmem}
-        while True:
-            grown = {X.action[nn][q] for nn in nmem for q in stackless}
-            if grown <= stackless:
-                break
-            stackless |= grown
-        for q in stackless:
-            orbit_id[q] = t
-    action = tuple(
-        tuple(orbit_id[X.action[qm.coset_reps[t]][reps[i]]] for i in range(len(reps)))
-        for t in range(qm.target.n)
+    return _map_classes(
+        x, qm.target, lambda c: (qlat.class_index(qm.push_subgroup(glat.class_rep(c))),)
     )
-    return GSet(qm.target, len(reps), action)
 
 
 def fixed_points(x, qm):
-    """N-fixed points with the residual G/N action, on concrete cosets."""
+    """N-fixed points with the residual G/N action. N is normal, so all of
+    G/K is fixed when N <= K, giving [(G/N)/(K/N)], and none of it otherwise."""
     if x.group is not qm.source:
         raise PreconditionError("element does not live over the source group")
-    G = qm.source
-    Q = qm.target
-    lat = subgroup_lattice(G)
-    nmem = qm.kernel.members
-    acc = zero(Q)
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
-        X = coset_space(G, lat.class_rep(c))
-        fixed = [
-            p
-            for p in range(X.size)
-            if all(X.action[nn][p] == p for nn in nmem)
-        ]
-        pos = {p: i for i, p in enumerate(fixed)}
-        action = tuple(
-            tuple(pos[X.action[qm.coset_reps[t]][p]] for p in fixed)
-            for t in range(Q.n)
-        )
-        acc = acc + coef * decompose_gset(GSet(Q, len(fixed), action))
-    return acc
+    glat = subgroup_lattice(qm.source)
+    qlat = subgroup_lattice(qm.target)
+    nmask = qm.kernel.mask
+
+    def image(c):
+        K = glat.class_rep(c)
+        if K.mask & nmask != nmask:
+            return ()
+        return (qlat.class_index(qm.push_subgroup(K)),)
+
+    return _map_classes(x, qm.target, image)
 
 
 # -- tensor induction ----------------------------------------------------------
-
-
-def _double_coset_intersections(glat, emb):
-    """For each class [G/K]: the source-side classes of g^-1 K g ∩ H, one per
-    double coset K g H. Cached per (lattice, image of the embedding)."""
-    key = ("ten_table", emb.image_mask())
-    table = glat._cache.get(key)
-    if table is not None:
-        return table
-    G = glat.group
-    hlat = subgroup_lattice(emb.source)
-    hmask = emb.image_mask()
-    hmem = tuple(bits(hmask))
-    mul, inv = G.mul, G.inv
-    out = []
-    for c in range(glat.n_classes()):
-        K = glat.class_rep(c)
-        seen = 0
-        entries = []
-        for g in range(G.n):
-            if (seen >> g) & 1:
-                continue
-            for a in K.members:
-                row = mul[mul[a][g]]
-                for b in hmem:
-                    seen |= 1 << row[b]
-            ig_row = mul[inv[g]]
-            smask = 0
-            for k in K.members:
-                y = mul[ig_row[k]][g]
-                if (hmask >> y) & 1:
-                    smask |= 1 << emb._inv[y]
-            idx = hlat.index.get(smask)
-            assert idx is not None, "double-coset intersection must be a subgroup"
-            entries.append(hlat.class_of[idx])
-        out.append(tuple(entries))
-    table = tuple(out)
-    glat._cache[key] = table
-    return table
 
 
 def tensor_induce(x, emb):
@@ -542,51 +387,6 @@ def tensor_induce(x, emb):
                 break
         gmarks.append(prod)
     return element_from_marks(MarkVector(emb.parent, gmarks))
-
-
-def map_space_gset(emb, X):
-    """H-equivariant maps G -> X as an explicit G-set (tensor-induction oracle).
-
-    Maps f with f(g h) = h^-1 f(g) are stored by their values on the left
-    transversal; g acts by (g f)(g1) = f(g^-1 g1).
-    """
-    G = emb.parent
-    Hgrp = emb.source
-    mul, inv = G.mul, G.inv
-    hmask = emb.image_mask()
-    coset_of = [-1] * G.n
-    reps = []
-    for g in range(G.n):
-        if coset_of[g] >= 0:
-            continue
-        reps.append(g)
-        row = mul[g]
-        for s in range(Hgrp.n):
-            coset_of[row[emb.map[s]]] = len(reps) - 1
-    h_idx = [emb._inv[mul[inv[reps[coset_of[g]]]][g]] for g in range(G.n)]
-    r = len(reps)
-    size = X.size**r
-    action = []
-    for g in range(G.n):
-        ig = inv[g]
-        parts = []
-        for i in range(r):
-            y = mul[ig][reps[i]]
-            parts.append((coset_of[y], X.action[Hgrp.inv[h_idx[y]]]))
-        row = []
-        for f in range(size):
-            vals = []
-            rem = f
-            for _ in range(r):
-                vals.append(rem % X.size)
-                rem //= X.size
-            vals.reverse()
-            out = 0
-            for j, hrow in parts:
-                out = out * X.size + hrow[vals[j]]
-            row.append(out)
-        action.append(tuple(row))
-    return GSet(G, size, action)
 
 
 # -- deflation in closed form ---------------------------------------------------
@@ -619,14 +419,12 @@ def transport_element(x, mapping, target):
     """Move an element along a group isomorphism given as an index map."""
     src_lat = subgroup_lattice(x.group)
     tgt_lat = subgroup_lattice(target)
-    coeffs = [Fraction(0)] * tgt_lat.n_classes()
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
-        rep = src_lat.class_rep(c)
-        img = Subgroup(target, mask_of(mapping[m] for m in rep.members))
-        coeffs[tgt_lat.class_index(img)] += coef
-    return BurnsideElement(target, coeffs)
+
+    def image(c):
+        members = src_lat.class_rep(c).members
+        return (tgt_lat.class_index(Subgroup(target, mask_of(mapping[m] for m in members))),)
+
+    return _map_classes(x, target, image)
 
 
 # -- formatting and serialization -----------------------------------------------
@@ -636,13 +434,17 @@ def format_rational(fr):
     return f"{fr.numerator}/{fr.denominator}"
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text):
-    parts = text.split("/")
-    try:
-        if len(parts) <= 2:
-            return Fraction(*(int(p) for p in parts))
-    except (ValueError, ZeroDivisionError):
-        pass
+    """Parse "p" or "p/q" with ASCII digits only; q must be nonzero."""
+    if _RATIONAL_RE.fullmatch(text):
+        num, _, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ZeroDivisionError:
+            pass
     raise SpecParseError(f"malformed rational {text!r}")
 
 

@@ -11,9 +11,8 @@ basis in ascending divisor order and reports the first counterexample.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
-literally the rings the smaller contexts are built on; the explicit
-generator-to-generator identification is kept for the general case and is
-the identity there.
+literally the rings the smaller contexts are built on, and the two routes
+around each square meet in the same ring with no identification step.
 """
 
 from __future__ import annotations
@@ -39,19 +38,18 @@ from .burnside import (
     MarkVector,
     restrict,
     tensor_induce,
-    transport_element,
     zero,
 )
 from .errors import PreconditionError
 from .groups import (
     Subgroup,
     cyclic_group,
-    cyclic_isomorphism,
     mask_of,
     quotient_group,
     subgroup_embedding,
 )
 from .lattice import (
+    _is_prime,
     check_gcd_property,
     divisors,
     m_constant,
@@ -194,93 +192,68 @@ class CommutativityReport:
     certificate: Optional[Certificate]
 
 
-def _identify(x, target):
-    """Move an element onto the canonical cyclic instance of its ring.
-
-    The generator-to-generator map with canonical (minimal-index) generators
-    realizes the identification; it is the identity whenever quotient and
-    subgroup canonicalization already produced the shared instance.
-    """
-    if x.group is target:
-        return x
-    return transport_element(x, cyclic_isomorphism(x.group, target), target)
+# op -> (function, whether it maps into G from a smaller group)
+_SQUARE = {
+    "res": (restrict, False),
+    "ind": (induce, True),
+    "ten": (tensor_induce, True),
+    "inf": (inflate, True),
+    "def": (deflate, False),
+    "fix": (fixed_points, False),
+}
 
 
 def _route_pairs(ctx, op, sub):
-    """Yield (basis_label, left, right) per idempotent of the source ring."""
-    G, C = ctx.G, ctx.C
-    clat = subgroup_lattice(C)
+    """Yield (basis_label, left, right) per idempotent e of the source ring,
+    with left = op(lift(e)) and right = lift(op(e)).
+
+    The source ring is B(C) when op maps out of G ("down": res, def, fix)
+    and the cyclic ring of the subgroup or quotient when it maps into G
+    ("up": ind, ten, inf). Subgroups and quotients of C canonicalize to
+    the shared cyclic instances, so op(e) lands in the ring the smaller
+    context lifts from.
+    """
+    op_fn, up = _SQUARE[op]
+    cn = ctx.c_subgroup(sub.order)
     if op in ("res", "ind", "ten"):
-        emb = subgroup_embedding(sub)
-        ctx_h = fw_context(emb.source)
-        emb_c = subgroup_embedding(ctx.c_subgroup(sub.order))
-        if op == "res":
-            for d in divisors(G.n):
-                e = idempotent(clat, ctx.c_class(d))
-                left = restrict(fw_apply(ctx, e), emb)
-                down = _identify(restrict(e, emb_c), ctx_h.C)
-                right = fw_apply(ctx_h, down)
-                yield f"e[{d}]", left, right
-            return
-        op_fn = induce if op == "ind" else tensor_induce
-        hlat = subgroup_lattice(ctx_h.C)
-        for d in divisors(sub.order):
-            e = idempotent(hlat, ctx_h.c_class(d))
-            left = op_fn(fw_apply(ctx_h, e), emb)
-            up = op_fn(_identify(e, emb_c.source), emb_c)
-            right = fw_apply(ctx, up)
-            yield f"e[{d}]", left, right
-        return
-    qm = quotient_group(G, sub)
-    qm_c = quotient_group(C, ctx.c_subgroup(sub.order))
-    ctx_q = fw_context(qm.target)
-    if op == "inf":
-        qlat_c = subgroup_lattice(ctx_q.C)
-        for d in divisors(qm.target.n):
-            e = idempotent(qlat_c, ctx_q.c_class(d))
-            left = inflate(fw_apply(ctx_q, e), qm)
-            up = inflate(_identify(e, qm_c.target), qm_c)
-            right = fw_apply(ctx, up)
-            yield f"e[{d}]", left, right
-        return
-    if op == "fix":
-        for d in divisors(G.n):
-            e = idempotent(clat, ctx.c_class(d))
-            left = fixed_points(fw_apply(ctx, e), qm)
-            down = _identify(fixed_points(e, qm_c), ctx_q.C)
-            right = fw_apply(ctx_q, down)
-            yield f"e[{d}]", left, right
-        return
-    if op == "def":
-        glat = subgroup_lattice(G)
-        qlat = subgroup_lattice(qm.target)
-        cn = ctx.c_subgroup(sub.order)
-        for d in divisors(G.n):
-            e = idempotent(clat, ctx.c_class(d))
-            left = deflate(fw_apply(ctx, e), qm)
-            down = _identify(deflate(e, qm_c), ctx_q.C)
-            right = fw_apply(ctx_q, down)
-            # closed forms for both routes, cross-checked against the
-            # transitive-basis computation above
-            eq1 = zero(qm.target)
-            for c in range(glat.n_classes()):
-                H = glat.class_rep(c)
-                if H.order != d:
-                    continue
-                HN = Subgroup(G, H.product_mask(sub))
-                term = idempotent(qlat, qm.push_subgroup(HN))
-                eq1 = eq1 + t_constant(G, H, sub) * term
-            d_bar = d // math.gcd(d, sub.order)
-            r = r_constant(ctx, ctx.c_subgroup(d), cn)
-            eq2 = zero(qm.target)
-            for c in range(qlat.n_classes()):
-                if qlat.class_order(c) == d_bar:
-                    eq2 = eq2 + r * idempotent(qlat, c)
-            assert left == eq1, "deflation closed form (ambient route) must match"
-            assert right == eq2, "deflation closed form (cyclic route) must match"
-            yield f"e[{d}]", left, right
-        return
-    raise PreconditionError(f"unknown operation {op!r}")
+        along, along_c = subgroup_embedding(sub), subgroup_embedding(cn)
+        ctx_s = fw_context(along.source)
+    else:
+        along, along_c = quotient_group(ctx.G, sub), quotient_group(ctx.C, cn)
+        ctx_s = fw_context(along.target)
+    inner, outer = (ctx_s, ctx) if up else (ctx, ctx_s)
+    lat = subgroup_lattice(inner.C)
+    for d in divisors(inner.C.n):
+        e = idempotent(lat, inner.c_class(d))
+        left = op_fn(fw_apply(inner, e), along)
+        right = fw_apply(outer, op_fn(e, along_c))
+        if op == "def":
+            _check_deflation_closed_forms(ctx, along, d, left, right)
+        yield f"e[{d}]", left, right
+
+
+def _check_deflation_closed_forms(ctx, qm, d, left, right):
+    """Assert both routes of the deflation square at e[d] against their
+    closed forms: t-constants on the ambient side, r on the cyclic side."""
+    G, N = ctx.G, qm.kernel
+    glat = subgroup_lattice(G)
+    qlat = subgroup_lattice(qm.target)
+    eq1 = zero(qm.target)
+    for c in range(glat.n_classes()):
+        H = glat.class_rep(c)
+        if H.order != d:
+            continue
+        HN = Subgroup(G, H.product_mask(N))
+        term = idempotent(qlat, qm.push_subgroup(HN))
+        eq1 = eq1 + t_constant(G, H, N) * term
+    d_bar = d // math.gcd(d, N.order)
+    r = r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(N.order))
+    eq2 = zero(qm.target)
+    for c in range(qlat.n_classes()):
+        if qlat.class_order(c) == d_bar:
+            eq2 = eq2 + r * idempotent(qlat, c)
+    assert left == eq1, "deflation closed form (ambient route) must match"
+    assert right == eq2, "deflation closed form (cyclic route) must match"
 
 
 def check_commutes(ctx, op, sub):
@@ -353,7 +326,7 @@ def check_prime_kernel_sufficient(ctx, N):
     G = ctx.G
     lat = subgroup_lattice(G)
     p = N.order
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
+    if not _is_prime(p):
         raise PreconditionError(f"|N| = {p} is not prime")
     if N.mask & G.center().mask != N.mask:
         raise PreconditionError("N is not central")

@@ -58,7 +58,7 @@ class Group:
     __slots__ = ("mul", "n", "label", "identity", "inv", "_cache")
 
     def __init__(self, mul, label):
-        self.mul = tuple(tuple(int(v) for v in row) for row in mul)
+        self.mul = tuple(map(tuple, mul))
         self.n = len(self.mul)
         self.label = label
         self._cache = {}

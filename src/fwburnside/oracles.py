@@ -1,0 +1,221 @@
+"""Set-level models of the Burnside-ring operations, for tests only.
+
+Each function here works on a concrete G-set, an explicit action table,
+and decompose_gset turns the result back into an element of the Burnside
+ring by orbit stabilizers. This gives an independent route to every
+formula the package uses: the diagonal product for multiply, restricted
+and fixed-point actions for the Mackey and fixed-point class maps, the
+orbit space for deflate, and spaces of equivariant maps for tensor_induce.
+Work grows with the size of the sets, so keep the groups small. No module
+of the package imports this one.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .burnside import BurnsideElement
+from .errors import AlgebraError, PreconditionError
+from .lattice import subgroup_lattice
+
+__all__ = [
+    "GSet",
+    "coset_space",
+    "decompose_gset",
+    "product_gset",
+    "restrict_gset",
+    "fixed_points_gset",
+    "deflate_gset",
+    "map_space_gset",
+]
+
+
+class GSet:
+    """Finite left G-set as an explicit action table action[g][point]."""
+
+    __slots__ = ("group", "size", "action")
+
+    def __init__(self, group, size, action):
+        self.group = group
+        self.size = size
+        self.action = tuple(tuple(row) for row in action)
+
+    def __repr__(self):
+        return f"<GSet over {self.group.label} on {self.size} points>"
+
+    def validate(self):
+        """Exhaustive action-axiom check; raises AlgebraError on failure."""
+        G = self.group
+        if len(self.action) != G.n:
+            raise AlgebraError("action table needs one row per group element")
+        for row in self.action:
+            if len(row) != self.size or any(not 0 <= p < self.size for p in row):
+                raise AlgebraError("action row is not a map into the point set")
+        if self.action[G.identity] != tuple(range(self.size)):
+            raise AlgebraError("identity must act trivially")
+        for a in range(G.n):
+            ra = self.action[a]
+            for b in range(G.n):
+                rab = self.action[G.mul[a][b]]
+                rb = self.action[b]
+                if any(rab[p] != ra[rb[p]] for p in range(self.size)):
+                    raise AlgebraError(f"action is not compatible at ({a}, {b})")
+
+
+def coset_space(G, H):
+    """Left cosets of H with the translation action, points ordered by
+    minimal coset element; cached per (G, H)."""
+    key = ("cosets", H.mask)
+    X = G._cache.get(key)
+    if X is not None:
+        return X
+    if H.parent is not G:
+        raise PreconditionError("subgroup belongs to a different group")
+    mul = G.mul
+    coset_id = [-1] * G.n
+    reps = []
+    for g in range(G.n):
+        if coset_id[g] >= 0:
+            continue
+        t = len(reps)
+        reps.append(g)
+        row = mul[g]
+        for h in H.members:
+            coset_id[row[h]] = t
+    action = tuple(
+        tuple(coset_id[mul[a][r]] for r in reps) for a in range(G.n)
+    )
+    X = GSet(G, len(reps), action)
+    G._cache[key] = X
+    return X
+
+
+def decompose_gset(X):
+    """Write a G-set as a sum of transitive classes via orbit stabilizers."""
+    lat = subgroup_lattice(X.group)
+    G = X.group
+    if len(X.action) != G.n or X.action[G.identity] != tuple(range(X.size)):
+        raise AlgebraError("invalid action table")
+    coeffs = [Fraction(0)] * lat.n_classes()
+    visited = [False] * X.size
+    for p in range(X.size):
+        if visited[p]:
+            continue
+        stab = 0
+        orbit = set()
+        for g in range(G.n):
+            q = X.action[g][p]
+            orbit.add(q)
+            if q == p:
+                stab |= 1 << g
+        for q in orbit:
+            visited[q] = True
+        idx = lat.index.get(stab)
+        if idx is None or len(orbit) * stab.bit_count() != G.n:
+            raise AlgebraError("invalid action table: stabilizer is not a subgroup")
+        coeffs[lat.class_of[idx]] += 1
+    return BurnsideElement(G, coeffs)
+
+
+def product_gset(X, Y):
+    """Cartesian product with the diagonal action (the set-level ring product)."""
+    if X.group is not Y.group:
+        raise PreconditionError("product needs G-sets over the same group")
+    ny = Y.size
+    action = tuple(
+        tuple(rx[p // ny] * ny + ry[p % ny] for p in range(X.size * ny))
+        for rx, ry in zip(X.action, Y.action)
+    )
+    return GSet(X.group, X.size * ny, action)
+
+
+def restrict_gset(X, emb):
+    """The same points with the action of the subgroup, through the embedding."""
+    if X.group is not emb.parent:
+        raise PreconditionError("G-set does not live over the ambient group")
+    return GSet(emb.source, X.size, tuple(X.action[p] for p in emb.map))
+
+
+def fixed_points_gset(X, qm):
+    """The points fixed by the kernel N, with the residual G/N action."""
+    if X.group is not qm.source:
+        raise PreconditionError("G-set does not live over the source group")
+    nmem = qm.kernel.members
+    fixed = [p for p in range(X.size) if all(X.action[nn][p] == p for nn in nmem)]
+    pos = {p: i for i, p in enumerate(fixed)}
+    action = tuple(
+        tuple(pos[X.action[g][p]] for p in fixed) for g in qm.coset_reps
+    )
+    return GSet(qm.target, len(fixed), action)
+
+
+def deflate_gset(X, qm):
+    """Set-level deflation: the orbit space X/N with the residual action."""
+    if X.group is not qm.source:
+        raise PreconditionError("G-set does not live over the source group")
+    nmem = qm.kernel.members
+    orbit_id = [-1] * X.size
+    reps = []
+    for p in range(X.size):
+        if orbit_id[p] >= 0:
+            continue
+        t = len(reps)
+        reps.append(p)
+        stackless = {X.action[nn][p] for nn in nmem}
+        while True:
+            grown = {X.action[nn][q] for nn in nmem for q in stackless}
+            if grown <= stackless:
+                break
+            stackless |= grown
+        for q in stackless:
+            orbit_id[q] = t
+    action = tuple(
+        tuple(orbit_id[X.action[qm.coset_reps[t]][reps[i]]] for i in range(len(reps)))
+        for t in range(qm.target.n)
+    )
+    return GSet(qm.target, len(reps), action)
+
+
+def map_space_gset(emb, X):
+    """H-equivariant maps G -> X as an explicit G-set (tensor-induction oracle).
+
+    Maps f with f(g h) = h^-1 f(g) are stored by their values on the left
+    transversal; g acts by (g f)(g1) = f(g^-1 g1).
+    """
+    G = emb.parent
+    Hgrp = emb.source
+    mul, inv = G.mul, G.inv
+    hmask = emb.image_mask()
+    coset_of = [-1] * G.n
+    reps = []
+    for g in range(G.n):
+        if coset_of[g] >= 0:
+            continue
+        reps.append(g)
+        row = mul[g]
+        for s in range(Hgrp.n):
+            coset_of[row[emb.map[s]]] = len(reps) - 1
+    h_idx = [emb._inv[mul[inv[reps[coset_of[g]]]][g]] for g in range(G.n)]
+    r = len(reps)
+    size = X.size**r
+    action = []
+    for g in range(G.n):
+        ig = inv[g]
+        parts = []
+        for i in range(r):
+            y = mul[ig][reps[i]]
+            parts.append((coset_of[y], X.action[Hgrp.inv[h_idx[y]]]))
+        row = []
+        for f in range(size):
+            vals = []
+            rem = f
+            for _ in range(r):
+                vals.append(rem % X.size)
+                rem //= X.size
+            vals.reverse()
+            out = 0
+            for j, hrow in parts:
+                out = out * X.size + hrow[vals[j]]
+            row.append(out)
+        action.append(tuple(row))
+    return GSet(G, size, action)

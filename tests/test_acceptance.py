@@ -19,11 +19,8 @@ from fwburnside import (
     check_integrality,
     check_m_equality,
     construct_group,
-    coset_space,
     cyclic_group,
-    decompose_gset,
     deflate,
-    deflate_gset,
     deflate_idempotent,
     fw_apply,
     fw_context,
@@ -34,7 +31,6 @@ from fwburnside import (
     is_integral,
     m_constant,
     m_cyclic,
-    map_space_gset,
     marks_of,
     multiply,
     quotient_group,
@@ -45,6 +41,7 @@ from fwburnside import (
     zero,
 )
 from fwburnside.lattice import GCD_METHODS, divisors
+from fwburnside.oracles import coset_space, decompose_gset, deflate_gset, map_space_gset
 
 CATALOG = full_catalog()
 

@@ -9,12 +9,9 @@ from fwburnside import (
     PreconditionError,
     SpecParseError,
     basis_element,
-    coset_space,
     cyclic_group,
     construct_group,
-    decompose_gset,
     deflate,
-    deflate_gset,
     deflate_idempotent,
     element_from_json,
     element_from_marks,
@@ -27,11 +24,9 @@ from fwburnside import (
     induce,
     inflate,
     is_integral,
-    map_space_gset,
     marks_of,
     multiply,
     parse_rational,
-    product_gset,
     quotient_group,
     restrict,
     subgroup_embedding,
@@ -39,6 +34,15 @@ from fwburnside import (
     table_of_marks,
     tensor_induce,
     zero,
+)
+from fwburnside.oracles import (
+    coset_space,
+    decompose_gset,
+    deflate_gset,
+    fixed_points_gset,
+    map_space_gset,
+    product_gset,
+    restrict_gset,
 )
 
 
@@ -197,6 +201,25 @@ def test_deflate_matches_orbit_space(spec, n_order):
     for c in range(lat.n_classes()):
         X = coset_space(G, lat.class_rep(c))
         assert decompose_gset(deflate_gset(X, qm)) == deflate(basis_element(G, c), qm)
+
+
+@pytest.mark.parametrize(
+    "spec", ["S4", "D12", "Q16", "SL(2,3)", "C2xC2xC2", "S3xS3", "A5"]
+)
+def test_restrict_and_fixed_points_match_coset_actions(spec):
+    # the Mackey and fixed-point class maps against the concrete coset
+    # action, restricted to every subgroup and cut down to every kernel
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    sets = [coset_space(G, lat.class_rep(c)) for c in range(lat.n_classes())]
+    for H in lat.subgroups:
+        emb = subgroup_embedding(H)
+        qm = quotient_group(G, H) if H.is_normal() else None
+        for c, X in enumerate(sets):
+            x = basis_element(G, c)
+            assert restrict(x, emb) == decompose_gset(restrict_gset(X, emb))
+            if qm is not None:
+                assert fixed_points(x, qm) == decompose_gset(fixed_points_gset(X, qm))
 
 
 def test_deflate_after_inflate_is_identity(q8):

@@ -161,7 +161,8 @@ def test_exit_code_parse_errors(capsys):
 
 @pytest.mark.parametrize(
     "element",
-    ['[["2:0", "1/0"]]', '[["2:0", "abc"]]', '[["2:0", 1.5]]', '[["2:0", "1/2/3"]]'],
+    ['[["2:0", "1/0"]]', '[["2:0", "abc"]]', '[["2:0", 1.5]]', '[["2:0", "1/2/3"]]',
+     '[["2:0", "1_0"]]', '[["2:0", "\u0661/2"]]'],
 )
 def test_bad_rational_exits_one_line(capsys, element):
     code, out, err = run_cli(capsys, "fw", "apply", "Q8", element)
@@ -199,13 +200,15 @@ def test_console_script_entry_point():
 
 
 def test_import_does_not_load_numpy():
+    # neither numpy nor the test-only set-level oracles load with the package
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, fwburnside, fwburnside.cli; print('numpy' in sys.modules)",
+            "import sys, fwburnside, fwburnside.cli;"
+            " print('numpy' in sys.modules, 'fwburnside.oracles' in sys.modules)",
         ],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "False False"

@@ -177,6 +177,28 @@ def test_def_counterexample_certificate():
     assert cert.right == "1/4[C2/1:0]"
 
 
+def test_ind_ten_inf_counterexample_certificates():
+    # pinned failures: how many idempotents were checked, which one failed, both sides
+    s4 = construct_group("S4")
+    ctx = fw_context(s4)
+    H = subgroup_lattice(s4).class_rep(3)
+    assert H.order == 3
+    ind = check_commutes(ctx, "ind", H)
+    assert (ind.commutes, ind.checked, ind.certificate.basis_label) == (False, 2, "e[3]")
+    assert ind.certificate.left == "-1/3[S4/1:0] + [S4/3:0]"
+    assert ind.certificate.right == "-4/3[S4/1:0] + 4[S4/3:0]"
+    ten = check_commutes(ctx, "ten", H)
+    assert (ten.commutes, ten.checked, ten.certificate.basis_label) == (False, 2, "e[3]")
+    assert ten.certificate.right == "1/3[S4/4:1] - [S4/8:0] + [S4/24:0]"
+    v = construct_group("C2xC2")
+    inf = check_commutes(fw_context(v), "inf", subgroup_lattice(v).class_rep(1))
+    assert (inf.commutes, inf.checked, inf.certificate.basis_label) == (False, 1, "e[1]")
+    assert inf.certificate.left == "1/2[C2xC2/2:0]"
+    assert inf.certificate.right == (
+        "-1/2[C2xC2/1:0] + 1/2[C2xC2/2:0] + 1/2[C2xC2/2:1] + 1/2[C2xC2/2:2]"
+    )
+
+
 def test_def_commutes_at_center_quaternion_family():
     for spec in ("Q8", "Q16", "Dic12", "Dic20", "SL(2,3)"):
         G = construct_group(spec)
