@@ -146,43 +146,25 @@ def identity_element(G):
 
 
 def table_of_marks(lat):
-    """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower triangular."""
+    """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower triangular.
+
+    Read from containments (Pfeiffer 1997): |(G/H)^K| equals
+    |N_G(K)| * #{K' ~ K : K' <= H} / |H|.
+    """
     tom = lat._cache.get("tom")
     if tom is not None:
         return tom
-    G = lat.group
-    mul, inv = G.mul, G.inv
     ncls = lat.n_classes()
-    reps = [lat.class_rep(c) for c in range(ncls)]
+    norm_orders = [lat.subgroups[lat.normalizer_idx[r]].order for r in lat.reps]
     rows = []
-    for i, H in enumerate(reps):
-        hmask = H.mask
-        visited = 0
-        transversal = []
-        for g in range(G.n):
-            if (visited >> g) & 1:
-                continue
-            transversal.append(g)
-            row = mul[g]
-            for h in H.members:
-                visited |= 1 << row[h]
-        row_marks = [0] * ncls
-        for j in range(i + 1):
-            K = reps[j]
-            if H.order % K.order:
-                continue
-            count = 0
-            for g in transversal:
-                ig_row = mul[inv[g]]
-                for x in K.members:
-                    if not (hmask >> mul[ig_row[x]][g]) & 1:
-                        break
-                else:
-                    count += 1
-            row_marks[j] = count
-        assert row_marks[0] == G.n // H.order, "mark at 1 must be the index"
-        norm = lat.subgroups[lat.normalizer_idx[lat.reps[i]]]
-        assert row_marks[i] == norm.order // H.order, "diagonal must be [N_G(H):H]"
+    for i, rep in enumerate(lat.reps):
+        h = lat.subgroups[rep].order
+        counts = [0] * ncls
+        for k in lat.below[rep]:
+            counts[lat.class_of[k]] += 1
+        row_marks = [norm_orders[j] * counts[j] // h for j in range(ncls)]
+        assert row_marks[0] == lat.group.n // h, "mark at 1 must be the index"
+        assert row_marks[i] == norm_orders[i] // h, "diagonal must be [N_G(H):H]"
         rows.append(tuple(row_marks))
     tom = tuple(rows)
     lat._cache["tom"] = tom
@@ -443,7 +425,7 @@ def parse_rational(text):
         num, _, den = text.partition("/")
         try:
             return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):  # ValueError: too many digits
             pass
     raise SpecParseError(f"malformed rational {text!r}")
 

@@ -135,18 +135,20 @@ def resolve_selector(G, text):
 
 
 def _load_element_data(text):
+    # ValueError covers JSONDecodeError and numbers too long for int();
+    # RecursionError is nesting too deep for the decoder
     s = text.strip()
     if s.startswith("["):
         try:
             return json.loads(s)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecParseError(f"bad element JSON: {exc}") from exc
     try:
         with open(text, encoding="utf-8") as f:
             return json.load(f)
     except OSError as exc:
         raise SpecParseError(f"cannot read element file {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecParseError(f"bad element JSON in {text!r}: {exc}") from exc
 
 

@@ -122,6 +122,23 @@ class Group:
                     todo.append(w)
         return mask
 
+    def generators(self):
+        """A greedy generating set: each element not yet generated, by index."""
+        gens = self._cache.get("generators")
+        if gens is None:
+            whole = (1 << self.n) - 1
+            mask = 1 << self.identity
+            gens = []
+            for g in range(self.n):
+                if mask == whole:
+                    break
+                if not (mask >> g) & 1:
+                    gens.append(g)
+                    mask = self.join_mask(mask, g)
+            gens = tuple(gens)
+            self._cache["generators"] = gens
+        return gens
+
     def validate(self):
         """Check the group axioms exactly; raises AlgebraError on failure.
 
@@ -135,14 +152,7 @@ class Group:
             raise AlgebraError(f"{self.label}: some row is not a permutation")
         if any(set(col) != full for col in zip(*mul)):
             raise AlgebraError(f"{self.label}: some column is not a permutation")
-        whole = (1 << n) - 1
-        mask = 1 << self.identity
-        for g in range(n):
-            if mask == whole:
-                break
-            if (mask >> g) & 1:
-                continue
-            mask = self.join_mask(mask, g)
+        for g in self.generators():
             right = itemgetter(*mul[g])
             for x in range(n):
                 if mul[mul[x][g]] != right(mul[x]):
@@ -584,6 +594,14 @@ def _split_top_level(norm):
     return parts
 
 
+def _spec_int(digits, offset):
+    """int() of an ASCII digit string; one too long for int() is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SpecParseError(f"number too long ({len(digits)} digits)", offset) from None
+
+
 def _parse_cycles(body, offset):
     """Parse one generator like (1,2,3)(4,5) into a list of 0-based cycles."""
     cycles, pos, used = [], 0, set()
@@ -598,9 +616,9 @@ def _parse_cycles(body, offset):
             raise SpecParseError("empty cycle", offset + pos)
         points = []
         for tok in inner.split(","):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise SpecParseError(f"bad cycle point {tok!r}", offset + pos)
-            points.append(int(tok))
+            points.append(_spec_int(tok, offset + pos))
         if min(points) < 1:
             raise InvalidParameterError("cycle points are 1-based")
         points = [p - 1 for p in points]
@@ -631,19 +649,19 @@ def _parse_atom(text, offset):
             raise SpecParseError("perm spec has no generators", offset)
         return ("perm", gens, text)
     if text.startswith("SL"):
-        m = re.match(r"SL\((\d+),(\d+)\)$", text)
+        m = re.match(r"SL\(([0-9]+),([0-9]+)\)$", text)
         if not m:
             raise SpecParseError(f"malformed SL spec {text!r}", offset)
-        dim, p = int(m.group(1)), int(m.group(2))
+        dim, p = _spec_int(m.group(1), offset), _spec_int(m.group(2), offset)
         if dim != 2:
             raise InvalidParameterError("only SL(2,p) is supported")
         if p not in _PRIMES:
             raise InvalidParameterError(f"SL(2,{p}) needs a prime p <= 7")
         return ("sl2", p, text)
-    m = re.match(r"(Dic|C|D|Q|S|A)(\d+)$", text)
+    m = re.match(r"(Dic|C|D|Q|S|A)([0-9]+)$", text)
     if not m:
         raise SpecParseError(f"unrecognized group spec {text!r}", offset)
-    kind, n = m.group(1), int(m.group(2))
+    kind, n = m.group(1), _spec_int(m.group(2), offset)
     if kind == "C":
         if n < 1:
             raise InvalidParameterError("cyclic groups need n >= 1")
@@ -653,8 +671,10 @@ def _parse_atom(text, offset):
             raise InvalidParameterError(f"D{n}: dihedral order must be even and >= 4")
         return ("dihedral", n, text)
     if kind == "Dic":
-        if n % 4:
-            raise InvalidParameterError(f"Dic{n}: dicyclic order must be divisible by 4")
+        if n < 4 or n % 4:
+            raise InvalidParameterError(
+                f"Dic{n}: dicyclic order must be divisible by 4 and >= 4"
+            )
         return ("dicyclic", n, text)
     if kind == "Q":
         if n < 8 or n & (n - 1):
@@ -699,13 +719,18 @@ def _build_atom(recipe, cap):
         _check_cap(p * (p * p - 1), cap, label)
         return Group(_sl2_table(p), label)
     if kind == "perm":
-        degree = 1 + max(pt for gen in arg for cyc in gen for pt in cyc)
+        # only the points named matter: numbering them in increasing order
+        # keeps the lexicographic element order and bounds the degree by
+        # the length of the spec
+        points = sorted({pt for gen in arg for cyc in gen for pt in cyc})
+        point = {pt: i for i, pt in enumerate(points)}
+        degree = len(points)
         gens = []
         for gen in arg:
             perm = list(range(degree))
             for cyc in gen:
                 for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    perm[a] = b
+                    perm[point[a]] = point[b]
             gens.append(tuple(perm))
         elems = _close_perms(gens, degree, cap)
         return Group(_perm_group_table(elems), label)

@@ -1,10 +1,20 @@
 """Subgroup lattices with conjugacy classes, Moebius values, and the
 coefficient arithmetic behind the commutativity criteria.
 
-Enumeration is by cyclic extension (Neubüser, 1960): starting from the
-trivial subgroup, every subgroup found is joined with one generator of each
-cyclic subgroup, until no new subgroup appears. The result is provably
-complete because any subgroup is the join of its cyclic subgroups.
+Enumeration is cyclic extension (Neubüser, 1960) up to conjugacy, in the
+form of GAP's LatticeByCyclicExtension. The generators are the zuppos: one
+generator z of each cyclic subgroup of prime-power order p^k. Only class
+representatives H are extended, and only by zuppos z outside H with
+z^p in H, one per N_G(H)-orbit. This is complete: adding the zuppos of a
+subgroup in increasing order builds it by such steps, and
+<H^a, z> = <H, z^(a^-1)>^a, so a conjugation-closed set that is closed at
+its representatives is closed everywhere. Each new subgroup J brings in its
+whole class at once, by a breadth-first search over conjugation by the
+generators of G that records a conjugator t for each member. N_G(J) is
+grown from J by joining elements that normalize it until its order is
+[G : class size], and the member t J t^-1 gets t N_G(J) t^-1. Classes and
+normalizers are thus by-products of the enumeration.
+
 Subgroups are ordered by (order, sorted member indices); conjugacy-class
 representatives are the minimal subgroups of their classes under that
 order, which makes every derived table (marks, idempotent coefficients)
@@ -56,21 +66,98 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _all_subgroup_masks(G):
-    ident_mask = 1 << G.identity
-    cyclic = {}
+def _zuppos(G):
+    """Cyclic subgroups of prime-power order p^k > 1 ("zuppos").
+
+    Returns (zuppos, zuppo_of): zuppos lists the pairs (z, z^p) for the
+    minimal-index generator z of each, and zuppo_of maps every generator
+    of each to its position in that list.
+    """
+    mul, ident = G.mul, G.identity
+    zuppos, zuppo_of = [], {}
     for g in range(G.n):
-        cyclic.setdefault(G.join_mask(ident_mask, g), g)
-    gens = tuple(cyclic.values())
-    known = {ident_mask}
-    todo = [ident_mask]
-    for hm in todo:
-        for g in gens:
-            j = G.join_mask(hm, g)
-            if j not in known:
-                known.add(j)
-                todo.append(j)
-    return known
+        if g == ident or g in zuppo_of:
+            continue
+        powers = [g]
+        while powers[-1] != ident:
+            powers.append(mul[powers[-1]][g])
+        k = len(powers)
+        p = next(d for d in range(2, k + 1) if k % d == 0)
+        z = len(zuppos) if p_part(k, p) == k else None
+        for e, x in enumerate(powers, 1):
+            if math.gcd(e, k) == 1:
+                zuppo_of[x] = z
+        if z is not None:
+            zuppos.append((g, powers[p - 1]))
+    return zuppos, zuppo_of
+
+
+def _subgroup_classes(G):
+    """Every subgroup of G by conjugacy class, with its normalizer.
+
+    Returns (orbits, normalizer): orbits lists each class as its member
+    masks, and normalizer maps every subgroup mask to the mask of its
+    normalizer.
+    """
+    mul, conj = G.mul, G.conj_rows()
+    gens = G.generators()
+    zuppos, zuppo_of = _zuppos(G)
+    orbits = []
+    normalizer = {}
+    reps = []
+
+    def add_class(jmask, jgens):
+        members = tuple(bits(jmask))
+        conjugator = {jmask: G.identity}
+        queue = [G.identity]
+        for t in queue:
+            for s in gens:
+                st = mul[s][t]
+                row = conj[st]
+                cmask = mask_of(row[x] for x in members)
+                if cmask not in conjugator:
+                    conjugator[cmask] = st
+                    queue.append(st)
+        target = G.n // len(queue)
+        nmask, ngens = jmask, jgens
+        for g in range(G.n):
+            if nmask.bit_count() >= target:
+                break
+            row = conj[g]
+            if not (nmask >> g) & 1 and all((jmask >> row[x]) & 1 for x in jgens):
+                nmask = G.join_mask(nmask, g)
+                ngens += (g,)
+        assert len(queue) * nmask.bit_count() == G.n, (
+            "class size must equal [G : N_G(H)]"
+        )
+        nmembers = tuple(bits(nmask))
+        for cmask, t in conjugator.items():
+            row = conj[t]
+            normalizer[cmask] = mask_of(row[x] for x in nmembers)
+        orbits.append(tuple(conjugator))
+        reps.append((jmask, jgens, ngens))
+
+    add_class(1 << G.identity, ())
+    for hmask, hgens, ngens in reps:
+        # <H, z> and <H, a z a^-1> are conjugate for a in N_G(H), so one
+        # zuppo per N_G(H)-orbit suffices; the orbit keeps z outside H and
+        # z^p inside it
+        seen = set()
+        for i, (z, zp) in enumerate(zuppos):
+            if i in seen or (hmask >> z) & 1 or not (hmask >> zp) & 1:
+                continue
+            seen.add(i)
+            orbit = [z]
+            for x in orbit:
+                for a in ngens:
+                    j = zuppo_of[conj[a][x]]
+                    if j not in seen:
+                        seen.add(j)
+                        orbit.append(zuppos[j][0])
+            jmask = G.join_mask(hmask, z)
+            if jmask not in normalizer:
+                add_class(jmask, hgens + (z,))
+    return orbits, normalizer
 
 
 class SubgroupLattice:
@@ -95,38 +182,22 @@ class SubgroupLattice:
     def __init__(self, G):
         self.group = G
         self._cache = {}
-        entries = sorted(
-            (m.bit_count(), tuple(bits(m)), m) for m in _all_subgroup_masks(G)
+        orbits, normalizer = _subgroup_classes(G)
+        masks = sorted(normalizer, key=lambda m: (m.bit_count(), tuple(bits(m))))
+        self.subgroups = tuple(Subgroup(G, m) for m in masks)
+        self.index = {m: i for i, m in enumerate(masks)}
+        count = len(masks)
+        self.classes = tuple(
+            sorted(tuple(sorted(self.index[m] for m in orbit)) for orbit in orbits)
         )
-        self.subgroups = tuple(Subgroup(G, m) for _, _, m in entries)
-        self.index = {s.mask: i for i, s in enumerate(self.subgroups)}
-        count = len(self.subgroups)
-
         class_of = [-1] * count
-        classes = []
-        for i, s in enumerate(self.subgroups):
-            if class_of[i] >= 0:
-                continue
-            orbit = sorted({self.index[s.conjugate_mask(a)] for a in range(G.n)})
-            for j in orbit:
-                class_of[j] = len(classes)
-            classes.append(tuple(orbit))
-        self.classes = tuple(classes)
+        for c, cls in enumerate(self.classes):
+            for i in cls:
+                class_of[i] = c
         self.class_of = tuple(class_of)
-        self.reps = tuple(cls[0] for cls in classes)
+        self.reps = tuple(cls[0] for cls in self.classes)
+        self.normalizer_idx = tuple(self.index[normalizer[m]] for m in masks)
 
-        normalizer_idx = []
-        for s in self.subgroups:
-            nmask = mask_of(
-                a for a in range(G.n) if s.conjugate_mask(a) == s.mask
-            )
-            normalizer_idx.append(self.index[nmask])
-        self.normalizer_idx = tuple(normalizer_idx)
-        for i, cls in enumerate(self.classes):
-            norm = self.subgroups[normalizer_idx[cls[0]]]
-            assert len(cls) * norm.order == G.n, "class size must equal [G : N_G(H)]"
-
-        masks = [s.mask for s in self.subgroups]
         self.below = tuple(
             tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
             for i in range(count)

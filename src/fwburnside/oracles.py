@@ -6,6 +6,8 @@ ring by orbit stabilizers. This gives an independent route to every
 formula the package uses: the diagonal product for multiply, restricted
 and fixed-point actions for the Mackey and fixed-point class maps, the
 orbit space for deflate, and spaces of equivariant maps for tensor_induce.
+marks_by_fixed_points counts the marks element by element, independently
+of the containment counts table_of_marks reads from the lattice.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -27,6 +29,7 @@ __all__ = [
     "fixed_points_gset",
     "deflate_gset",
     "map_space_gset",
+    "marks_by_fixed_points",
 ]
 
 
@@ -115,6 +118,44 @@ def decompose_gset(X):
             raise AlgebraError("invalid action table: stabilizer is not a subgroup")
         coeffs[lat.class_of[idx]] += 1
     return BurnsideElement(G, coeffs)
+
+
+def marks_by_fixed_points(lat):
+    """The table of marks counted on cosets: |(G/H)^K| is the number of
+    cosets gH with g^-1 K g <= H, over one class representative per row
+    and column."""
+    G = lat.group
+    mul, inv = G.mul, G.inv
+    ncls = lat.n_classes()
+    reps = [lat.class_rep(c) for c in range(ncls)]
+    rows = []
+    for i, H in enumerate(reps):
+        hmask = H.mask
+        visited = 0
+        transversal = []
+        for g in range(G.n):
+            if (visited >> g) & 1:
+                continue
+            transversal.append(g)
+            row = mul[g]
+            for h in H.members:
+                visited |= 1 << row[h]
+        row_marks = [0] * ncls
+        for j in range(i + 1):
+            K = reps[j]
+            if H.order % K.order:
+                continue
+            count = 0
+            for g in transversal:
+                ig_row = mul[inv[g]]
+                for x in K.members:
+                    if not (hmask >> mul[ig_row[x]][g]) & 1:
+                        break
+                else:
+                    count += 1
+            row_marks[j] = count
+        rows.append(tuple(row_marks))
+    return tuple(rows)
 
 
 def product_gset(X, Y):

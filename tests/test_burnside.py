@@ -41,9 +41,11 @@ from fwburnside.oracles import (
     deflate_gset,
     fixed_points_gset,
     map_space_gset,
+    marks_by_fixed_points,
     product_gset,
     restrict_gset,
 )
+from fwburnside.survey import full_catalog
 
 
 def coeffs_strategy(k):
@@ -63,6 +65,14 @@ def test_tom_s3_hand_matrix(s3):
         (2, 0, 2, 0),
         (1, 1, 1, 1),
     )
+
+
+@pytest.mark.parametrize(
+    "spec", full_catalog() + ("S5", "SL(2,7)", "D128", "C2xC2xC2xC2xC2", "C2xS4")
+)
+def test_tom_matches_fixed_point_count(spec):
+    lat = subgroup_lattice(construct_group(spec))
+    assert table_of_marks(lat) == marks_by_fixed_points(lat)
 
 
 @pytest.mark.parametrize("spec", ["Q8", "S4", "A4", "D12", "SL(2,3)"])

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwburnside.cli import main
 
@@ -168,6 +171,90 @@ def test_bad_rational_exits_one_line(capsys, element):
     code, out, err = run_cli(capsys, "fw", "apply", "Q8", element)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "malformed rational" in err
+
+
+def _contract(argv):
+    """Run the CLI in-process and check the exit-code contract for input
+    errors: exit 0, 1 or 2, at most one line on stderr, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "C1" + "0" * 5000],
+        ["group", "SL(2," + "7" * 5000 + ")"],
+        ["group", "perm:[(1," + "2" * 5000 + ")]"],
+        ["group", "perm:[(1,\u00b2)]"],
+        ["group", "C\u0663"],
+        ["fw", "apply", "Q8", '[["2:0", "1' + "0" * 5000 + '"]]'],
+        ["fw", "apply", "Q8", '[["2:0", 1' + "0" * 5000 + "]]"],
+        ["fw", "apply", "Q8", "[" * 100000],
+    ],
+)
+def test_malformed_numbers_and_nesting_exit_one(argv):
+    assert _contract(argv) == 1
+
+
+def test_perm_degree_is_bounded_by_named_points():
+    assert _contract(["group", "perm:[(1,100000000)]", "--cap", "16"]) == 0
+
+
+_small_int = st.integers(min_value=0, max_value=40).map(str)
+_cycle = st.lists(st.integers(min_value=0, max_value=9).map(str), min_size=1, max_size=4)
+_atom = st.one_of(
+    st.tuples(st.sampled_from(["C", "D", "Q", "Dic", "S", "A"]), _small_int).map("".join),
+    st.tuples(_small_int, _small_int).map(lambda t: f"SL({t[0]},{t[1]})"),
+    st.lists(st.lists(_cycle, min_size=1, max_size=2), min_size=1, max_size=3).map(
+        lambda gens: "perm:["
+        + ";".join("".join("(" + ",".join(c) + ")" for c in g) for g in gens)
+        + "]"
+    ),
+)
+# free text stays under 13 characters, too short to name a permutation
+# point above 999, so no draw asks for a large table
+_spec = st.one_of(
+    st.lists(_atom, min_size=1, max_size=3).map("x".join),
+    st.text(alphabet="CDQSAicLxperm:()[],;0123456789 -\u00b2\u0663", max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec)
+def test_fuzz_group_spec(spec):
+    _contract(["group", spec, "--cap", "16"])
+
+
+_scalar = st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(-3, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+)
+_label = st.one_of(
+    st.tuples(st.integers(0, 16), st.integers(0, 2)).map(lambda t: f"{t[0]}:{t[1]}"),
+    _scalar,
+)
+_entry = st.one_of(st.tuples(_label, _scalar).map(list), st.lists(_scalar, max_size=3), _scalar)
+# every draw starts with "[", so it is read as inline JSON and never as a path
+_element = st.one_of(
+    st.lists(_entry, max_size=4).map(json.dumps),
+    st.text(max_size=20).map(lambda t: "[" + t),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element)
+def test_fuzz_element_json(element):
+    _contract(["fw", "apply", "Q8", element])
 
 
 def test_exit_code_usage_errors(capsys):

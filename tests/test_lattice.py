@@ -17,7 +17,7 @@ from fwburnside import (
     subgroup_lattice,
     totient,
 )
-from fwburnside.groups import bits
+from fwburnside.groups import bits, mask_of
 from fwburnside.lattice import GCD_METHODS, divisors
 
 
@@ -45,6 +45,10 @@ FROZEN_COUNTS = [
     ("SL(2,5)", 76, 12),
     ("S5", 156, 19),
     ("C2xC2xC2xC2", 67, 67),
+    ("SL(2,7)", 224, 19),
+    ("D128", 134, 20),
+    ("A6", 501, 22),
+    ("D512", 520, 26),
 ]
 
 
@@ -128,19 +132,38 @@ def test_s4_lattice_is_closure_complete(s4):
             assert s4.generated_subgroup(bits(A.mask | B.mask)).mask in masks
 
 
-def test_classes_are_conjugacy_orbits(s4):
-    lat = subgroup_lattice(s4)
-    for cls in lat.classes:
-        rep = lat.subgroups[cls[0]]
-        orbit = {rep.conjugate_mask(g) for g in range(s4.n)}
-        assert orbit == {lat.subgroups[i].mask for i in cls}
+CONJUGACY_SPECS = ["S4", "A5", "S5", "SL(2,5)", "D128", "C2xS4", "Dic60", "Q16",
+                   "C2xC2xC2xC2"]
 
 
-def test_class_sizes_match_normalizer_index(s4):
-    lat = subgroup_lattice(s4)
+def brute_conjugates(H):
+    """{a H a^-1 : a in G} as masks, over all n conjugators."""
+    return {H.conjugate_mask(a) for a in range(H.parent.n)}
+
+
+def brute_normalizer_mask(H):
+    """The stabilizer of H under conjugation, over all n conjugators."""
+    return mask_of(a for a in range(H.parent.n) if H.conjugate_mask(a) == H.mask)
+
+
+@pytest.mark.parametrize("spec", CONJUGACY_SPECS)
+def test_classes_are_conjugacy_orbits(spec):
+    lat = subgroup_lattice(construct_group(spec))
+    for c, cls in enumerate(lat.classes):
+        assert brute_conjugates(lat.class_rep(c)) == {lat.subgroups[i].mask for i in cls}
+        assert all(lat.class_of[i] == c for i in cls)
+    assert sorted(i for cls in lat.classes for i in cls) == list(range(len(lat.subgroups)))
+
+
+@pytest.mark.parametrize("spec", CONJUGACY_SPECS)
+def test_class_sizes_match_normalizer_index(spec):
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    for H in lat.subgroups:
+        assert lat.normalizer(H).mask == brute_normalizer_mask(H)
     for c in range(lat.n_classes()):
         rep = lat.class_rep(c)
-        assert len(lat.classes[c]) * lat.normalizer(rep).order == s4.n
+        assert len(lat.classes[c]) * lat.normalizer(rep).order == G.n
 
 
 def test_moebius_diagonal_and_sum():
