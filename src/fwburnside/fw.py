@@ -24,6 +24,8 @@ from typing import Optional
 
 from .burnside import (
     BurnsideElement,
+    MarkVector,
+    _gather,
     basis_element,
     deflate,
     deflation_coefficient,
@@ -34,11 +36,8 @@ from .burnside import (
     induce,
     inflate,
     is_integral,
-    marks_of,
-    MarkVector,
     restrict,
     tensor_induce,
-    zero,
 )
 from .errors import PreconditionError
 from .groups import (
@@ -81,11 +80,12 @@ OPERATIONS = ("res", "ind", "ten", "inf", "def", "fix")
 class FwContext:
     """A finite group paired with the canonical cyclic group of its order."""
 
-    __slots__ = ("G", "C")
+    __slots__ = ("G", "C", "_lift")
 
     def __init__(self, G):
         self.G = G
         self.C = cyclic_group(G.n)
+        self._lift = None
 
     def __repr__(self):
         return f"<FwContext for {self.G.label}>"
@@ -101,6 +101,16 @@ class FwContext:
     def c_class(self, d):
         return subgroup_lattice(self.C).class_index(self.c_subgroup(d))
 
+    def lift_classes(self):
+        """For each subgroup class of G: the class of the subgroup of C
+        of the same order."""
+        if self._lift is None:
+            glat = subgroup_lattice(self.G)
+            self._lift = tuple(
+                self.c_class(glat.class_order(c)) for c in range(glat.n_classes())
+            )
+        return self._lift
+
 
 def fw_context(G):
     ctx = G._cache.get("fw_context")
@@ -112,15 +122,10 @@ def fw_context(G):
 
 def fw_apply(ctx, x):
     """Lift an element over C to the element over G with the same marks,
-    matched through subgroup orders."""
+    matched through subgroup orders: a gather."""
     if x.group is not ctx.C:
         raise PreconditionError("element does not live over the cyclic source ring")
-    clat = subgroup_lattice(ctx.C)
-    glat = subgroup_lattice(ctx.G)
-    mx = marks_of(x)
-    by_order = {clat.class_order(j): mx.marks[j] for j in range(clat.n_classes())}
-    gmarks = [by_order[glat.class_order(c)] for c in range(glat.n_classes())]
-    return element_from_marks(MarkVector(ctx.G, gmarks))
+    return _gather(x, ctx.G, ctx.lift_classes())
 
 
 @dataclass(frozen=True)
@@ -234,26 +239,29 @@ def _route_pairs(ctx, op, sub):
 
 def _check_deflation_closed_forms(ctx, qm, d, left, right):
     """Assert both routes of the deflation square at e[d] against their
-    closed forms: t-constants on the ambient side, r on the cyclic side."""
+    closed forms, built as mark vectors (an idempotent's marks are the
+    indicator of its class): t(H, N) at the class of HN/N for each class
+    of H of order d on the ambient side, r at every class of order
+    d / gcd(d, |N|) on the cyclic side."""
     G, N = ctx.G, qm.kernel
     glat = subgroup_lattice(G)
     qlat = subgroup_lattice(qm.target)
-    eq1 = zero(qm.target)
+    eq1 = [0] * qlat.n_classes()
     for c in range(glat.n_classes()):
         H = glat.class_rep(c)
         if H.order != d:
             continue
         HN = Subgroup(G, H.product_mask(N))
-        term = idempotent(qlat, qm.push_subgroup(HN))
-        eq1 = eq1 + t_constant(G, H, N) * term
+        eq1[qlat.class_index(qm.push_subgroup(HN))] += t_constant(G, H, N)
     d_bar = d // math.gcd(d, N.order)
     r = r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(N.order))
-    eq2 = zero(qm.target)
-    for c in range(qlat.n_classes()):
-        if qlat.class_order(c) == d_bar:
-            eq2 = eq2 + r * idempotent(qlat, c)
-    assert left == eq1, "deflation closed form (ambient route) must match"
-    assert right == eq2, "deflation closed form (cyclic route) must match"
+    eq2 = [r if qlat.class_order(c) == d_bar else 0 for c in range(qlat.n_classes())]
+    assert left == element_from_marks(MarkVector(qm.target, eq1)), (
+        "deflation closed form (ambient route) must match"
+    )
+    assert right == element_from_marks(MarkVector(qm.target, eq2)), (
+        "deflation closed form (cyclic route) must match"
+    )
 
 
 def check_commutes(ctx, op, sub):

@@ -3,9 +3,10 @@
 Each function here works on a concrete G-set, an explicit action table,
 and decompose_gset turns the result back into an element of the Burnside
 ring by orbit stabilizers. This gives an independent route to every
-formula the package uses: the diagonal product for multiply, restricted
-and fixed-point actions for the Mackey and fixed-point class maps, the
-orbit space for deflate, and spaces of equivariant maps for tensor_induce.
+formula the package uses: the diagonal product for multiply, restricted,
+inflated and fixed-point actions for the gathers, the coset space G/L for
+inducing [H/L], the orbit space for deflate, and spaces of equivariant
+maps for tensor_induce.
 marks_by_fixed_points counts the marks element by element, independently
 of the containment counts table_of_marks reads from the lattice.
 Work grows with the size of the sets, so keep the groups small. No module
@@ -26,6 +27,7 @@ __all__ = [
     "decompose_gset",
     "product_gset",
     "restrict_gset",
+    "inflate_gset",
     "fixed_points_gset",
     "deflate_gset",
     "map_space_gset",
@@ -175,6 +177,13 @@ def restrict_gset(X, emb):
     if X.group is not emb.parent:
         raise PreconditionError("G-set does not live over the ambient group")
     return GSet(emb.source, X.size, tuple(X.action[p] for p in emb.map))
+
+
+def inflate_gset(X, qm):
+    """The same points with G acting through the projection onto G/N."""
+    if X.group is not qm.target:
+        raise PreconditionError("G-set does not live over the quotient")
+    return GSet(qm.source, X.size, tuple(X.action[p] for p in qm.projection))
 
 
 def fixed_points_gset(X, qm):

@@ -40,6 +40,7 @@ from fwburnside.oracles import (
     decompose_gset,
     deflate_gset,
     fixed_points_gset,
+    inflate_gset,
     map_space_gset,
     marks_by_fixed_points,
     product_gset,
@@ -75,6 +76,32 @@ def test_tom_matches_fixed_point_count(spec):
     assert table_of_marks(lat) == marks_by_fixed_points(lat)
 
 
+def counted_marks(x, tom):
+    """Marks of x as its coefficients times tom, the table of marks counted
+    on cosets: independent of the marks x stores."""
+    marks = [Fraction(0)] * len(tom)
+    for coef, row in zip(x.coeffs, tom):
+        if coef:
+            for j, t in enumerate(row):
+                if t:
+                    marks[j] += coef * t
+    return tuple(marks)
+
+
+@pytest.mark.parametrize(
+    "spec", full_catalog() + ("S5", "SL(2,7)", "D128", "C2xC2xC2xC2xC2", "C2xS4")
+)
+def test_idempotent_coefficients_give_indicator_marks(spec):
+    # Gluck's coefficients against the counted table, not the stored marks
+    lat = subgroup_lattice(construct_group(spec))
+    tom = marks_by_fixed_points(lat)
+    ncls = lat.n_classes()
+    for c in range(ncls):
+        assert counted_marks(idempotent(lat, c), tom) == tuple(
+            int(j == c) for j in range(ncls)
+        )
+
+
 @pytest.mark.parametrize("spec", ["Q8", "S4", "A4", "D12", "SL(2,3)"])
 def test_tom_triangular_shape(spec):
     G = construct_group(spec)
@@ -92,7 +119,11 @@ def test_tom_triangular_shape(spec):
 def test_marks_roundtrip_s4(coeffs):
     G = construct_group("S4")
     x = BurnsideElement(G, coeffs)
-    assert element_from_marks(marks_of(x)) == x
+    assert x.coeffs == tuple(coeffs)
+    y = element_from_marks(marks_of(x))
+    assert y == x
+    # y knows only the marks, so this runs the back-substitution
+    assert y.coeffs == tuple(coeffs)
 
 
 @given(coeffs_strategy(6), coeffs_strategy(6))
@@ -217,8 +248,9 @@ def test_deflate_matches_orbit_space(spec, n_order):
     "spec", ["S4", "D12", "Q16", "SL(2,3)", "C2xC2xC2", "S3xS3", "A5"]
 )
 def test_restrict_and_fixed_points_match_coset_actions(spec):
-    # the Mackey and fixed-point class maps against the concrete coset
-    # action, restricted to every subgroup and cut down to every kernel
+    # the gathers and the Mackey sum against concrete coset actions:
+    # restricted to every subgroup, cut down to and inflated from every
+    # quotient, and G/L as the set induced from [H/L]
     G = construct_group(spec)
     lat = subgroup_lattice(G)
     sets = [coset_space(G, lat.class_rep(c)) for c in range(lat.n_classes())]
@@ -230,6 +262,19 @@ def test_restrict_and_fixed_points_match_coset_actions(spec):
             assert restrict(x, emb) == decompose_gset(restrict_gset(X, emb))
             if qm is not None:
                 assert fixed_points(x, qm) == decompose_gset(fixed_points_gset(X, qm))
+        hlat = subgroup_lattice(emb.source)
+        for c in range(hlat.n_classes()):
+            L = emb.push_subgroup(hlat.class_rep(c))
+            assert induce(basis_element(emb.source, c), emb) == decompose_gset(
+                coset_space(G, L)
+            )
+        if qm is not None:
+            qlat = subgroup_lattice(qm.target)
+            for c in range(qlat.n_classes()):
+                Y = coset_space(qm.target, qlat.class_rep(c))
+                assert inflate(basis_element(qm.target, c), qm) == decompose_gset(
+                    inflate_gset(Y, qm)
+                )
 
 
 def test_deflate_after_inflate_is_identity(q8):
@@ -292,6 +337,10 @@ def test_scalar_and_ring_operations(s3):
 def test_mixed_ring_elements_rejected(s3, q8):
     with pytest.raises(PreconditionError):
         basis_element(s3, 0) + basis_element(q8, 0)
+    # S3 has four subgroup classes
+    for coeffs in ([1, 2], [1, 2, 3, 4, 5], []):
+        with pytest.raises(PreconditionError):
+            BurnsideElement(s3, coeffs)
 
 
 def test_rational_formatting_roundtrip():

@@ -27,6 +27,8 @@ from fwburnside import (
     transport_element,
 )
 from fwburnside.groups import cyclic_generator, cyclic_isomorphism
+from fwburnside.oracles import marks_by_fixed_points
+from fwburnside.survey import full_catalog
 
 
 def coeffs_strategy(k):
@@ -70,6 +72,21 @@ def test_lift_matches_marks_by_subgroup_order(q8):
         for c in range(glat.n_classes()):
             d = glat.class_order(c)
             assert my[c] == mx[clat.class_by_label(f"{d}:0")]
+
+
+@pytest.mark.parametrize("spec", full_catalog())
+def test_lift_coefficients_give_gathered_marks(spec):
+    # the lift's back-substituted coefficients times the table counted on
+    # cosets give the source marks read by subgroup order, also counted
+    G = construct_group(spec)
+    ctx = fw_context(G)
+    glat, clat = subgroup_lattice(G), subgroup_lattice(ctx.C)
+    gtom, ctom = marks_by_fixed_points(glat), marks_by_fixed_points(clat)
+    for j in range(clat.n_classes()):
+        y = fw_apply(ctx, basis_element(ctx.C, j))
+        for c in range(glat.n_classes()):
+            mark = sum(coef * row[c] for coef, row in zip(y.coeffs, gtom))
+            assert mark == ctom[j][ctx.c_class(glat.class_order(c))]
 
 
 def test_transitive_image_q8(q8):
