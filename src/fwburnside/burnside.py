@@ -7,20 +7,28 @@ fw.py is defined on them, so marks are the one representation;
 coefficients over the transitive basis [G/H] are recovered on first read
 and memoised.
 
-- Sums, scalar multiples and products are pointwise.
-- Restriction, inflation, fixed points and the lift are gathers: the mark
-  at K is a mark of the argument at one related subgroup (K itself inside
-  the larger group, KN/N, the preimage of K/N, the cyclic subgroup of
-  order |K|), read through a class table cached per lattice and map.
-- Induction and tensor induction read the Mackey table of double cosets
-  K g H, cached per lattice and subgroup. Induction sums the argument's
-  marks at g^-1 K g over the double cosets with g^-1 K g <= H; tensor
-  induction multiplies its marks at g^-1 K g ∩ H over all of them.
-- Deflation is the one class map on the transitive basis, [G/H] going to
-  [(G/N)/(HN/N)]. The points of X/N fixed by K/N are the N-orbits that K
-  maps to themselves, and their number is not the mark of X at any one
-  subgroup, so deflation converts to coefficients, maps classes and
-  converts back. transport_element is a class map as well.
+Sums, scalar multiples and products are pointwise. Every change of group
+runs along one homomorphism f: A -> B, a GroupHom (groups.py): the
+embedding of a subgroup H into G, or the projection of G onto G/N. Each
+of the six operations is one of three biset operations along f (Bouc,
+Biset Functors for Finite Groups, 2010):
+
+- Pullback, X with A acting through f: restriction along an
+  embedding, inflation along a projection. A gather: the mark at K <= A
+  is the mark of X at f(K), read through the push table (class of K ->
+  class of f(K)).
+- Pushforward, X to B x_A X: induction along an embedding, deflation
+  along a projection. A class map on the transitive basis through the
+  same table, [A/K] to [B/f(K)]. The points of X/N fixed by K/N are the
+  N-orbits that K maps to themselves, and their number is not the mark of
+  X at any one subgroup, so the pushforward converts to coefficients,
+  maps classes and converts back. transport_element is the pushforward
+  along an isomorphism.
+- Multiplicative pushforward, X to the A-equivariant maps B -> X:
+  tensor induction along an embedding, N-fixed points along a projection.
+  The mark at K <= B is the product of the marks of X at
+  f^-1(g^-1 K g ∩ f(A)) over the double cosets K g f(A), read through the
+  Mackey table; a projection has one double coset.
 
 Conversion is exact integer arithmetic on the table of marks, which is
 lower triangular in the class order with positive diagonal. Forward, the
@@ -41,17 +49,15 @@ import re
 from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
-from .groups import Subgroup, mask_of
+from .groups import GroupHom, Subgroup, mask_of, quotient_group, subgroup_embedding
 from .lattice import double_cosets, m_constant, subgroup_lattice
 
 __all__ = [
     "BurnsideElement",
-    "MarkVector",
     "zero",
     "basis_element",
     "identity_element",
     "table_of_marks",
-    "marks_of",
     "element_from_marks",
     "multiply",
     "is_integral",
@@ -62,6 +68,8 @@ __all__ = [
     "deflate",
     "fixed_points",
     "tensor_induce",
+    "OPERATIONS",
+    "operation",
     "deflation_coefficient",
     "deflate_idempotent",
     "transport_element",
@@ -156,24 +164,6 @@ def _element(group, marks, coeffs=None):
     return x
 
 
-class MarkVector:
-    """Fixed-point counts of an element, one per subgroup class."""
-
-    __slots__ = ("group", "marks")
-
-    def __init__(self, group, marks):
-        self.group = group
-        self.marks = tuple(Fraction(m) for m in marks)
-
-    def __eq__(self, other):
-        if not isinstance(other, MarkVector):
-            return NotImplemented
-        return self.group is other.group and self.marks == other.marks
-
-    def __repr__(self):
-        return f"<MarkVector over {self.group.label}: {self.marks}>"
-
-
 def zero(G):
     zeros = (_ZERO,) * subgroup_lattice(G).n_classes()
     return _element(G, zeros, zeros)
@@ -262,16 +252,11 @@ def _coeffs_from_marks(lat, marks):
     return tuple(Fraction(v, scale) if v else _ZERO for v in acc)
 
 
-def marks_of(x):
-    """Mark vector of an element."""
-    return MarkVector(x.group, x.marks)
-
-
-def element_from_marks(mv):
-    """The element with the given mark vector."""
-    if len(mv.marks) != subgroup_lattice(mv.group).n_classes():
+def element_from_marks(G, marks):
+    """The element over G with the given mark vector."""
+    if len(marks) != subgroup_lattice(G).n_classes():
         raise PreconditionError("mark vector has the wrong length")
-    return _element(mv.group, mv.marks)
+    return _element(G, tuple(Fraction(m) for m in marks))
 
 
 def multiply(a, b):
@@ -314,18 +299,10 @@ def idempotent(lat, H):
     return e
 
 
-# -- operations along subgroups and quotients ---------------------------------
+# -- operations along a homomorphism f: A -> B ---------------------------------
 #
-# Class tables are cached on the lattice of the larger group, keyed by the
-# subgroup or kernel mask; embeddings and quotient maps are cached the same
-# way (groups.py), so a mask names one map.
-
-
-def _cached_table(lat, key, build):
-    table = lat._cache.get(key)
-    if table is None:
-        table = lat._cache[key] = tuple(build())
-    return table
+# Class tables are cached on the map; subgroup embeddings and quotient maps
+# are cached per group and mask (groups.py), so a mask names one map.
 
 
 def _gather(x, target, table):
@@ -344,136 +321,116 @@ def _map_classes(x, target, table):
     return BurnsideElement(target, coeffs)
 
 
-def _image_classes(glat, emb):
-    """For each class of the subgroup H: the class of its image in G."""
-    hlat = subgroup_lattice(emb.source)
-    return _cached_table(
-        glat,
-        ("subgroup_classes", emb.image_mask()),
-        lambda: (
-            glat.class_index(emb.push_subgroup(hlat.class_rep(c)))
-            for c in range(hlat.n_classes())
-        ),
-    )
+def _push_table(f):
+    """For each subgroup class of A: the class of the image f(K) in B."""
+    table = f._cache.get("push")
+    if table is None:
+        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+        table = f._cache["push"] = tuple(
+            blat.class_index(f.push_subgroup(alat.class_rep(c)))
+            for c in range(alat.n_classes())
+        )
+    return table
 
 
-def _quotient_classes(glat, qm):
-    """For each class of G: the class of KN/N in G/N."""
-    qlat = subgroup_lattice(qm.target)
-    return _cached_table(
-        glat,
-        ("quotient_classes", qm.kernel.mask),
-        lambda: (
-            qlat.class_index(qm.push_subgroup(glat.class_rep(c)))
-            for c in range(glat.n_classes())
-        ),
-    )
-
-
-def _preimage_classes(glat, qm):
-    """For each class of G/N: the class of its preimage in G."""
-    qlat = subgroup_lattice(qm.target)
-    return _cached_table(
-        glat,
-        ("preimage_classes", qm.kernel.mask),
-        lambda: (
-            glat.class_index(qm.pull_subgroup(qlat.class_rep(c)))
-            for c in range(qlat.n_classes())
-        ),
-    )
-
-
-def _double_coset_intersections(glat, emb):
-    """For each class [G/K]: the source-side classes of g^-1 K g ∩ H, one per
-    double coset K g H. Cached per (lattice, image of the embedding)."""
-    hmask = emb.image_mask()
-    G = glat.group
-    hlat = subgroup_lattice(emb.source)
-    H = Subgroup(G, hmask)
-    mul, inv = G.mul, G.inv
-
-    def build():
-        for c in range(glat.n_classes()):
-            K = glat.class_rep(c)
+def _mackey_table(f):
+    """For each subgroup class of B, with representative K: the classes of
+    f^-1(g^-1 K g ∩ f(A)) in A, one per double coset K g f(A)."""
+    table = f._cache.get("mackey")
+    if table is None:
+        B = f.target
+        alat, blat = subgroup_lattice(f.source), subgroup_lattice(B)
+        fmask = f.image_mask()
+        image = Subgroup(B, fmask)
+        mul, inv = B.mul, B.inv
+        rows = []
+        for c in range(blat.n_classes()):
+            K = blat.class_rep(c)
             entries = []
-            for g in double_cosets(G, K, H):
+            for g in double_cosets(B, K, image):
                 ig_row = mul[inv[g]]
                 conj = mask_of(mul[ig_row[k]][g] for k in K.members)
-                idx = hlat.index.get(emb.pull_mask(conj & hmask))
-                assert idx is not None, "double-coset intersection must be a subgroup"
-                entries.append(hlat.class_of[idx])
-            yield tuple(entries)
-
-    return _cached_table(glat, ("mackey_table", hmask), build)
-
-
-def restrict(x, emb):
-    """Restriction along a subgroup embedding: the mark at L <= H is the
-    mark of x at L as a subgroup of G."""
-    if x.group is not emb.parent:
-        raise PreconditionError("element does not live over the ambient group")
-    return _gather(x, emb.source, _image_classes(subgroup_lattice(emb.parent), emb))
+                idx = alat.index.get(f.pull_mask(conj & fmask))
+                assert idx is not None, "preimage of a subgroup must be a subgroup"
+                entries.append(alat.class_of[idx])
+            rows.append(tuple(entries))
+        table = f._cache["mackey"] = tuple(rows)
+    return table
 
 
-def induce(y, emb):
-    """Induction along a subgroup embedding: the mark at K is the sum of the
-    marks of y at g^-1 K g over the double cosets K g H with g^-1 K g <= H,
-    that is, where the Mackey table's entry has order |K|."""
-    if y.group is not emb.source:
-        raise PreconditionError("element does not live over the subgroup")
-    glat = subgroup_lattice(emb.parent)
-    hlat = subgroup_lattice(emb.source)
-    table = _double_coset_intersections(glat, emb)
-    my = y.marks
-    h_orders = [hlat.class_order(h) for h in range(hlat.n_classes())]
-    gmarks = []
-    for c, entries in enumerate(table):
-        k = glat.class_order(c)
-        gmarks.append(sum([my[h] for h in entries if h_orders[h] == k], _ZERO))
-    return _element(emb.parent, tuple(gmarks))
+def _check_over(x, group):
+    if x.group is not group:
+        raise PreconditionError(
+            f"element lives over {x.group.label}, the map needs {group.label}"
+        )
 
 
-def inflate(x, qm):
-    """Inflation along a quotient map: the mark at K is the mark of x at KN/N."""
-    if x.group is not qm.target:
-        raise PreconditionError("element does not live over the quotient")
-    return _gather(x, qm.source, _quotient_classes(subgroup_lattice(qm.source), qm))
+def restrict(x, f):
+    """Pullback along f: A -> B, from the ring of B to that of A: X with A
+    acting through f. A gather: the mark at K <= A is the mark of x at
+    f(K). Along a subgroup embedding this is restriction, along a quotient
+    map inflation."""
+    _check_over(x, f.target)
+    return _gather(x, f.source, _push_table(f))
 
 
-def deflate(x, qm):
-    """Deflation along a quotient map: [G/H] goes to [(G/N)/(HN/N)]."""
-    if x.group is not qm.source:
-        raise PreconditionError("element does not live over the source group")
-    return _map_classes(x, qm.target, _quotient_classes(subgroup_lattice(qm.source), qm))
+def induce(x, f):
+    """Pushforward along f: A -> B, from the ring of A to that of B: X to
+    B x_A X. A class map: [A/K] goes to [B/f(K)]. Along a subgroup
+    embedding this is induction, along a quotient map deflation."""
+    _check_over(x, f.source)
+    return _map_classes(x, f.target, _push_table(f))
 
 
-def fixed_points(x, qm):
-    """N-fixed points with the residual G/N action: the mark at K/N is the
-    mark of x at K."""
-    if x.group is not qm.source:
-        raise PreconditionError("element does not live over the source group")
-    return _gather(x, qm.target, _preimage_classes(subgroup_lattice(qm.source), qm))
-
-
-# -- tensor induction ----------------------------------------------------------
-
-
-def tensor_induce(x, emb):
-    """Multiplicative induction: the mark at K is the product of the marks of
-    x at g^-1 K g ∩ H over double-coset representatives g of K \\ G / H."""
-    if x.group is not emb.source:
-        raise PreconditionError("element does not live over the subgroup")
-    table = _double_coset_intersections(subgroup_lattice(emb.parent), emb)
+def tensor_induce(x, f):
+    """Multiplicative pushforward along f: A -> B, from the ring of A to
+    that of B: X to the A-equivariant maps B -> X. The mark at K <= B is
+    the product of the marks of x at f^-1(g^-1 K g ∩ f(A)) over the double
+    cosets K g f(A). Along a subgroup embedding this is tensor induction;
+    along a quotient map there is one double coset, and it gives the
+    N-fixed points."""
+    _check_over(x, f.source)
     mx = x.marks
     gmarks = []
-    for entries in table:
+    for entries in _mackey_table(f):
         prod = _ONE
         for h in entries:
             prod *= mx[h]
             if not prod:
                 break
         gmarks.append(prod)
-    return _element(emb.parent, tuple(gmarks))
+    return _element(f.target, tuple(gmarks))
+
+
+inflate = restrict
+deflate = induce
+fixed_points = tensor_induce
+
+# op -> (function, along the quotient map by the subgroup rather than its
+# embedding)
+_OPS = {
+    "res": (restrict, False),
+    "ind": (induce, False),
+    "ten": (tensor_induce, False),
+    "inf": (inflate, True),
+    "def": (deflate, True),
+    "fix": (fixed_points, True),
+}
+OPERATIONS = tuple(_OPS)
+
+
+def operation(op, sub):
+    """(function, map, argument group, result group) of the operation op at
+    the subgroup sub: the embedding of sub for res, ind and ten, the
+    quotient map by sub (which must be normal) for inf, def and fix."""
+    if op not in _OPS:
+        raise PreconditionError(f"unknown operation {op!r}; expected one of {OPERATIONS}")
+    fn, along_quotient = _OPS[op]
+    f = quotient_group(sub.parent, sub) if along_quotient else subgroup_embedding(sub)
+    # the pullback (res, inf) is the one that runs against the map
+    if fn is restrict:
+        return fn, f, f.target, f.source
+    return fn, f, f.source, f.target
 
 
 # -- deflation in closed form ---------------------------------------------------
@@ -495,7 +452,7 @@ def deflate_idempotent(lat, H, qm):
     deflation_coefficient(H, N) times the idempotent at HN/N."""
     if qm.source is not lat.group:
         raise PreconditionError("quotient map does not match the lattice")
-    N = qm.kernel
+    N = qm.kernel()
     coeff = deflation_coefficient(lat, H, N)
     HN = Subgroup(lat.group, H.product_mask(N))
     qlat = subgroup_lattice(qm.target)
@@ -503,16 +460,9 @@ def deflate_idempotent(lat, H, qm):
 
 
 def transport_element(x, mapping, target):
-    """Move an element along a group isomorphism given as an index map."""
-    src_lat = subgroup_lattice(x.group)
-    tgt_lat = subgroup_lattice(target)
-    table = [
-        tgt_lat.class_index(
-            Subgroup(target, mask_of(mapping[m] for m in src_lat.class_rep(c).members))
-        )
-        for c in range(src_lat.n_classes())
-    ]
-    return _map_classes(x, target, table)
+    """Move an element along a group isomorphism given as an index map:
+    the pushforward along it."""
+    return induce(x, GroupHom(x.group, target, mapping))
 
 
 # -- formatting and serialization -----------------------------------------------

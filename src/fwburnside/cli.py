@@ -19,17 +19,13 @@ import re
 import sys
 
 from .burnside import (
-    deflate,
+    OPERATIONS,
     element_from_json,
     element_to_json,
-    fixed_points,
     format_rational,
     idempotent,
-    induce,
-    inflate,
-    restrict,
+    operation,
     table_of_marks,
-    tensor_induce,
 )
 from .errors import (
     AlgebraError,
@@ -38,8 +34,8 @@ from .errors import (
     PreconditionError,
     SpecParseError,
 )
-from .fw import check_commutes, fw_apply, fw_context, OPERATIONS
-from .groups import DEFAULT_ORDER_CAP, construct_group, quotient_group, subgroup_embedding
+from .fw import check_commutes, fw_apply, fw_context
+from .groups import DEFAULT_ORDER_CAP, construct_group
 from .lattice import m_constant, subgroup_lattice
 from .survey import SurveyConfig, full_catalog, survey_rows, write_survey_csv
 
@@ -116,7 +112,7 @@ def build_parser():
     return parser
 
 
-_SELECTOR_RE = re.compile(r"order=(\d+):(\d+)$")
+_SELECTOR_RE = re.compile(r"order=([0-9]+):([0-9]+)")
 
 
 def resolve_selector(G, text):
@@ -128,7 +124,7 @@ def resolve_selector(G, text):
         return lat.frattini()
     if text == "maxcyc":
         return lat.max_cyclic_intersection()
-    m = _SELECTOR_RE.match(text)
+    m = _SELECTOR_RE.fullmatch(text)
     if m:
         return lat.class_rep(lat.class_by_label(f"{m.group(1)}:{m.group(2)}"))
     raise SpecParseError(f"unknown subgroup selector {text!r}")
@@ -281,29 +277,13 @@ def cmd_op(args):
     G = construct_group(args.spec, cap=args.cap)
     sub = resolve_selector(G, args.selector)
     data = _load_element_data(args.element)
-    op = args.operation
-    if op in ("res",):
-        x = element_from_json(G, data)
-        result = restrict(x, subgroup_embedding(sub))
-    elif op in ("ind", "ten"):
-        emb = subgroup_embedding(sub)
-        x = element_from_json(emb.source, data)
-        result = induce(x, emb) if op == "ind" else tensor_induce(x, emb)
-    elif op == "inf":
-        qm = quotient_group(G, sub)
-        x = element_from_json(qm.target, data)
-        result = inflate(x, qm)
-    elif op in ("def", "fix"):
-        qm = quotient_group(G, sub)
-        x = element_from_json(G, data)
-        result = deflate(x, qm) if op == "def" else fixed_points(x, qm)
-    else:
-        raise AssertionError(op)
+    fn, f, src, _ = operation(args.operation, sub)
+    result = fn(element_from_json(src, data), f)
     _require_json(args.format)
     return _dump(
         {
             "group": result.group.label,
-            "operation": op,
+            "operation": args.operation,
             "element": element_to_json(result),
         }
     )

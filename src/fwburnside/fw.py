@@ -19,34 +19,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .burnside import (
     BurnsideElement,
-    MarkVector,
     _gather,
     basis_element,
-    deflate,
     deflation_coefficient,
     element_from_marks,
-    fixed_points,
     format_element,
     idempotent,
-    induce,
-    inflate,
     is_integral,
-    restrict,
-    tensor_induce,
+    operation,
 )
 from .errors import PreconditionError
-from .groups import (
-    Subgroup,
-    cyclic_group,
-    mask_of,
-    quotient_group,
-    subgroup_embedding,
-)
+from .groups import Subgroup, cyclic_group, mask_of
 from .lattice import (
     _is_prime,
     check_gcd_property,
@@ -67,15 +56,11 @@ __all__ = [
     "r_constant",
     "Certificate",
     "CommutativityReport",
-    "OPERATIONS",
     "check_commutes",
     "check_m_equality",
     "check_def_necessary",
     "check_prime_kernel_sufficient",
 ]
-
-OPERATIONS = ("res", "ind", "ten", "inf", "def", "fix")
-
 
 class FwContext:
     """A finite group paired with the canonical cyclic group of its order."""
@@ -180,11 +165,22 @@ def r_constant(ctx, D, CN):
     return Fraction(D.order, prod.order) * m_constant(clat, D, D.intersection(CN))
 
 
-@dataclass(frozen=True)
 class Certificate:
-    basis_label: str
-    left: str
-    right: str
+    """The first idempotent on which the two routes differ, with both
+    images; .left and .right format them on first access."""
+
+    def __init__(self, basis_label, left, right):
+        self.basis_label = basis_label
+        self.left_element = left
+        self.right_element = right
+
+    @cached_property
+    def left(self):
+        return format_element(self.left_element)
+
+    @cached_property
+    def right(self):
+        return format_element(self.right_element)
 
 
 @dataclass(frozen=True)
@@ -197,43 +193,23 @@ class CommutativityReport:
     certificate: Optional[Certificate]
 
 
-# op -> (function, whether it maps into G from a smaller group)
-_SQUARE = {
-    "res": (restrict, False),
-    "ind": (induce, True),
-    "ten": (tensor_induce, True),
-    "inf": (inflate, True),
-    "def": (deflate, False),
-    "fix": (fixed_points, False),
-}
-
-
 def _route_pairs(ctx, op, sub):
-    """Yield (basis_label, left, right) per idempotent e of the source ring,
-    with left = op(lift(e)) and right = lift(op(e)).
+    """Yield (basis_label, left, right) per idempotent e of the cyclic ring
+    the operation maps from, with left = op(lift(e)) and right = lift(op(e)).
 
-    The source ring is B(C) when op maps out of G ("down": res, def, fix)
-    and the cyclic ring of the subgroup or quotient when it maps into G
-    ("up": ind, ten, inf). Subgroups and quotients of C canonicalize to
-    the shared cyclic instances, so op(e) lands in the ring the smaller
-    context lifts from.
+    Subgroups and quotients of C canonicalize to the shared cyclic
+    instances, so op(e) lands in the ring the other context lifts from.
     """
-    op_fn, up = _SQUARE[op]
-    cn = ctx.c_subgroup(sub.order)
-    if op in ("res", "ind", "ten"):
-        along, along_c = subgroup_embedding(sub), subgroup_embedding(cn)
-        ctx_s = fw_context(along.source)
-    else:
-        along, along_c = quotient_group(ctx.G, sub), quotient_group(ctx.C, cn)
-        ctx_s = fw_context(along.target)
-    inner, outer = (ctx_s, ctx) if up else (ctx, ctx_s)
+    fn, f, src, dst = operation(op, sub)
+    f_c = operation(op, ctx.c_subgroup(sub.order))[1]
+    inner, outer = fw_context(src), fw_context(dst)
     lat = subgroup_lattice(inner.C)
     for d in divisors(inner.C.n):
         e = idempotent(lat, inner.c_class(d))
-        left = op_fn(fw_apply(inner, e), along)
-        right = fw_apply(outer, op_fn(e, along_c))
+        left = fn(fw_apply(inner, e), f)
+        right = fw_apply(outer, fn(e, f_c))
         if op == "def":
-            _check_deflation_closed_forms(ctx, along, d, left, right)
+            _check_deflation_closed_forms(ctx, f, d, left, right)
         yield f"e[{d}]", left, right
 
 
@@ -243,7 +219,7 @@ def _check_deflation_closed_forms(ctx, qm, d, left, right):
     indicator of its class): t(H, N) at the class of HN/N for each class
     of H of order d on the ambient side, r at every class of order
     d / gcd(d, |N|) on the cyclic side."""
-    G, N = ctx.G, qm.kernel
+    G, N = ctx.G, qm.kernel()
     glat = subgroup_lattice(G)
     qlat = subgroup_lattice(qm.target)
     eq1 = [0] * qlat.n_classes()
@@ -256,10 +232,10 @@ def _check_deflation_closed_forms(ctx, qm, d, left, right):
     d_bar = d // math.gcd(d, N.order)
     r = r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(N.order))
     eq2 = [r if qlat.class_order(c) == d_bar else 0 for c in range(qlat.n_classes())]
-    assert left == element_from_marks(MarkVector(qm.target, eq1)), (
+    assert left == element_from_marks(qm.target, eq1), (
         "deflation closed form (ambient route) must match"
     )
-    assert right == element_from_marks(MarkVector(qm.target, eq2)), (
+    assert right == element_from_marks(qm.target, eq2), (
         "deflation closed form (cyclic route) must match"
     )
 
@@ -271,15 +247,13 @@ def check_commutes(ctx, op, sub):
     order; on the first mismatch the report carries the offending basis
     element and both images.
     """
-    if op not in OPERATIONS:
-        raise PreconditionError(f"unknown operation {op!r}; expected one of {OPERATIONS}")
     if sub.parent is not ctx.G:
         raise PreconditionError("subgroup belongs to a different group")
     checked = 0
     for label, left, right in _route_pairs(ctx, op, sub):
         checked += 1
         if left != right:
-            cert = Certificate(label, format_element(left), format_element(right))
+            cert = Certificate(label, left, right)
             return CommutativityReport(
                 op, ctx.G.label, _sub_label(ctx.G, sub), False, checked, cert
             )

@@ -82,9 +82,6 @@ class Group:
     def __len__(self):
         return self.n
 
-    def elements(self):
-        return range(self.n)
-
     def op(self, a, b):
         return self.mul[a][b]
 
@@ -284,135 +281,105 @@ class Subgroup:
         return mask_of(mul[h][k] for h in self.members for k in other.members)
 
 
-# -- quotients and embeddings -----------------------------------------------
+# -- homomorphisms ------------------------------------------------------------
 
 
-class QuotientMap:
-    """Projection G -> G/N, cosets represented by their minimal element index."""
+class GroupHom:
+    """Homomorphism f: source -> target, images[x] = f(x) by element index.
 
-    __slots__ = ("source", "target", "projection", "kernel", "coset_reps")
+    Subgroup embeddings and quotient maps are both this type, so the
+    Burnside-ring operations run along one kind of map; tables derived
+    from the map are cached on it.
+    """
 
-    def __init__(self, source, target, projection, kernel, coset_reps):
+    __slots__ = ("source", "target", "images", "_cache")
+
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.projection = projection
-        self.kernel = kernel
-        self.coset_reps = coset_reps
+        self.images = tuple(images)
+        self._cache = {}
 
     def __repr__(self):
-        return f"<QuotientMap {self.source.label} -> {self.target.label}>"
+        return f"<GroupHom {self.source.label} -> {self.target.label}>"
+
+    def image_mask(self):
+        return mask_of(self.images)
+
+    def pull_mask(self, mask):
+        """Source mask of the preimage of a target mask."""
+        m = 0
+        for x, y in enumerate(self.images):
+            if (mask >> y) & 1:
+                m |= 1 << x
+        return m
+
+    def kernel(self):
+        return Subgroup(self.source, self.pull_mask(1 << self.target.identity))
 
     def push_subgroup(self, H):
         if H.parent is not self.source:
             raise PreconditionError("subgroup belongs to a different group")
-        proj = self.projection
-        return Subgroup(self.target, mask_of(proj[x] for x in H.members))
-
-    def pull_subgroup(self, K):
-        if K.parent is not self.target:
-            raise PreconditionError("subgroup belongs to a different group")
-        proj = self.projection
-        kmask = K.mask
-        return Subgroup(
-            self.source, mask_of(x for x in range(self.source.n) if (kmask >> proj[x]) & 1)
-        )
+        images = self.images
+        return Subgroup(self.target, mask_of(images[x] for x in H.members))
 
 
-def _cyclic_pattern(table, q):
-    return all(table[i][j] == (i + j) % q for i in range(q) for j in range(q))
+def _realize(table, label):
+    """The group with this table: the canonical cyclic group when the table
+    is addition modulo its size, a new group otherwise."""
+    q = len(table)
+    if all(table[i][j] == (i + j) % q for i in range(q) for j in range(q)):
+        return cyclic_group(q)
+    return Group(table, label)
 
 
 def quotient_group(G, N):
-    """Quotient map for a normal subgroup N; cached per (G, N)."""
-    key = ("quotient", N.mask)
-    qm = G._cache.get(key)
-    if qm is not None:
-        return qm
+    """Projection G -> G/N for a normal subgroup N, cosets numbered by their
+    minimal elements in increasing order; cached per (G, N)."""
     if N.parent is not G:
         raise PreconditionError("kernel belongs to a different group")
+    key = ("quotient", N.mask)
+    f = G._cache.get(key)
+    if f is not None:
+        return f
     if not N.is_normal():
         raise PreconditionError(f"subgroup of order {N.order} is not normal in {G.label}")
     if N.order == 1:
-        qm = QuotientMap(G, G, tuple(range(G.n)), N, tuple(range(G.n)))
-        G._cache[key] = qm
-        return qm
-    mul = G.mul
-    proj = [-1] * G.n
-    reps = []
-    for g in range(G.n):
-        if proj[g] >= 0:
-            continue
-        t = len(reps)
-        reps.append(g)
-        for m in N.members:
-            proj[mul[g][m]] = t
-    q = len(reps)
-    table = [[proj[mul[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    if _cyclic_pattern(table, q):
-        target = cyclic_group(q)
+        f = GroupHom(G, G, range(G.n))
     else:
-        target = Group(table, f"{G.label}/{N.order}@{N.members[0]}")
-    qm = QuotientMap(G, target, tuple(proj), N, tuple(reps))
-    G._cache[key] = qm
-    return qm
-
-
-class Embedding:
-    """Injective homomorphism realizing a subgroup as a standalone group."""
-
-    __slots__ = ("source", "parent", "map", "_inv")
-
-    def __init__(self, source, parent, mapping):
-        self.source = source
-        self.parent = parent
-        self.map = tuple(mapping)
-        self._inv = {p: s for s, p in enumerate(self.map)}
-
-    def __repr__(self):
-        return f"<Embedding {self.source.label} -> {self.parent.label}>"
-
-    def image_mask(self):
-        return mask_of(self.map)
-
-    def pull_mask(self, pmask):
-        """Source mask of a parent mask; bits outside the image are an error."""
-        m = 0
-        for x in bits(pmask):
-            m |= 1 << self._inv[x]
-        return m
-
-    def push_subgroup(self, H):
-        if H.parent is not self.source:
-            raise PreconditionError("subgroup belongs to a different group")
-        return Subgroup(self.parent, mask_of(self.map[x] for x in H.members))
-
-    def pull_subgroup(self, H):
-        if H.parent is not self.parent:
-            raise PreconditionError("subgroup belongs to a different group")
-        return Subgroup(self.source, self.pull_mask(H.mask & self.image_mask()))
+        mul = G.mul
+        proj = [-1] * G.n
+        reps = []
+        for g in range(G.n):
+            if proj[g] >= 0:
+                continue
+            t = len(reps)
+            reps.append(g)
+            for m in N.members:
+                proj[mul[g][m]] = t
+        table = [[proj[mul[a][b]] for b in reps] for a in reps]
+        f = GroupHom(G, _realize(table, f"{G.label}/{N.order}@{N.members[0]}"), proj)
+    G._cache[key] = f
+    return f
 
 
 def subgroup_embedding(H):
-    """Realize the subgroup H as a group in its own right; cached per (G, H)."""
+    """Inclusion of the subgroup H, realized as a group in its own right;
+    cached per (G, H)."""
     G = H.parent
     key = ("embedding", H.mask)
-    emb = G._cache.get(key)
-    if emb is not None:
-        return emb
+    f = G._cache.get(key)
+    if f is not None:
+        return f
+    mem = H.members
     if H.order == G.n:
-        emb = Embedding(G, G, range(G.n))
+        f = GroupHom(G, G, mem)
     else:
-        mem = H.members
         pos = {p: s for s, p in enumerate(mem)}
-        k = len(mem)
-        table = [[pos[G.mul[mem[i]][mem[j]]] for j in range(k)] for i in range(k)]
-        if _cyclic_pattern(table, k):
-            source = cyclic_group(k)
-        else:
-            source = Group(table, f"{G.label}>{H.order}@{mem[0]}")
-        emb = Embedding(source, G, mem)
-    G._cache[key] = emb
-    return emb
+        table = [[pos[G.mul[a][b]] for b in mem] for a in mem]
+        f = GroupHom(_realize(table, f"{G.label}>{H.order}@{mem[0]}"), G, mem)
+    G._cache[key] = f
+    return f
 
 
 def cyclic_generator(G):

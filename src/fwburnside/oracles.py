@@ -3,10 +3,10 @@
 Each function here works on a concrete G-set, an explicit action table,
 and decompose_gset turns the result back into an element of the Burnside
 ring by orbit stabilizers. This gives an independent route to every
-formula the package uses: the diagonal product for multiply, restricted,
-inflated and fixed-point actions for the gathers, the coset space G/L for
+formula the package uses: the diagonal product for multiply, the action
+pulled back along a map for restrict and inflate, the coset space G/L for
 inducing [H/L], the orbit space for deflate, and spaces of equivariant
-maps for tensor_induce.
+maps and fixed-point sets for tensor_induce and fixed_points.
 marks_by_fixed_points counts the marks element by element, independently
 of the containment counts table_of_marks reads from the lattice.
 Work grows with the size of the sets, so keep the groups small. No module
@@ -172,29 +172,34 @@ def product_gset(X, Y):
     return GSet(X.group, X.size * ny, action)
 
 
-def restrict_gset(X, emb):
-    """The same points with the action of the subgroup, through the embedding."""
-    if X.group is not emb.parent:
-        raise PreconditionError("G-set does not live over the ambient group")
-    return GSet(emb.source, X.size, tuple(X.action[p] for p in emb.map))
+def restrict_gset(X, f):
+    """The same points with the source of f acting through f: restriction
+    along an embedding, inflation along a projection."""
+    if X.group is not f.target:
+        raise PreconditionError("G-set does not live over the target of the map")
+    return GSet(f.source, X.size, tuple(X.action[p] for p in f.images))
 
 
-def inflate_gset(X, qm):
-    """The same points with G acting through the projection onto G/N."""
-    if X.group is not qm.target:
-        raise PreconditionError("G-set does not live over the quotient")
-    return GSet(qm.source, X.size, tuple(X.action[p] for p in qm.projection))
+inflate_gset = restrict_gset
+
+
+def _preimage_reps(qm):
+    """The minimal preimage of each element of the quotient."""
+    reps = {}
+    for x, y in enumerate(qm.images):
+        reps.setdefault(y, x)
+    return [reps[t] for t in range(qm.target.n)]
 
 
 def fixed_points_gset(X, qm):
     """The points fixed by the kernel N, with the residual G/N action."""
     if X.group is not qm.source:
         raise PreconditionError("G-set does not live over the source group")
-    nmem = qm.kernel.members
+    nmem = qm.kernel().members
     fixed = [p for p in range(X.size) if all(X.action[nn][p] == p for nn in nmem)]
     pos = {p: i for i, p in enumerate(fixed)}
     action = tuple(
-        tuple(pos[X.action[g][p]] for p in fixed) for g in qm.coset_reps
+        tuple(pos[X.action[g][p]] for p in fixed) for g in _preimage_reps(qm)
     )
     return GSet(qm.target, len(fixed), action)
 
@@ -203,7 +208,7 @@ def deflate_gset(X, qm):
     """Set-level deflation: the orbit space X/N with the residual action."""
     if X.group is not qm.source:
         raise PreconditionError("G-set does not live over the source group")
-    nmem = qm.kernel.members
+    nmem = qm.kernel().members
     orbit_id = [-1] * X.size
     reps = []
     for p in range(X.size):
@@ -220,8 +225,7 @@ def deflate_gset(X, qm):
         for q in stackless:
             orbit_id[q] = t
     action = tuple(
-        tuple(orbit_id[X.action[qm.coset_reps[t]][reps[i]]] for i in range(len(reps)))
-        for t in range(qm.target.n)
+        tuple(orbit_id[X.action[g][p]] for p in reps) for g in _preimage_reps(qm)
     )
     return GSet(qm.target, len(reps), action)
 
@@ -232,10 +236,10 @@ def map_space_gset(emb, X):
     Maps f with f(g h) = h^-1 f(g) are stored by their values on the left
     transversal; g acts by (g f)(g1) = f(g^-1 g1).
     """
-    G = emb.parent
+    G = emb.target
     Hgrp = emb.source
     mul, inv = G.mul, G.inv
-    hmask = emb.image_mask()
+    pos = {p: s for s, p in enumerate(emb.images)}
     coset_of = [-1] * G.n
     reps = []
     for g in range(G.n):
@@ -244,8 +248,8 @@ def map_space_gset(emb, X):
         reps.append(g)
         row = mul[g]
         for s in range(Hgrp.n):
-            coset_of[row[emb.map[s]]] = len(reps) - 1
-    h_idx = [emb._inv[mul[inv[reps[coset_of[g]]]][g]] for g in range(G.n)]
+            coset_of[row[emb.images[s]]] = len(reps) - 1
+    h_idx = [pos[mul[inv[reps[coset_of[g]]]][g]] for g in range(G.n)]
     r = len(reps)
     size = X.size**r
     action = []

@@ -31,7 +31,6 @@ from fwburnside import (
     is_integral,
     m_constant,
     m_cyclic,
-    marks_of,
     multiply,
     quotient_group,
     subgroup_embedding,
@@ -94,7 +93,7 @@ def test_criterion_03_lift_integral_and_multiplicative():
             x = basis_element(ctx.C, j)
             y = fw_apply(ctx, x)
             assert is_integral(y)
-            mx, my = marks_of(x).marks, marks_of(y).marks
+            mx, my = x.marks, y.marks
             for c in range(glat.n_classes()):
                 d = glat.class_order(c)
                 assert my[c] == mx[clat.class_by_label(f"{d}:0")]

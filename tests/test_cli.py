@@ -3,11 +3,28 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwburnside.cli import main
+from fwburnside import (
+    OPERATIONS,
+    BurnsideElement,
+    construct_group,
+    deflate,
+    element_to_json,
+    fixed_points,
+    induce,
+    inflate,
+    operation,
+    quotient_group,
+    restrict,
+    subgroup_embedding,
+    subgroup_lattice,
+    tensor_induce,
+)
+from fwburnside.cli import main, resolve_selector
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +272,55 @@ _element = st.one_of(
 @given(_element)
 def test_fuzz_element_json(element):
     _contract(["fw", "apply", "Q8", element])
+
+
+@pytest.mark.parametrize("selector", ["order=\u0662:0", "order=2:0\n"])
+def test_selector_needs_ascii_digits_and_nothing_after(capsys, selector):
+    code, out, err = run_cli(capsys, "fw", "check", "Q8", "--op", "def", "--sub", selector)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "unknown subgroup selector" in err
+
+
+_OP_FUNCTIONS = {
+    "res": restrict,
+    "ind": induce,
+    "ten": tensor_induce,
+    "inf": inflate,
+    "def": deflate,
+    "fix": fixed_points,
+}
+
+
+@pytest.mark.parametrize("spec", ["Q8", "D8", "S4"])
+def test_op_matches_operation_table(capsys, spec):
+    # every operation at the center and at every class, through the CLI and
+    # through operation(); quotient operations need a normal subgroup
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    selectors = ["center"] + [f"order={lat.class_label(c)}" for c in range(lat.n_classes())]
+    for selector in selectors:
+        sub = resolve_selector(G, selector)
+        for op in OPERATIONS:
+            along_quotient = op in ("inf", "def", "fix")
+            if along_quotient and not sub.is_normal():
+                assert run_cli(capsys, "op", op, spec, selector, "[]")[0] == 2
+                continue
+            fn, f, src, dst = operation(op, sub)
+            assert fn is _OP_FUNCTIONS[op]
+            assert f is (quotient_group(G, sub) if along_quotient else subgroup_embedding(sub))
+            pull = op in ("res", "inf")
+            assert (src, dst) == ((f.target, f.source) if pull else (f.source, f.target))
+            n = subgroup_lattice(src).n_classes()
+            x = BurnsideElement(src, [Fraction((-1) ** c * (c + 1), c + 2) for c in range(n)])
+            code, out, err = run_cli(
+                capsys, "op", op, spec, selector, json.dumps(element_to_json(x))
+            )
+            assert code == 0 and err == ""
+            assert json.loads(out) == {
+                "group": dst.label,
+                "operation": op,
+                "element": element_to_json(fn(x, f)),
+            }
 
 
 def test_exit_code_usage_errors(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,15 +20,15 @@ from fwburnside import (
     fw_context,
     fw_transitive_image,
     identity_element,
-    marks_of,
     multiply,
+    quotient_group,
     r_constant,
     subgroup_lattice,
     t_constant,
     transport_element,
 )
-from fwburnside.groups import cyclic_generator, cyclic_isomorphism
-from fwburnside.oracles import marks_by_fixed_points
+from fwburnside.groups import Subgroup, cyclic_generator, cyclic_isomorphism, mask_of
+from fwburnside.oracles import coset_space, decompose_gset, marks_by_fixed_points
 from fwburnside.survey import full_catalog
 
 
@@ -67,8 +68,8 @@ def test_lift_matches_marks_by_subgroup_order(q8):
     for j in range(clat.n_classes()):
         x = basis_element(ctx.C, j)
         y = fw_apply(ctx, x)
-        mx = marks_of(x).marks
-        my = marks_of(y).marks
+        mx = x.marks
+        my = y.marks
         for c in range(glat.n_classes()):
             d = glat.class_order(c)
             assert my[c] == mx[clat.class_by_label(f"{d}:0")]
@@ -170,6 +171,28 @@ def test_lift_ignores_generator_choice():
             assert fw_apply(ctx, transport_element(x, auto, C)) == fw_apply(ctx, x)
 
 
+def test_transport_along_noncyclic_isomorphism():
+    # D8 / Z onto C2xC2 along each of the six isomorphisms, found by brute
+    # force: [Q/K] goes to the coset space of the image of K, and back
+    D8 = construct_group("D8")
+    Q = quotient_group(D8, D8.center()).target
+    B = construct_group("C2xC2")
+    isos = [
+        p
+        for p in permutations(range(4))
+        if all(p[Q.op(a, b)] == B.op(p[a], p[b]) for a in range(4) for b in range(4))
+    ]
+    assert len(isos) == 6
+    qlat = subgroup_lattice(Q)
+    for iso in isos:
+        back = tuple(sorted(range(4), key=iso.__getitem__))
+        for c in range(qlat.n_classes()):
+            image = Subgroup(B, mask_of(iso[k] for k in qlat.class_rep(c).members))
+            y = transport_element(basis_element(Q, c), iso, B)
+            assert y == decompose_gset(coset_space(B, image))
+            assert transport_element(y, back, Q) == basis_element(Q, c)
+
+
 def test_check_commutes_rejects_bad_inputs(q8):
     ctx = fw_context(q8)
     with pytest.raises(PreconditionError):
@@ -189,6 +212,7 @@ def test_def_counterexample_certificate():
     assert not report.commutes
     assert report.certificate is not None
     cert = report.certificate
+    assert "left" not in vars(cert) and "right" not in vars(cert)  # formatted on demand
     assert cert.basis_label == "e[2]"
     assert cert.left == "-1/4[C2/1:0] + [C2/2:0]"
     assert cert.right == "1/4[C2/1:0]"

@@ -11,6 +11,7 @@ from fwburnside import (
     InvalidParameterError,
     PreconditionError,
     SpecParseError,
+    Subgroup,
     construct_group,
     cyclic_group,
     cyclic_isomorphism,
@@ -202,8 +203,8 @@ def test_quotient_q8_by_center():
     # projection is a morphism
     for a in range(G.n):
         for b in range(G.n):
-            assert qm.projection[G.op(a, b)] == qm.target.op(
-                qm.projection[a], qm.projection[b]
+            assert qm.images[G.op(a, b)] == qm.target.op(
+                qm.images[a], qm.images[b]
             )
 
 
@@ -211,7 +212,7 @@ def test_quotient_by_trivial_is_identity():
     G = construct_group("S3")
     qm = quotient_group(G, G.trivial_subgroup())
     assert qm.target is G
-    assert qm.projection == tuple(range(G.n))
+    assert qm.images == tuple(range(G.n))
 
 
 def test_quotient_requires_normal():
@@ -219,6 +220,15 @@ def test_quotient_requires_normal():
     C2 = G.generated_subgroup([next(a for a in range(G.n) if G.element_order(a) == 2)])
     with pytest.raises(PreconditionError):
         quotient_group(G, C2)
+
+
+def test_quotient_rejects_kernel_of_another_group():
+    # the kernel's parent is checked before the per-mask cache is read
+    C4 = cyclic_group(4)
+    quotient_group(C4, C4.subgroup([0, 2]))
+    D8 = construct_group("D8")
+    with pytest.raises(PreconditionError):
+        quotient_group(C4, Subgroup(D8, 0b101))
 
 
 def test_quotient_of_cyclic_reuses_canonical_instance():
@@ -235,7 +245,7 @@ def test_embedding_respects_operation():
     S = emb.source
     for a in range(S.n):
         for b in range(S.n):
-            assert emb.map[S.op(a, b)] == G.op(emb.map[a], emb.map[b])
+            assert emb.images[S.op(a, b)] == G.op(emb.images[a], emb.images[b])
     assert emb.source is cyclic_group(4)
 
 
@@ -243,7 +253,7 @@ def test_embedding_of_full_subgroup_is_identity():
     G = construct_group("S3")
     emb = subgroup_embedding(G.full_subgroup())
     assert emb.source is G
-    assert emb.map == tuple(range(G.n))
+    assert emb.images == tuple(range(G.n))
 
 
 def test_cyclic_isomorphism_roundtrip():
