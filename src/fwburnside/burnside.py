@@ -2,10 +2,12 @@
 
 An element stores its mark vector: for each conjugacy class of subgroups K,
 in the lattice's canonical class order, the number of points fixed by K.
-The ring product is pointwise on marks and the Frobenius-Wielandt lift of
-fw.py is defined on them, so marks are the one representation;
-coefficients over the transitive basis [G/H] are recovered on first read
-and memoised.
+The marks are integer numerators over one positive denominator, kept in
+lowest terms, so equal elements have equal numerators and denominators;
+.marks reads them as Fractions. The ring product is pointwise on marks and
+the Frobenius-Wielandt lift of fw.py is defined on them, so marks are the
+one representation; coefficients over the transitive basis [G/H] are
+recovered on first read and memoised in the same integer form.
 
 Sums, scalar multiples and products are pointwise. Every change of group
 runs along one homomorphism f: A -> B, a GroupHom (groups.py): the
@@ -32,14 +34,15 @@ Biset Functors for Finite Groups, 2010):
 
 Conversion is exact integer arithmetic on the table of marks, which is
 lower triangular in the class order with positive diagonal. Forward, the
-coefficients are put over one common denominator. Backward, Gluck's
-idempotent formula e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K]
-shows that the inverse table has denominators dividing |N_G(H)|, hence
-|G|; scaled by |G| times the common denominator of the marks, every
-coefficient is an integer, so each division of the back-substitution is
-exact (asserted). The set-level models the formulas are checked against
-(coset actions, orbit spaces, map spaces, fixed-point counts) live in
-oracles.py, which no module of the package imports.
+coefficient numerators times the table are the mark numerators over the
+same denominator. Backward, Gluck's idempotent formula
+e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K] shows that the inverse
+table has denominators dividing |N_G(H)|, hence |G|; scaled by |G| times
+the denominator of the marks, every coefficient is an integer, so each
+division of the back-substitution is exact (asserted). The set-level
+models the formulas are checked against (coset actions, orbit spaces, map
+spaces, fixed-point counts, double cosets walked element by element) live
+in oracles.py, which no module of the package imports.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
 from .groups import GroupHom, Subgroup, mask_of, quotient_group, subgroup_embedding
-from .lattice import double_cosets, m_constant, subgroup_lattice
+from .lattice import m_constant, subgroup_lattice
 
 __all__ = [
     "BurnsideElement",
@@ -80,37 +83,46 @@ __all__ = [
     "element_from_json",
 ]
 
-# shared entries, so sparse vectors hold one object per nonzero value
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class BurnsideElement:
     """Rational combination of transitive G-sets, held by its marks.
 
-    Built from one coefficient per subgroup class; .marks is the mark
-    vector and .coeffs the coefficients, recovered from the marks when
+    Built from one coefficient per subgroup class. The marks are stored as
+    integers num over one positive den with gcd(den, *num) == 1, the
+    coefficients in the same form once known; .marks and .coeffs read them
+    as tuples of Fractions, the coefficients recovered from the marks when
     they are not known.
     """
 
-    __slots__ = ("group", "marks", "_coeffs")
+    __slots__ = ("group", "num", "den", "_coeffs")
 
     def __init__(self, group, coeffs):
         lat = subgroup_lattice(group)
-        coeffs = tuple(Fraction(c) or _ZERO for c in coeffs)
-        if len(coeffs) != lat.n_classes():
+        coeffs = _over_one_den(coeffs)
+        if len(coeffs[0]) != lat.n_classes():
             raise PreconditionError(
-                f"{len(coeffs)} coefficients for the {lat.n_classes()} "
+                f"{len(coeffs[0])} coefficients for the {lat.n_classes()} "
                 f"subgroup classes of {group.label}"
             )
         self.group = group
-        self.marks = _marks_from_coeffs(lat, coeffs)
+        self.num, self.den = _marks_from_coeffs(lat, *coeffs)
         self._coeffs = coeffs
 
     @property
+    def marks(self):
+        den = self.den
+        return tuple(Fraction(m, den) for m in self.num)
+
+    @property
     def coeffs(self):
+        cnum, cden = self._coeff_ints()
+        return tuple(Fraction(c, cden) for c in cnum)
+
+    def _coeff_ints(self):
+        """The coefficients as (numerators, denominator) in lowest terms."""
         if self._coeffs is None:
-            self._coeffs = _coeffs_from_marks(subgroup_lattice(self.group), self.marks)
+            self._coeffs = _coeffs_from_marks(
+                subgroup_lattice(self.group), self.num, self.den
+            )
         return self._coeffs
 
     def _same_ring(self, other):
@@ -124,55 +136,84 @@ class BurnsideElement:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
         self._same_ring(other)
-        return self.marks == other.marks
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((id(self.group), self.marks))
+        return hash((id(self.group), self.num, self.den))
+
+    def _combine(self, other, sign):
+        self._same_ring(other)
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return _element(
+            self.group,
+            tuple(a * sa + b * sb for a, b in zip(self.num, other.num)),
+            da * sa,
+        )
 
     def __add__(self, other):
-        self._same_ring(other)
-        return _element(self.group, tuple(a + b for a, b in zip(self.marks, other.marks)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same_ring(other)
-        return _element(self.group, tuple(a - b for a, b in zip(self.marks, other.marks)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return _element(self.group, tuple(-a for a in self.marks))
+        return _element(self.group, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, BurnsideElement):
             return multiply(self, other)
         s = Fraction(other)
-        return _element(self.group, tuple(a * s for a in self.marks))
+        p = s.numerator
+        return _element(self.group, tuple(a * p for a in self.num), self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return not any(self.marks)
+        return not any(self.num)
 
     def __repr__(self):
         return f"<BurnsideElement over {self.group.label}: {format_element(self)}>"
 
 
-def _element(group, marks, coeffs=None):
-    """An element from its mark vector (a tuple of Fractions, trusted)."""
+def _reduce(num, den):
+    """(num, den) with den > 0 divided by gcd(den, *num), num as a tuple."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(m // g for m in num), den // g
+
+
+def _over_one_den(values):
+    """Rationals as (integer numerators, one positive denominator). In lowest
+    terms: each prime power in the lcm of the reduced denominators is the
+    whole p-part of some value's denominator, which its numerator is prime to."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _element(group, num, den, coeffs=None):
+    """An element from its mark numerators over den > 0 (a tuple of ints,
+    trusted), reduced to lowest terms; coeffs, when known, as returned by
+    _reduce."""
     x = object.__new__(BurnsideElement)
     x.group = group
-    x.marks = marks
+    x.num, x.den = _reduce(num, den)
     x._coeffs = coeffs
     return x
 
 
 def zero(G):
-    zeros = (_ZERO,) * subgroup_lattice(G).n_classes()
-    return _element(G, zeros, zeros)
+    zeros = (0,) * subgroup_lattice(G).n_classes()
+    return _element(G, zeros, 1, (zeros, 1))
 
 
 def basis_element(G, c):
     """The transitive set [G/H] for the c-th subgroup class."""
     lat = subgroup_lattice(G)
-    return BurnsideElement(G, tuple(_ONE if j == c else _ZERO for j in range(lat.n_classes())))
+    return BurnsideElement(G, tuple(int(j == c) for j in range(lat.n_classes())))
 
 
 def identity_element(G):
@@ -221,52 +262,50 @@ def _sparse_tom(lat):
     return sparse
 
 
-def _marks_from_coeffs(lat, coeffs):
-    """Coefficients times the table of marks, over one common denominator."""
+def _marks_from_coeffs(lat, cnum, cden):
+    """Coefficients cnum / cden times the table of marks: the mark
+    numerators over the same denominator, reduced."""
     rows, _ = _sparse_tom(lat)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    acc = [0] * len(coeffs)
-    for c, row in zip(coeffs, rows):
+    acc = [0] * len(cnum)
+    for c, row in zip(cnum, rows):
         if c:
-            a = c.numerator * (den // c.denominator)
             for j, t in row:
-                acc[j] += a * t
-    return tuple(Fraction(m, den) if m else _ZERO for m in acc)
+                acc[j] += c * t
+    return _reduce(acc, cden)
 
 
-def _coeffs_from_marks(lat, marks):
+def _coeffs_from_marks(lat, num, den):
     """Back-substitution on the triangular table in integers scaled by
-    |G| times the common denominator of the marks (exact; see above)."""
+    |G| times the denominator of the marks (exact; see above)."""
     tom = table_of_marks(lat)
     _, cols = _sparse_tom(lat)
-    scale = math.lcm(*(m.denominator for m in marks)) * lat.group.n
-    acc = [0] * len(marks)
-    for j in range(len(marks) - 1, -1, -1):
-        m = marks[j]
-        v = m.numerator * (scale // m.denominator)
+    n = lat.group.n
+    acc = [0] * len(num)
+    for j in range(len(num) - 1, -1, -1):
+        v = num[j] * n
         for i, t in cols[j]:
             v -= acc[i] * t
         q, r = divmod(v, tom[j][j])
         assert r == 0, "scaled back-substitution must divide exactly"
         acc[j] = q
-    return tuple(Fraction(v, scale) if v else _ZERO for v in acc)
+    return _reduce(acc, den * n)
 
 
 def element_from_marks(G, marks):
     """The element over G with the given mark vector."""
     if len(marks) != subgroup_lattice(G).n_classes():
         raise PreconditionError("mark vector has the wrong length")
-    return _element(G, tuple(Fraction(m) for m in marks))
+    return _element(G, *_over_one_den(marks))
 
 
 def multiply(a, b):
     """Ring product: pointwise on marks."""
     a._same_ring(b)
-    return _element(a.group, tuple(p * q for p, q in zip(a.marks, b.marks)))
+    return _element(a.group, tuple(p * q for p, q in zip(a.num, b.num)), a.den * b.den)
 
 
 def is_integral(x):
-    return all(c.denominator == 1 for c in x.coeffs)
+    return x._coeff_ints()[1] == 1
 
 
 def idempotent(lat, H):
@@ -292,8 +331,9 @@ def idempotent(lat, H):
         sums[lat.class_of[k]] += lat.subgroups[k].order * lat._mu[(k, rep_idx)]
     e = _element(
         lat.group,
-        tuple(_ONE if j == c else _ZERO for j in range(ncls)),
-        tuple(Fraction(s, norm_order) if s else _ZERO for s in sums),
+        tuple(int(j == c) for j in range(ncls)),
+        1,
+        _reduce(sums, norm_order),
     )
     lat._cache[key] = e
     return e
@@ -307,18 +347,21 @@ def idempotent(lat, H):
 
 def _gather(x, target, table):
     """The element over target whose mark at class c is x's mark at table[c]."""
-    marks = x.marks
-    return _element(target, tuple([marks[j] for j in table]))
+    num = x.num
+    return _element(target, tuple([num[j] for j in table]), x.den)
 
 
 def _map_classes(x, target, table):
     """Linear extension of a class map on the transitive basis: [G/H] at
     class c goes to the basis element at class table[c] over target."""
-    coeffs = [_ZERO] * subgroup_lattice(target).n_classes()
-    for c, coef in enumerate(x.coeffs):
-        if coef:
-            coeffs[table[c]] += coef
-    return BurnsideElement(target, coeffs)
+    tlat = subgroup_lattice(target)
+    cnum, cden = x._coeff_ints()
+    out = [0] * tlat.n_classes()
+    for c, v in enumerate(cnum):
+        if v:
+            out[table[c]] += v
+    coeffs = _reduce(out, cden)
+    return _element(target, *_marks_from_coeffs(tlat, *coeffs), coeffs)
 
 
 def _push_table(f):
@@ -335,24 +378,51 @@ def _push_table(f):
 
 def _mackey_table(f):
     """For each subgroup class of B, with representative K: the classes of
-    f^-1(g^-1 K g ∩ f(A)) in A, one per double coset K g f(A)."""
+    f^-1(g^-1 K g ∩ f(A)) in A, one per double coset K g f(A), in the
+    order of their minimal elements g.
+
+    The left cosets g f(A) are numbered once, by minimal element; a double
+    coset is the K-orbit of the first unmarked coset. The class of each
+    preimage is read from the masks f(S) of the subgroups S of A that
+    contain ker f."""
     table = f._cache.get("mackey")
     if table is None:
-        B = f.target
-        alat, blat = subgroup_lattice(f.source), subgroup_lattice(B)
-        fmask = f.image_mask()
-        image = Subgroup(B, fmask)
-        mul, inv = B.mul, B.inv
+        A, B = f.source, f.target
+        alat, blat = subgroup_lattice(A), subgroup_lattice(B)
+        images, fmask = f.images, f.image_mask()
+        image = set(images)
+        mul, inv, conj = B.mul, B.inv, B.conj_rows()
+        coset_of = [-1] * B.n
+        reps = []
+        for g in range(B.n):
+            if coset_of[g] < 0:
+                row = mul[g]
+                for a in image:
+                    coset_of[row[a]] = len(reps)
+                reps.append(g)
+        kmask = f.kernel().mask
+        pulled = {
+            mask_of(images[x] for x in S.members): alat.class_of[s]
+            for s, S in enumerate(alat.subgroups)
+            if S.mask & kmask == kmask
+        }
         rows = []
         for c in range(blat.n_classes()):
-            K = blat.class_rep(c)
+            K = blat.class_rep(c).members
+            marked = [False] * len(reps)
             entries = []
-            for g in double_cosets(B, K, image):
-                ig_row = mul[inv[g]]
-                conj = mask_of(mul[ig_row[k]][g] for k in K.members)
-                idx = alat.index.get(f.pull_mask(conj & fmask))
-                assert idx is not None, "preimage of a subgroup must be a subgroup"
-                entries.append(alat.class_of[idx])
+            for t, g in enumerate(reps):
+                if marked[t]:
+                    continue
+                for k in K:
+                    marked[coset_of[mul[k][g]]] = True
+                crow = conj[inv[g]]
+                conj_mask = 0
+                for k in K:
+                    conj_mask |= 1 << crow[k]
+                cls = pulled.get(conj_mask & fmask)
+                assert cls is not None, "preimage of a subgroup must be a subgroup"
+                entries.append(cls)
             rows.append(tuple(entries))
         table = f._cache["mackey"] = tuple(rows)
     return table
@@ -390,16 +460,19 @@ def tensor_induce(x, f):
     along a quotient map there is one double coset, and it gives the
     N-fixed points."""
     _check_over(x, f.source)
-    mx = x.marks
-    gmarks = []
-    for entries in _mackey_table(f):
-        prod = _ONE
+    num, den = x.num, x.den
+    rows = _mackey_table(f)
+    # each row's product is over den ** len(row); bring all to the widest
+    width = max(map(len, rows))
+    out = []
+    for entries in rows:
+        prod = den ** (width - len(entries))
         for h in entries:
-            prod *= mx[h]
+            prod *= num[h]
             if not prod:
                 break
-        gmarks.append(prod)
-    return _element(f.target, tuple(gmarks))
+        out.append(prod)
+    return _element(f.target, tuple(out), den**width)
 
 
 inflate = restrict

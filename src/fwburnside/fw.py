@@ -76,12 +76,15 @@ class FwContext:
         return f"<FwContext for {self.G.label}>"
 
     def c_subgroup(self, d):
-        """The unique subgroup of C of order d."""
+        """The unique subgroup of C of order d; cached on C."""
         n = self.G.n
         if d < 1 or n % d:
             raise PreconditionError(f"{d} does not divide the group order {n}")
-        step = n // d
-        return Subgroup(self.C, mask_of(k * step for k in range(d)))
+        key = ("c_subgroup", d)
+        sub = self.C._cache.get(key)
+        if sub is None:
+            sub = self.C._cache[key] = Subgroup(self.C, mask_of(range(0, n, n // d)))
+        return sub
 
     def c_class(self, d):
         return subgroup_lattice(self.C).class_index(self.c_subgroup(d))

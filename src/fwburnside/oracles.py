@@ -8,7 +8,9 @@ pulled back along a map for restrict and inflate, the coset space G/L for
 inducing [H/L], the orbit space for deflate, and spaces of equivariant
 maps and fixed-point sets for tensor_induce and fixed_points.
 marks_by_fixed_points counts the marks element by element, independently
-of the containment counts table_of_marks reads from the lattice.
+of the containment counts table_of_marks reads from the lattice, and
+mackey_by_double_cosets walks each double coset element by element, where
+the Mackey table tensor_induce reads works on numbered cosets.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement
 from .errors import AlgebraError, PreconditionError
-from .lattice import subgroup_lattice
+from .groups import Subgroup, mask_of
+from .lattice import double_cosets, subgroup_lattice
 
 __all__ = [
     "GSet",
@@ -32,6 +35,7 @@ __all__ = [
     "deflate_gset",
     "map_space_gset",
     "marks_by_fixed_points",
+    "mackey_by_double_cosets",
 ]
 
 
@@ -157,6 +161,31 @@ def marks_by_fixed_points(lat):
                     count += 1
             row_marks[j] = count
         rows.append(tuple(row_marks))
+    return tuple(rows)
+
+
+def mackey_by_double_cosets(f):
+    """The Mackey table of f: A -> B walked element by element: for each
+    subgroup class of B, with representative K, the classes of
+    f^-1(g^-1 K g ∩ f(A)) in A over the minimal elements g of the double
+    cosets K g f(A), each conjugate and preimage taken as a mask."""
+    B = f.target
+    alat, blat = subgroup_lattice(f.source), subgroup_lattice(B)
+    fmask = f.image_mask()
+    image = Subgroup(B, fmask)
+    mul, inv = B.mul, B.inv
+    rows = []
+    for c in range(blat.n_classes()):
+        K = blat.class_rep(c)
+        entries = []
+        for g in double_cosets(B, K, image):
+            ig_row = mul[inv[g]]
+            conj = mask_of(mul[ig_row[k]][g] for k in K.members)
+            idx = alat.index.get(f.pull_mask(conj & fmask))
+            if idx is None:
+                raise AlgebraError("preimage of a subgroup is not a subgroup")
+            entries.append(alat.class_of[idx])
+        rows.append(tuple(entries))
     return tuple(rows)
 
 

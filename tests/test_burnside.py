@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,12 +35,14 @@ from fwburnside import (
     tensor_induce,
     zero,
 )
+from fwburnside.burnside import _mackey_table, _push_table
 from fwburnside.oracles import (
     coset_space,
     decompose_gset,
     deflate_gset,
     fixed_points_gset,
     inflate_gset,
+    mackey_by_double_cosets,
     map_space_gset,
     marks_by_fixed_points,
     product_gset,
@@ -210,6 +213,19 @@ def test_tensor_induce_matches_map_space(spec):
             assert lhs == tensor_induce(basis_element(emb.source, j), emb)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["S4", "A5", "D12", "Q16", "SL(2,3)", "C2xC2xC2", "S3xS3", "C2xQ8", "Dic12"],
+)
+def test_mackey_table_matches_double_coset_walk(spec):
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    maps = [subgroup_embedding(H) for H in lat.subgroups]
+    maps += [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+    for f in maps:
+        assert _mackey_table(f) == mackey_by_double_cosets(f)
+
+
 @given(coeffs_strategy(4), coeffs_strategy(4))
 def test_tensor_induce_multiplicative(a_coeffs, b_coeffs):
     G = construct_group("S3")
@@ -373,3 +389,122 @@ def test_format_element_strings(s3):
     s = format_element(x)
     assert s == "-1/2[S3/1:0] + [S3/6:0]"
     assert format_element(zero(s3)) == "0"
+
+
+# -- the integer form of an element -----------------------------------------
+
+
+def fraction_marks(tom, coeffs):
+    """Marks as Fractions: the coefficients times the table of marks."""
+    return tuple(
+        sum((Fraction(c) * row[j] for c, row in zip(coeffs, tom)), Fraction(0))
+        for j in range(len(tom))
+    )
+
+
+def fraction_coeffs(tom, marks):
+    """Coefficients as Fractions, back-substituted on the triangular table."""
+    coeffs = [Fraction(0)] * len(tom)
+    for j in range(len(tom) - 1, -1, -1):
+        v = Fraction(marks[j]) - sum(coeffs[i] * tom[i][j] for i in range(j + 1, len(tom)))
+        coeffs[j] = v / tom[j][j]
+    return tuple(coeffs)
+
+
+def assert_integer_form(x, ref_marks):
+    """Marks and coefficients are ints over one positive denominator in
+    lowest terms, and read out as the Fraction reference."""
+    for num, den in ((x.num, x.den), x._coeff_ints()):
+        assert type(den) is int and den > 0
+        assert all(type(m) is int for m in num)
+        assert math.gcd(den, *num) == 1
+    tom = table_of_marks(subgroup_lattice(x.group))
+    assert x.marks == tuple(ref_marks)
+    assert x.coeffs == fraction_coeffs(tom, ref_marks)
+    assert all(type(v) is Fraction for v in x.marks + x.coeffs)
+
+
+@st.composite
+def integer_form_cases(draw):
+    G = construct_group(draw(st.sampled_from(["S4", "Q8", "C2xC2"])))
+    lat = subgroup_lattice(G)
+    k = lat.n_classes()
+    a = draw(coeffs_strategy(k))
+    b = draw(coeffs_strategy(k))
+    s = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(-5, 4)]))
+    h = draw(st.integers(min_value=0, max_value=k - 1))
+    n = draw(st.sampled_from(lat.normal_class_indices()))
+    return G, a, b, s, h, n
+
+
+@given(integer_form_cases())
+def test_integer_form_after_every_operation(case):
+    G, ac, bc, s, h, n = case
+    lat = subgroup_lattice(G)
+    tom = table_of_marks(lat)
+    a, b = BurnsideElement(G, ac), BurnsideElement(G, bc)
+    ma, mb = fraction_marks(tom, ac), fraction_marks(tom, bc)
+    checks = [
+        (a, ma),
+        (a + b, [p + q for p, q in zip(ma, mb)]),
+        (a - b, [p - q for p, q in zip(ma, mb)]),
+        (-a, [-p for p in ma]),
+        (s * a, [s * p for p in ma]),
+        (a * s, [s * p for p in ma]),
+        (multiply(a, b), [p * q for p, q in zip(ma, mb)]),
+        (element_from_marks(G, ma), ma),
+    ]
+    # the three biset operations along the embedding of the h-th class and
+    # the quotient map by the n-th (normal) class
+    emb = subgroup_embedding(lat.class_rep(h))
+    qm = quotient_group(G, lat.class_rep(n))
+    xh, mh = restrict(a, emb), pullback_ref(emb, ma)
+    y, my = deflate(a, qm), pushforward_ref(qm, ma)
+    checks += [
+        (xh, mh),
+        (induce(xh, emb), pushforward_ref(emb, mh)),
+        (tensor_induce(xh, emb), tensor_ref(emb, mh)),
+        (y, my),
+        (inflate(y, qm), pullback_ref(qm, my)),
+        (fixed_points(a, qm), tensor_ref(qm, ma)),
+    ]
+    for x, ref in checks:
+        assert_integer_form(x, ref)
+
+
+def pullback_ref(f, marks):
+    return [marks[t] for t in _push_table(f)]
+
+
+def pushforward_ref(f, marks):
+    src = table_of_marks(subgroup_lattice(f.source))
+    dst = table_of_marks(subgroup_lattice(f.target))
+    coeffs = [Fraction(0)] * len(dst)
+    for c, v in zip(_push_table(f), fraction_coeffs(src, marks)):
+        coeffs[c] += v
+    return fraction_marks(dst, coeffs)
+
+
+def tensor_ref(f, marks):
+    return [math.prod(marks[e] for e in entries) for entries in mackey_by_double_cosets(f)]
+
+
+@given(integer_form_cases())
+def test_equal_elements_hash_equal_across_routes(case):
+    G, ac, bc, s, _, _ = case
+    tom = table_of_marks(subgroup_lattice(G))
+    a, b = BurnsideElement(G, ac), BurnsideElement(G, bc)
+    routes = [
+        a,
+        element_from_marks(G, fraction_marks(tom, ac)),
+        BurnsideElement(G, element_from_marks(G, a.marks).coeffs),
+        (a + b) - b,
+        a * s + a * (1 - s),
+    ]
+    for x in routes:
+        assert x == a and hash(x) == hash(a)
+        assert (x.num, x.den) == (a.num, a.den)
+    zeros = [zero(G), a - a, (a + b) - (b + a), s * a - a * s, 0 * b, b + -b]
+    for z in zeros:
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+        assert z.den == 1 and z.is_zero()

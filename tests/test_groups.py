@@ -52,6 +52,30 @@ def test_spec_orders(spec, order):
     assert construct_group(spec).n == order
 
 
+@pytest.mark.parametrize(
+    "spec, identity",
+    [
+        ("C6", 0),
+        ("D8", 0),
+        ("Q8", 0),
+        ("S4", 0),
+        ("A5", 0),
+        ("perm:[(1,2,3)(4,5)]", 0),
+        ("SL(2,3)", 6),
+        ("SL(2,5)", 20),
+        ("SL(2,7)", 42),
+        ("C2xSL(2,3)", 6),
+        ("SL(2,3)xC2", 12),
+    ],
+)
+def test_identity_index(spec, identity):
+    # SL(2,p) numbers its matrices lexicographically, so its identity is not 0
+    G = construct_group(spec)
+    assert G.identity == identity
+    assert G.mul[identity] == tuple(range(G.n))
+    assert all(G.mul[x][identity] == x for x in range(G.n))
+
+
 def test_validate_on_samples():
     for spec in ("S4", "Q16", "SL(2,3)", "perm:[(1,2);(3,4);(1,3)(2,4)]"):
         construct_group(spec).validate()
