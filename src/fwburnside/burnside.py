@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
@@ -235,10 +236,9 @@ def table_of_marks(lat):
     rows = []
     for i, rep in enumerate(lat.reps):
         h = lat.subgroups[rep].order
-        counts = [0] * ncls
-        for k in lat.below[rep]:
-            counts[lat.class_of[k]] += 1
-        row_marks = [norm_orders[j] * counts[j] // h for j in range(ncls)]
+        row_marks = [0] * ncls
+        for j, count in Counter(map(lat.class_of.__getitem__, lat.below(rep))).items():
+            row_marks[j] = norm_orders[j] * count // h
         assert row_marks[0] == lat.group.n // h, "mark at 1 must be the index"
         assert row_marks[i] == norm_orders[i] // h, "diagonal must be [N_G(H):H]"
         rows.append(tuple(row_marks))
@@ -327,11 +327,11 @@ def idempotent(lat, H):
     norm_order = lat.subgroups[lat.normalizer_idx[rep_idx]].order
     ncls = lat.n_classes()
     sums = [0] * ncls
-    for k in lat.below[rep_idx]:
-        sums[lat.class_of[k]] += lat.subgroups[k].order * lat._mu[(k, rep_idx)]
+    for k, mu in lat.mu_column(rep_idx).items():
+        sums[lat.class_of[k]] += lat.masks[k].bit_count() * mu
     e = _element(
         lat.group,
-        tuple(int(j == c) for j in range(ncls)),
+        (0,) * c + (1,) + (0,) * (ncls - c - 1),
         1,
         _reduce(sums, norm_order),
     )

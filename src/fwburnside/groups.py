@@ -6,6 +6,13 @@ direct products lexicographically, permutation groups by lexicographic
 permutation tuples, matrix groups by lexicographic entry tuples), so the
 same spec string always yields the identical table.
 
+Tables are built a row at a time. A permutation or matrix group computes
+the rows of a few generators directly and every other row as the
+composition row(x g) = row(x) o row(g), one itemgetter call per element;
+a direct product shifts the second factor's rows into the blocks the
+first factor's row names. Group.validate still checks every atom and
+every product.
+
 Group-spec grammar (whitespace insignificant):
 
     C<n>            cyclic of order n
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from functools import reduce
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from .errors import (
@@ -86,14 +93,13 @@ class Group:
         return self.mul[a][b]
 
     def conj_rows(self):
-        """conj_rows()[a][x] = a x a^-1, as plain nested tuples."""
+        """conj_rows()[a][x] = a x a^-1, as plain nested tuples: the row of
+        a composed with the column of a^-1."""
         rows = self._cache.get("conj_rows")
         if rows is None:
             mul, inv = self.mul, self.inv
-            rows = tuple(
-                tuple(mul[mul[a][x]][inv[a]] for x in range(self.n))
-                for a in range(self.n)
-            )
+            cols = tuple(zip(*mul))
+            rows = tuple(_composer(mul[a])(cols[inv[a]]) for a in range(self.n))
             self._cache["conj_rows"] = rows
         return rows
 
@@ -144,10 +150,10 @@ class Group:
         exhaustive because the elements passing it form a closed submagma.
         """
         n, mul = self.n, self.mul
-        full = set(range(n))
-        if any(len(row) != n or set(row) != full for row in mul):
+        full = list(range(n))
+        if any(sorted(row) != full for row in mul):
             raise AlgebraError(f"{self.label}: some row is not a permutation")
-        if any(set(col) != full for col in zip(*mul)):
+        if any(sorted(col) != full for col in zip(*mul)):
             raise AlgebraError(f"{self.label}: some column is not a permutation")
         for g in self.generators():
             right = itemgetter(*mul[g])
@@ -157,12 +163,28 @@ class Group:
                         f"{self.label}: associativity fails at ({x}*{g})*y"
                     )
 
+    def element_orders(self):
+        """Order of every element, by index, cached. One walk over the
+        powers of each cyclic subgroup not yet covered: the power g^e of an
+        element g of order k has order k / gcd(e, k)."""
+        orders = self._cache.get("element_orders")
+        if orders is None:
+            mul, ident = self.mul, self.identity
+            orders = [0] * self.n
+            for g in range(self.n):
+                if orders[g]:
+                    continue
+                powers = [g]
+                while powers[-1] != ident:
+                    powers.append(mul[powers[-1]][g])
+                k = len(powers)
+                for e, x in enumerate(powers, 1):
+                    orders[x] = k // math.gcd(e, k)
+            orders = self._cache["element_orders"] = tuple(orders)
+        return orders
+
     def element_order(self, a):
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul[x][a]
-            k += 1
-        return k
+        return self.element_orders()[a]
 
     def is_abelian(self):
         val = self._cache.get("abelian")
@@ -175,7 +197,7 @@ class Group:
         return val
 
     def exponent(self):
-        return reduce(math.lcm, (self.element_order(a) for a in range(self.n)), 1)
+        return reduce(math.lcm, self.element_orders(), 1)
 
     # -- subgroup constructors ------------------------------------------------
 
@@ -269,8 +291,8 @@ class Subgroup:
         return all(self.conjugate_mask(a) == self.mask for a in range(self.parent.n))
 
     def is_cyclic(self):
-        k = self.order
-        return any(self.parent.element_order(a) == k for a in self.members)
+        orders = self.parent.element_orders()
+        return self.order in map(orders.__getitem__, self.members)
 
     def intersection(self, other):
         return Subgroup(self.parent, self.mask & other.mask)
@@ -384,9 +406,9 @@ def subgroup_embedding(H):
 
 def cyclic_generator(G):
     """Minimal-index element of full order; raises if the group is not cyclic."""
-    for a in range(G.n):
-        if G.element_order(a) == G.n:
-            return a
+    orders = G.element_orders()
+    if G.n in orders:
+        return orders.index(G.n)
     raise PreconditionError(f"{G.label} is not cyclic")
 
 
@@ -416,8 +438,46 @@ def cyclic_isomorphism(A, B, gen_a=None, gen_b=None):
 # -- concrete tables ----------------------------------------------------------
 
 
+def _composer(row):
+    """The map other -> tuple(other[i] for i in row), one C-level call."""
+    if len(row) == 1:
+        i = row[0]
+        return lambda other: (other[i],)
+    return itemgetter(*row)
+
+
+def _regular_table(n, identity, row_of):
+    """Left-regular table on indices 0..n-1, where row_of(g) computes the
+    row of g (g y for every y) directly.
+
+    Only a few rows are computed directly: generators taken greedily, each
+    the first element the earlier ones do not reach. Every other row is a
+    composition, row(x g) = row(x) o row(g), one itemgetter call apiece.
+    """
+    rows = [None] * n
+    rows[identity] = tuple(range(n))
+    reached = [identity]
+    gens = []
+    for g in range(n):
+        if rows[g] is not None:
+            continue
+        rows[g] = tuple(row_of(g))
+        gens.append((g, _composer(rows[g])))
+        reached.append(g)
+        # close under right multiplication by every generator so far
+        for x in reached:
+            row = rows[x]
+            for s, compose in gens:
+                y = row[s]
+                if rows[y] is None:
+                    rows[y] = compose(row)
+                    reached.append(y)
+    return rows
+
+
 def _cyclic_table(n):
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+    double = tuple(range(n)) * 2
+    return [double[i : i + n] for i in range(n)]
 
 
 def _dihedral_table(n):
@@ -449,12 +509,16 @@ def _dicyclic_table(n):
 
 
 def _perm_group_table(perms):
+    """Table of a permutation group, elements in lexicographic order and
+    p q the map i -> p[q[i]]."""
     elems = sorted(perms)
     pos = {p: i for i, p in enumerate(elems)}
-    table = [
-        [pos[tuple(p[q[i]] for i in range(len(p)))] for q in elems] for p in elems
-    ]
-    return table
+
+    def row_of(g):
+        p = elems[g].__getitem__
+        return [pos[tuple(map(p, q))] for q in elems]
+
+    return _regular_table(len(elems), pos[tuple(range(len(elems[0])))], row_of)
 
 
 def _symmetric_perms(n):
@@ -490,24 +554,31 @@ def _sl2_elements(p):
 def _sl2_table(p):
     elems = _sl2_elements(p)
     pos = {m: i for i, m in enumerate(elems)}
-    table = []
-    for a, b, c, d in elems:
-        row = []
-        for e, f, g, h in elems:
-            row.append(
-                pos[((a * e + b * g) % p, (a * f + b * h) % p,
-                     (c * e + d * g) % p, (c * f + d * h) % p)]
-            )
-        table.append(row)
-    return table
+
+    def row_of(i):
+        a, b, c, d = elems[i]
+        return [
+            pos[((a * e + b * g) % p, (a * f + b * h) % p,
+                 (c * e + d * g) % p, (c * f + d * h) % p)]
+            for e, f, g, h in elems
+        ]
+
+    return _regular_table(len(elems), pos[(1, 0, 0, 1)], row_of)
 
 
 def direct_product(A, B):
-    """Direct product with pair (i, j) at index i * |B| + j."""
+    """Direct product with pair (i, j) at index i * |B| + j.
+
+    The row of (i, j) is B's row j shifted into the block of |B| indices
+    at each entry of A's row i.
+    """
     nb = B.n
+    blocks = [tuple(range(o * nb, (o + 1) * nb)) for o in range(A.n)]
+    shifted = [list(map(_composer(brow), blocks)) for brow in B.mul]
     table = [
-        [A.mul[i // nb][k // nb] * nb + B.mul[i % nb][k % nb] for k in range(A.n * nb)]
-        for i in range(A.n * nb)
+        tuple(chain.from_iterable(map(shifted[j].__getitem__, arow)))
+        for arow in A.mul
+        for j in range(nb)
     ]
     return Group(table, f"{A.label}x{B.label}")
 
@@ -686,22 +757,28 @@ def _build_atom(recipe, cap):
         _check_cap(p * (p * p - 1), cap, label)
         return Group(_sl2_table(p), label)
     if kind == "perm":
-        # only the points named matter: numbering them in increasing order
-        # keeps the lexicographic element order and bounds the degree by
-        # the length of the spec
-        points = sorted({pt for gen in arg for cyc in gen for pt in cyc})
-        point = {pt: i for i, pt in enumerate(points)}
-        degree = len(points)
-        gens = []
-        for gen in arg:
-            perm = list(range(degree))
-            for cyc in gen:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    perm[point[a]] = point[b]
-            gens.append(tuple(perm))
-        elems = _close_perms(gens, degree, cap)
-        return Group(_perm_group_table(elems), label)
+        return Group(_perm_group_table(_perm_spec_elements(arg, cap)), label)
     raise AssertionError(f"unknown recipe kind {kind}")
+
+
+def _perm_spec_elements(gens_cycles, cap):
+    """The permutations a parsed perm: spec generates, as tuples.
+
+    Only the points named matter: numbering them in increasing order keeps
+    the lexicographic element order and bounds the degree by the length of
+    the spec.
+    """
+    points = sorted({pt for gen in gens_cycles for cyc in gen for pt in cyc})
+    point = {pt: i for i, pt in enumerate(points)}
+    degree = len(points)
+    gens = []
+    for gen in gens_cycles:
+        perm = list(range(degree))
+        for cyc in gen:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                perm[point[a]] = point[b]
+        gens.append(tuple(perm))
+    return _close_perms(gens, degree, cap)
 
 
 def _check_cap(order, cap, label):

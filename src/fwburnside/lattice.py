@@ -19,12 +19,20 @@ Subgroups are ordered by (order, sorted member indices); conjugacy-class
 representatives are the minimal subgroups of their classes under that
 order, which makes every derived table (marks, idempotent coefficients)
 reproducible.
+
+Containments and Moebius values are computed per subgroup on first read
+(SubgroupLattice.below and mu_column) and cached, so the table of marks
+and the idempotents, which read class representatives only, never touch
+the rest. mu(., H) is in closed form when H is nilpotent (P. Hall, 1936)
+and a recursion over H's interval otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
 
 from .errors import PreconditionError
 from .groups import Subgroup, bits, mask_of, quotient_group
@@ -64,6 +72,31 @@ def p_part(n, p):
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _prime_factors(n):
+    primes, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes
+
+
+@cache
+def _elementary_mu(index):
+    """mu(K, H) when H/K is a product of elementary abelian groups (C_p)^r
+    of total order index: the product of (-1)^r p^(r(r-1)/2)."""
+    mu = 1
+    for p in _prime_factors(index):
+        r = 0
+        while index % p == 0:
+            index //= p
+            r += 1
+        mu *= (-1) ** r * p ** (r * (r - 1) // 2)
+    return mu
 
 
 def _zuppos(G):
@@ -171,10 +204,12 @@ class SubgroupLattice:
         "class_of",
         "reps",
         "normalizer_idx",
-        "below",
+        "masks",
         "cyclic_flags",
         "class_labels",
         "_label_to_class",
+        "_order_runs",
+        "_below",
         "_mu",
         "_cache",
     )
@@ -197,26 +232,16 @@ class SubgroupLattice:
         self.class_of = tuple(class_of)
         self.reps = tuple(cls[0] for cls in self.classes)
         self.normalizer_idx = tuple(self.index[normalizer[m]] for m in masks)
-
-        self.below = tuple(
-            tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
-            for i in range(count)
-        )
-
-        mu = {}
-        for h in range(count):
-            hm = masks[h]
-            for k in self.below[h]:
-                if k == h:
-                    mu[(k, h)] = 1
-                    continue
-                km = masks[k]
-                acc = 0
-                for x in self.below[h]:
-                    if x != h and masks[x] & km == km:
-                        acc += mu[(k, x)]
-                mu[(k, h)] = -acc
-        self._mu = mu
+        self.masks = tuple(masks)
+        # (order, first index, end index) of each run of subgroups of one order
+        runs, start = [], 0
+        for order, run in groupby(m.bit_count() for m in masks):
+            stop = start + sum(1 for _ in run)
+            runs.append((order, start, stop))
+            start = stop
+        self._order_runs = tuple(runs)
+        self._below = {}
+        self._mu = {}
 
         self.cyclic_flags = tuple(s.is_cyclic() for s in self.subgroups)
 
@@ -268,12 +293,72 @@ class SubgroupLattice:
     def normalizer(self, H):
         return self.subgroups[self.normalizer_idx[self.subgroup_index(H)]]
 
+    def below(self, h):
+        """Indices of the subgroups of subgroup h, ascending, h itself last;
+        computed on first read."""
+        row = self._below.get(h)
+        if row is None:
+            masks = self.masks
+            hm = masks[h]
+            ho = hm.bit_count()
+            row = []
+            for order, start, stop in self._order_runs:
+                if order >= ho:
+                    break
+                if ho % order == 0:
+                    row.extend(j for j in range(start, stop) if masks[j] & hm == masks[j])
+            row.append(h)
+            row = self._below[h] = tuple(row)
+        return row
+
+    def mu_column(self, h):
+        """The nonzero Moebius values mu(K, H) for H = subgroup h, as
+        {index of K: value}; computed on first read.
+
+        mu(K, H) is nonzero only when K is an intersection of maximal
+        subgroups of H (P. Hall, 1936). H is nilpotent when it has one
+        subgroup of each Sylow order; then its maximal subgroups are those
+        of prime index, and for K containing their intersection Phi(H),
+        H/K is a product of elementary abelian groups (C_p)^r, so
+        mu(K, H) is the product of (-1)^r p^(r(r-1)/2). Otherwise mu runs
+        top down over the interval, summing only the nonzero values.
+        """
+        col = self._mu.get(h)
+        if col is not None:
+            return col
+        masks = self.masks
+        below = self.below(h)
+        orders = [masks[j].bit_count() for j in below]
+        ho = orders[-1]
+        primes = _prime_factors(ho)
+        if all(orders.count(p_part(ho, p)) == 1 for p in primes):
+            phi = masks[h]
+            for j, jo in zip(below, orders):
+                if ho // jo in primes:
+                    phi &= masks[j]
+            col = {
+                j: _elementary_mu(ho // jo)
+                for j, jo in zip(below, orders)
+                if masks[j] & phi == phi
+            }
+        else:
+            col = {h: 1}
+            nonzero = [(masks[h], 1)]
+            for j in reversed(below[:-1]):
+                jm = masks[j]
+                v = -sum(m for xm, m in nonzero if xm & jm == jm)
+                if v:
+                    col[j] = v
+                    nonzero.append((jm, v))
+        self._mu[h] = col
+        return col
+
     def moebius(self, K, H):
         """Moebius value of the interval [K, H] in the subgroup lattice."""
         k, h = self.subgroup_index(K), self.subgroup_index(H)
         if K.mask & H.mask != K.mask:
             raise PreconditionError("moebius needs K <= H")
-        return self._mu[(k, h)]
+        return self.mu_column(h).get(k, 0)
 
     def is_normal_class(self, c):
         return len(self.classes[c]) == 1
@@ -288,19 +373,19 @@ class SubgroupLattice:
         )
 
     def frattini_of(self, H):
-        """Intersection of the maximal proper subgroups of H (H itself if none)."""
+        """Intersection of the maximal proper subgroups of H (H itself if none).
+
+        A maximal subgroup M has mu(M, H) = -1, and every proper subgroup
+        lies in a maximal one, so the maximal subgroups are those with a
+        nonzero Moebius value that no other proper one of them contains.
+        """
         h = self.subgroup_index(H)
-        interval = [j for j in self.below[h] if j != h]
-        maximal = []
-        for j in interval:
-            jm = self.subgroups[j].mask
-            if not any(
-                x != j and self.subgroups[x].mask & jm == jm for x in interval
-            ):
-                maximal.append(j)
+        masks = self.masks
+        candidates = [masks[j] for j in self.mu_column(h) if j != h]
         mask = H.mask
-        for j in maximal:
-            mask &= self.subgroups[j].mask
+        for jm in candidates:
+            if not any(xm != jm and xm & jm == jm for xm in candidates):
+                mask &= jm
         return Subgroup(self.group, mask)
 
     def frattini(self):
@@ -371,10 +456,11 @@ def m_constant(lat, L, K):
     km, ko = K.mask, K.order
     lo = L.order
     acc = 0
-    for x in lat.below[li]:
-        X = lat.subgroups[x]
-        if X.order * ko == lo * (X.mask & km).bit_count():
-            acc += X.order * lat._mu[(x, li)]
+    for x, mu in lat.mu_column(li).items():
+        xm = lat.masks[x]
+        xo = xm.bit_count()
+        if xo * ko == lo * (xm & km).bit_count():
+            acc += xo * mu
     return Fraction(acc, lo)
 
 
@@ -412,7 +498,7 @@ def check_gcd_property(G, N, method="i"):
         return True
     if not N.is_normal():
         raise PreconditionError("the sylow method needs N normal in G")
-    for p in {f for f in range(2, G.n + 1) if G.n % f == 0 and _is_prime(f)}:
+    for p in _prime_factors(G.n):
         np_, gp = p_part(no, p), p_part(G.n, p)
         if np_ == 1 or np_ == gp:
             continue

@@ -11,6 +11,10 @@ marks_by_fixed_points counts the marks element by element, independently
 of the containment counts table_of_marks reads from the lattice, and
 mackey_by_double_cosets walks each double coset element by element, where
 the Mackey table tensor_induce reads works on numbered cosets.
+moebius_by_recursion fills every Moebius value by the all-pairs recursion,
+where the lattice computes them per subgroup on first read, in closed form
+on nilpotent intervals; cayley_table_by_entries computes every table entry
+on its own, where the constructors compose rows.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import groups
 from .burnside import BurnsideElement
 from .errors import AlgebraError, PreconditionError
 from .groups import Subgroup, mask_of
@@ -36,6 +41,8 @@ __all__ = [
     "map_space_gset",
     "marks_by_fixed_points",
     "mackey_by_double_cosets",
+    "moebius_by_recursion",
+    "cayley_table_by_entries",
 ]
 
 
@@ -187,6 +194,89 @@ def mackey_by_double_cosets(f):
             entries.append(alat.class_of[idx])
         rows.append(tuple(entries))
     return tuple(rows)
+
+
+def moebius_by_recursion(lat):
+    """Every Moebius value of the lattice, {(k, h): mu}, by the all-pairs
+    recursion mu(K, H) = -sum of mu(K, X) over K <= X < H, with below
+    filled by testing every pair of subgroups."""
+    masks = [s.mask for s in lat.subgroups]
+    count = len(masks)
+    below = tuple(
+        tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
+        for i in range(count)
+    )
+    mu = {}
+    for h in range(count):
+        for k in below[h]:
+            if k == h:
+                mu[(k, h)] = 1
+                continue
+            km = masks[k]
+            acc = 0
+            for x in below[h]:
+                if x != h and masks[x] & km == km:
+                    acc += mu[(k, x)]
+            mu[(k, h)] = -acc
+    return mu
+
+
+def _table_by_entries(elems, product):
+    pos = {x: i for i, x in enumerate(elems)}
+    return [[pos[product(x, y)] for y in elems] for x in elems]
+
+
+def _perm_product(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _sl2_product(p):
+    def product(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p,
+                (c * e + d * g) % p, (c * f + d * h) % p)
+    return product
+
+
+def cayley_table_by_entries(spec, cap=None):
+    """(mul, identity, inv, conj_rows) of the group a spec names, every
+    entry computed on its own: products of element pairs, the identity and
+    inverses found by search, and a x a^-1 by two lookups. The element
+    order is the one construct_group documents."""
+    tables = []
+    for kind, arg, _ in groups.parse_group_spec(spec):
+        if kind == "cyclic":
+            table = [[(i + j) % arg for j in range(arg)] for i in range(arg)]
+        elif kind == "dihedral":
+            table = groups._dihedral_table(arg)
+        elif kind == "dicyclic":
+            table = groups._dicyclic_table(arg)
+        elif kind == "sl2":
+            table = _table_by_entries(groups._sl2_elements(arg), _sl2_product(arg))
+        else:
+            if kind == "perm":
+                elems = groups._perm_spec_elements(arg, cap)
+            else:
+                elems = groups._symmetric_perms(arg)
+                if kind == "alternating":
+                    elems = [p for p in elems if groups._perm_parity(p) == 0]
+            table = _table_by_entries(sorted(elems), _perm_product)
+        tables.append(table)
+    mul = tables[0]
+    for other in tables[1:]:
+        na, nb = len(mul), len(other)
+        mul = [
+            [mul[i // nb][k // nb] * nb + other[i % nb][k % nb] for k in range(na * nb)]
+            for i in range(na * nb)
+        ]
+    n = len(mul)
+    identity = next(
+        e for e in range(n) if all(mul[e][x] == x == mul[x][e] for x in range(n))
+    )
+    inv = tuple(next(b for b in range(n) if mul[a][b] == identity) for a in range(n))
+    conj = tuple(tuple(mul[mul[a][x]][inv[a]] for x in range(n)) for a in range(n))
+    return tuple(map(tuple, mul)), identity, inv, conj
 
 
 def product_gset(X, Y):

@@ -259,7 +259,7 @@ def test_criterion_09_m_constant_closed_form():
             L = lat.class_rep(c)
             li = lat.subgroup_index(L)
             phi = lat.frattini_of(L)
-            for ki in lat.below[li]:
+            for ki in lat.below(li):
                 K = lat.subgroups[ki]
                 if K <= phi:
                     # Frattini factors are non-generators, so the only X

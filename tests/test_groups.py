@@ -17,7 +17,9 @@ from fwburnside import (
     cyclic_isomorphism,
     quotient_group,
     subgroup_embedding,
+    subgroup_lattice,
 )
+from fwburnside.oracles import cayley_table_by_entries
 
 
 @pytest.mark.parametrize(
@@ -313,3 +315,61 @@ def test_conjugate_subgroup_is_subgroup(s4):
         Hg = H.conjugate(g)
         Hg.check()
         assert Hg.order == H.order
+
+
+TABLE_SPECS = [
+    "S1", "S2", "S3", "S4", "S5", "A3", "A4", "A5",
+    "SL(2,2)", "SL(2,3)", "SL(2,5)", "SL(2,7)",
+    "C1xC1", "C2xC256", "SL(2,3)xC2", "Q8xC3",
+    "perm:[(1,2,3)(4,5);(1,2)]", "perm:[(1,2);(3,4);(1,3)(2,4)]",
+    "perm:[(2,4,6)]", "perm:[(1,5)(2,3)]", "perm:[(1)]",
+]
+
+
+def _group_tables(G):
+    return G.mul, G.identity, G.inv, G.conj_rows()
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_row_composed_tables_match_entry_by_entry_oracle(spec):
+    assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
+
+
+def _cycles(perm):
+    """1-based cycle notation of a permutation tuple, fixed points included."""
+    seen, out = set(), ""
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(str(x + 1))
+                x = perm[x]
+            out += "(" + ",".join(cycle) + ")"
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    )
+)
+def test_random_perm_tables_match_entry_by_entry_oracle(gens):
+    spec = "perm:[" + ";".join(_cycles(g) for g in gens) + "]"
+    assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
+
+
+@pytest.mark.parametrize("spec", ["C2xC256", "S5", "SL(2,3)xC2", "Dic60", "C1"])
+def test_element_orders_match_power_walks(spec):
+    G = construct_group(spec)
+    for a in range(G.n):
+        k, x = 1, a
+        while x != G.identity:
+            x = G.mul[x][a]
+            k += 1
+        assert G.element_orders()[a] == G.element_order(a) == k
+    lat = subgroup_lattice(G)
+    for H in lat.subgroups:
+        # cyclic: generated by one of its own elements
+        expected = any(G.generated_subgroup([a]).mask == H.mask for a in H.members)
+        assert H.is_cyclic() == expected

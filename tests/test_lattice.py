@@ -11,14 +11,18 @@ from fwburnside import (
     construct_group,
     cyclic_group,
     double_cosets,
+    idempotent,
     is_generalized_quaternion,
     m_constant,
     m_cyclic,
     subgroup_lattice,
+    table_of_marks,
     totient,
 )
+from fwburnside.burnside import _coeffs_from_marks
 from fwburnside.groups import bits, mask_of
-from fwburnside.lattice import GCD_METHODS, divisors
+from fwburnside.lattice import GCD_METHODS, SubgroupLattice, divisors
+from fwburnside.oracles import moebius_by_recursion
 
 
 FROZEN_COUNTS = [
@@ -372,3 +376,53 @@ def test_class_by_label_unknown(q8):
     lat = subgroup_lattice(q8)
     with pytest.raises(PreconditionError):
         lat.class_by_label("3:0")
+
+
+MOEBIUS_SPECS = ["S4", "SL(2,3)", "Q16", "D128", "D512", "C2xC4xC4", "C3xS4",
+                 "C2xC2xC2xC2xC2", "C2xS4", "A6", "SL(2,7)"]
+
+
+def _assert_moebius_and_idempotents_match_oracles(G):
+    lat = subgroup_lattice(G)
+    oracle = {}
+    for (k, h), mu in moebius_by_recursion(lat).items():
+        oracle.setdefault(h, {})[k] = mu
+    for c, h in enumerate(lat.reps):
+        H = lat.subgroups[h]
+        assert lat.below(h) == tuple(sorted(oracle[h]))
+        assert lat.mu_column(h) == {k: mu for k, mu in oracle[h].items() if mu}
+        for k, mu in oracle[h].items():
+            assert lat.moebius(lat.subgroups[k], H) == mu
+        # back-substituting the class indicator does not use mu
+        indicator = (0,) * c + (1,) + (0,) * (lat.n_classes() - c - 1)
+        assert idempotent(lat, c)._coeff_ints() == _coeffs_from_marks(lat, indicator, 1)
+    # the Frattini subgroup of G against its maximal subgroups found by containment
+    top = lat.reps[-1]
+    proper = [lat.subgroups[k].mask for k in oracle[top] if k != top]
+    phi = (1 << G.n) - 1
+    for m in proper:
+        if not any(x != m and x & m == m for x in proper):
+            phi &= m
+    assert lat.frattini().mask == phi
+
+
+@pytest.mark.parametrize("spec", MOEBIUS_SPECS)
+def test_moebius_matches_all_pairs_recursion(spec):
+    _assert_moebius_and_idempotents_match_oracles(construct_group(spec))
+
+
+@settings(max_examples=30)
+@given(st.lists(_small_perm, min_size=2, max_size=3))
+def test_random_perm_moebius_matches_all_pairs_recursion(gens):
+    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    _assert_moebius_and_idempotents_match_oracles(construct_group(spec))
+
+
+def test_marks_and_idempotents_read_only_representatives():
+    lat = SubgroupLattice(construct_group("S5"))  # fresh: no earlier reads
+    table_of_marks(lat)
+    for c in range(lat.n_classes()):
+        idempotent(lat, c)
+    assert set(lat._below) == set(lat.reps)
+    assert set(lat._mu) == set(lat.reps)
+    assert len(lat.reps) < len(lat.subgroups)
