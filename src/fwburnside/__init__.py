@@ -13,8 +13,6 @@ from .burnside import (
     BurnsideElement,
     basis_element,
     deflate,
-    deflate_idempotent,
-    deflation_coefficient,
     element_from_json,
     element_from_marks,
     element_to_json,
@@ -32,7 +30,6 @@ from .burnside import (
     restrict,
     table_of_marks,
     tensor_induce,
-    transport_element,
     zero,
 )
 from .errors import (
@@ -46,15 +43,9 @@ from .fw import (
     CommutativityReport,
     FwContext,
     check_commutes,
-    check_def_necessary,
-    check_integrality,
     check_m_equality,
-    check_prime_kernel_sufficient,
     fw_apply,
     fw_context,
-    fw_transitive_image,
-    r_constant,
-    t_constant,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -63,19 +54,14 @@ from .groups import (
     Subgroup,
     construct_group,
     cyclic_group,
-    cyclic_isomorphism,
     direct_product,
     parse_group_spec,
     quotient_group,
     subgroup_embedding,
 )
 from .lattice import (
-    GCD_METHODS,
     SubgroupLattice,
-    check_divisor_lemma,
     check_gcd_property,
-    double_cosets,
-    is_generalized_quaternion,
     m_constant,
     m_cyclic,
     subgroup_lattice,
@@ -92,7 +78,6 @@ __all__ = [
     "CommutativityReport",
     "DEFAULT_ORDER_CAP",
     "FwContext",
-    "GCD_METHODS",
     "Group",
     "GroupHom",
     "InvalidParameterError",
@@ -105,20 +90,12 @@ __all__ = [
     "SurveyConfig",
     "basis_element",
     "check_commutes",
-    "check_def_necessary",
-    "check_divisor_lemma",
     "check_gcd_property",
-    "check_integrality",
     "check_m_equality",
-    "check_prime_kernel_sufficient",
     "construct_group",
     "cyclic_group",
-    "cyclic_isomorphism",
     "deflate",
-    "deflate_idempotent",
-    "deflation_coefficient",
     "direct_product",
-    "double_cosets",
     "element_from_json",
     "element_from_marks",
     "element_to_json",
@@ -128,12 +105,10 @@ __all__ = [
     "full_catalog",
     "fw_apply",
     "fw_context",
-    "fw_transitive_image",
     "idempotent",
     "identity_element",
     "induce",
     "inflate",
-    "is_generalized_quaternion",
     "is_integral",
     "m_constant",
     "m_cyclic",
@@ -142,16 +117,13 @@ __all__ = [
     "parse_group_spec",
     "parse_rational",
     "quotient_group",
-    "r_constant",
     "restrict",
     "subgroup_embedding",
     "subgroup_lattice",
     "survey_rows",
-    "t_constant",
     "table_of_marks",
     "tensor_induce",
     "totient",
-    "transport_element",
     "write_survey_csv",
     "zero",
 ]

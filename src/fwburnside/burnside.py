@@ -24,8 +24,7 @@ Biset Functors for Finite Groups, 2010):
   same table, [A/K] to [B/f(K)]. The points of X/N fixed by K/N are the
   N-orbits that K maps to themselves, and their number is not the mark of
   X at any one subgroup, so the pushforward converts to coefficients,
-  maps classes and converts back. transport_element is the pushforward
-  along an isomorphism.
+  maps classes and converts back.
 - Multiplicative pushforward, X to the A-equivariant maps B -> X:
   tensor induction along an embedding, N-fixed points along a projection.
   The mark at K <= B is the product of the marks of X at
@@ -53,8 +52,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
-from .groups import GroupHom, Subgroup, mask_of, quotient_group, subgroup_embedding
-from .lattice import m_constant, subgroup_lattice
+from .groups import Subgroup, mask_of, quotient_group, subgroup_embedding
+from .lattice import subgroup_lattice
 
 __all__ = [
     "BurnsideElement",
@@ -74,9 +73,6 @@ __all__ = [
     "tensor_induce",
     "OPERATIONS",
     "operation",
-    "deflation_coefficient",
-    "deflate_idempotent",
-    "transport_element",
     "format_element",
     "format_rational",
     "parse_rational",
@@ -504,38 +500,6 @@ def operation(op, sub):
     if fn is restrict:
         return fn, f, f.target, f.source
     return fn, f, f.source, f.target
-
-
-# -- deflation in closed form ---------------------------------------------------
-
-
-def deflation_coefficient(lat, H, N):
-    """Scalar picked up by the idempotent at H under deflation by N:
-    the normalizer-index ratio times the m-constant of (H, H ∩ N)."""
-    G = lat.group
-    HN = Subgroup(G, H.product_mask(N))
-    nH = lat.normalizer(H).order
-    nHN = lat.normalizer(HN).order
-    ratio = Fraction(nHN * H.order, HN.order * nH)
-    return ratio * m_constant(lat, H, H.intersection(N))
-
-
-def deflate_idempotent(lat, H, qm):
-    """Closed form: deflation by N sends the idempotent at H to the scalar
-    deflation_coefficient(H, N) times the idempotent at HN/N."""
-    if qm.source is not lat.group:
-        raise PreconditionError("quotient map does not match the lattice")
-    N = qm.kernel()
-    coeff = deflation_coefficient(lat, H, N)
-    HN = Subgroup(lat.group, H.product_mask(N))
-    qlat = subgroup_lattice(qm.target)
-    return coeff * idempotent(qlat, qm.push_subgroup(HN))
-
-
-def transport_element(x, mapping, target):
-    """Move an element along a group isomorphism given as an index map:
-    the pushforward along it."""
-    return induce(x, GroupHom(x.group, target, mapping))
 
 
 # -- formatting and serialization -----------------------------------------------

@@ -17,49 +17,23 @@ around each square meet in the same ring with no identification step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional
 
-from .burnside import (
-    BurnsideElement,
-    _gather,
-    basis_element,
-    deflation_coefficient,
-    element_from_marks,
-    format_element,
-    idempotent,
-    is_integral,
-    operation,
-)
+from .burnside import _gather, format_element, idempotent, operation
 from .errors import PreconditionError
 from .groups import Subgroup, cyclic_group, mask_of
-from .lattice import (
-    _is_prime,
-    check_gcd_property,
-    divisors,
-    m_constant,
-    m_cyclic,
-    subgroup_lattice,
-)
+from .lattice import divisors, m_constant, m_cyclic, subgroup_lattice
 
 __all__ = [
     "FwContext",
     "fw_context",
     "fw_apply",
-    "TransitiveImage",
-    "fw_transitive_image",
-    "check_integrality",
-    "t_constant",
-    "r_constant",
     "Certificate",
     "CommutativityReport",
     "check_commutes",
     "check_m_equality",
-    "check_def_necessary",
-    "check_prime_kernel_sufficient",
 ]
 
 class FwContext:
@@ -116,58 +90,6 @@ def fw_apply(ctx, x):
     return _gather(x, ctx.G, ctx.lift_classes())
 
 
-@dataclass(frozen=True)
-class TransitiveImage:
-    element: BurnsideElement
-    transitive: bool
-    stabilizer: Optional[Subgroup]
-
-
-def fw_transitive_image(ctx, D):
-    """Lift of the transitive set [C/D], flagged when the image is itself
-    transitive; cross-checks that this happens exactly when G has an
-    order-|D| subgroup with the gcd property."""
-    if D.parent is not ctx.C:
-        raise PreconditionError("D must be a subgroup of the cyclic source group")
-    clat = subgroup_lattice(ctx.C)
-    glat = subgroup_lattice(ctx.G)
-    x = fw_apply(ctx, basis_element(ctx.C, clat.class_index(D)))
-    hits = [c for c, v in enumerate(x.coeffs) if v != 0]
-    transitive = len(hits) == 1 and x.coeffs[hits[0]] == 1
-    stabilizer = glat.class_rep(hits[0]) if transitive else None
-    witness = any(
-        glat.class_order(c) == D.order
-        and check_gcd_property(ctx.G, glat.class_rep(c))
-        for c in range(glat.n_classes())
-    )
-    assert transitive == witness, "transitivity criterion violated"
-    if transitive:
-        assert stabilizer.order == D.order
-        assert check_gcd_property(ctx.G, stabilizer)
-    return TransitiveImage(x, transitive, stabilizer)
-
-
-def check_integrality(ctx):
-    """Whether every lifted transitive set [C/D] has integer coefficients."""
-    clat = subgroup_lattice(ctx.C)
-    return all(
-        is_integral(fw_apply(ctx, basis_element(ctx.C, j)))
-        for j in range(clat.n_classes())
-    )
-
-
-def t_constant(G, H, N):
-    """Coefficient of deflation by N on the idempotent at H (ambient group G)."""
-    return deflation_coefficient(subgroup_lattice(G), H, N)
-
-
-def r_constant(ctx, D, CN):
-    """Cyclic-side deflation coefficient: (|D| / |D CN|) m(D, D ∩ CN)."""
-    clat = subgroup_lattice(ctx.C)
-    prod = Subgroup(ctx.C, D.product_mask(CN))
-    return Fraction(D.order, prod.order) * m_constant(clat, D, D.intersection(CN))
-
-
 class Certificate:
     """The first idempotent on which the two routes differ, with both
     images; .left and .right format them on first access."""
@@ -211,36 +133,7 @@ def _route_pairs(ctx, op, sub):
         e = idempotent(lat, inner.c_class(d))
         left = fn(fw_apply(inner, e), f)
         right = fw_apply(outer, fn(e, f_c))
-        if op == "def":
-            _check_deflation_closed_forms(ctx, f, d, left, right)
         yield f"e[{d}]", left, right
-
-
-def _check_deflation_closed_forms(ctx, qm, d, left, right):
-    """Assert both routes of the deflation square at e[d] against their
-    closed forms, built as mark vectors (an idempotent's marks are the
-    indicator of its class): t(H, N) at the class of HN/N for each class
-    of H of order d on the ambient side, r at every class of order
-    d / gcd(d, |N|) on the cyclic side."""
-    G, N = ctx.G, qm.kernel()
-    glat = subgroup_lattice(G)
-    qlat = subgroup_lattice(qm.target)
-    eq1 = [0] * qlat.n_classes()
-    for c in range(glat.n_classes()):
-        H = glat.class_rep(c)
-        if H.order != d:
-            continue
-        HN = Subgroup(G, H.product_mask(N))
-        eq1[qlat.class_index(qm.push_subgroup(HN))] += t_constant(G, H, N)
-    d_bar = d // math.gcd(d, N.order)
-    r = r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(N.order))
-    eq2 = [r if qlat.class_order(c) == d_bar else 0 for c in range(qlat.n_classes())]
-    assert left == element_from_marks(qm.target, eq1), (
-        "deflation closed form (ambient route) must match"
-    )
-    assert right == element_from_marks(qm.target, eq2), (
-        "deflation closed form (cyclic route) must match"
-    )
 
 
 def check_commutes(ctx, op, sub):
@@ -282,42 +175,3 @@ def check_m_equality(G, N):
         if m_constant(lat, T, N) != m_cyclic(T.order, N.order):
             return False
     return True
-
-
-def check_def_necessary(ctx, N):
-    """If deflation by N commutes, the structural conditions must all hold:
-    gcd property, N cyclic, N central, the m-equality, and N inside the
-    intersection of the maximal cyclic subgroups. Vacuously true otherwise."""
-    if not check_commutes(ctx, "def", N).commutes:
-        return True
-    G = ctx.G
-    lat = subgroup_lattice(G)
-    center_mask = G.center().mask
-    maxcyc_mask = lat.max_cyclic_intersection().mask
-    return (
-        check_gcd_property(G, N)
-        and N.is_cyclic()
-        and N.mask & center_mask == N.mask
-        and check_m_equality(G, N)
-        and N.mask & maxcyc_mask == N.mask
-    )
-
-
-def check_prime_kernel_sufficient(ctx, N):
-    """Sufficiency contract for a central subgroup of prime order that is the
-    unique subgroup of its order: the m-equality forces deflation by N to
-    commute. Returns whether the implication holds; raises on hypothesis
-    violations so they are not mistaken for answers."""
-    G = ctx.G
-    lat = subgroup_lattice(G)
-    p = N.order
-    if not _is_prime(p):
-        raise PreconditionError(f"|N| = {p} is not prime")
-    if N.mask & G.center().mask != N.mask:
-        raise PreconditionError("N is not central")
-    same_order = [s for s in lat.subgroups if s.order == p]
-    if same_order != [N]:
-        raise PreconditionError(f"N is not the unique subgroup of order {p}")
-    if not check_m_equality(G, N):
-        return True
-    return check_commutes(ctx, "def", N).commutes

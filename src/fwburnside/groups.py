@@ -86,9 +86,6 @@ class Group:
     def __repr__(self):
         return f"<Group {self.label} of order {self.n}>"
 
-    def __len__(self):
-        return self.n
-
     def op(self, a, b):
         return self.mul[a][b]
 
@@ -288,7 +285,9 @@ class Subgroup:
         return mask_of(crow[x] for x in self.members)
 
     def is_normal(self):
-        return all(self.conjugate_mask(a) == self.mask for a in range(self.parent.n))
+        """Conjugation by each generator of the parent maps H onto itself,
+        hence so does conjugation by every element."""
+        return all(self.conjugate_mask(g) == self.mask for g in self.parent.generators())
 
     def is_cyclic(self):
         orders = self.parent.element_orders()
@@ -402,37 +401,6 @@ def subgroup_embedding(H):
         f = GroupHom(_realize(table, f"{G.label}>{H.order}@{mem[0]}"), G, mem)
     G._cache[key] = f
     return f
-
-
-def cyclic_generator(G):
-    """Minimal-index element of full order; raises if the group is not cyclic."""
-    orders = G.element_orders()
-    if G.n in orders:
-        return orders.index(G.n)
-    raise PreconditionError(f"{G.label} is not cyclic")
-
-
-def cyclic_isomorphism(A, B, gen_a=None, gen_b=None):
-    """Index map A -> B sending a chosen generator of A to one of B.
-
-    Defaults to the minimal-index generator on both sides, which makes the
-    map canonical; any generator pair yields some isomorphism.
-    """
-    if A.n != B.n:
-        raise PreconditionError("cyclic groups of different orders are not isomorphic")
-    if gen_a is None:
-        gen_a = cyclic_generator(A)
-    if gen_b is None:
-        gen_b = cyclic_generator(B)
-    if A.element_order(gen_a) != A.n or B.element_order(gen_b) != B.n:
-        raise PreconditionError("chosen elements do not generate")
-    mapping = [0] * A.n
-    x, y = A.identity, B.identity
-    for _ in range(A.n):
-        mapping[x] = y
-        x = A.mul[x][gen_a]
-        y = B.mul[y][gen_b]
-    return tuple(mapping)
 
 
 # -- concrete tables ----------------------------------------------------------

@@ -35,7 +35,7 @@ from functools import cache
 from itertools import groupby
 
 from .errors import PreconditionError
-from .groups import Subgroup, bits, mask_of, quotient_group
+from .groups import Subgroup, bits, mask_of
 
 __all__ = [
     "SubgroupLattice",
@@ -43,15 +43,10 @@ __all__ = [
     "m_constant",
     "m_cyclic",
     "check_gcd_property",
-    "is_generalized_quaternion",
-    "double_cosets",
-    "check_divisor_lemma",
     "totient",
     "p_part",
     "divisors",
 ]
-
-GCD_METHODS = ("i", "ii", "iii", "iv", "sylow")
 
 
 def totient(n):
@@ -414,14 +409,6 @@ class SubgroupLattice:
             self._cache["maxcyc"] = sub
         return sub
 
-    def sylow(self, p):
-        """A Sylow p-subgroup (canonically the first one in lattice order)."""
-        q = p_part(self.group.n, p)
-        for s in self.subgroups:
-            if s.order == q:
-                return s
-        raise AssertionError("Sylow subgroup missing from a complete lattice")
-
 
 def subgroup_lattice(G):
     """The (cached) subgroup lattice of G."""
@@ -471,109 +458,10 @@ def m_cyclic(t, n):
     return Fraction(totient(t), n * totient(t // n))
 
 
-def check_gcd_property(G, N, method="i"):
-    """Whether |H ∩ N| = gcd(|H|, |N|) for every subgroup H of G.
-
-    Methods "i".."iv" evaluate the four equivalent formulations (all
-    subgroups vs. cyclic ones, intersection sizes vs. containment); "sylow"
-    evaluates the prime-by-prime criterion and requires N normal.
-    """
-    if method not in GCD_METHODS:
-        raise PreconditionError(f"unknown gcd method {method!r}")
-    lat = subgroup_lattice(G)
+def check_gcd_property(G, N):
+    """Whether |H ∩ N| = gcd(|H|, |N|) for every subgroup H of G."""
     nm, no = N.mask, N.order
-    if method in ("i", "iv"):
-        for i, H in enumerate(lat.subgroups):
-            if method == "iv" and not lat.cyclic_flags[i]:
-                continue
-            if (H.mask & nm).bit_count() != math.gcd(H.order, no):
-                return False
-        return True
-    if method in ("ii", "iii"):
-        for i, H in enumerate(lat.subgroups):
-            if method == "iii" and not lat.cyclic_flags[i]:
-                continue
-            if no % H.order == 0 and H.mask & nm != H.mask:
-                return False
-        return True
-    if not N.is_normal():
-        raise PreconditionError("the sylow method needs N normal in G")
-    for p in _prime_factors(G.n):
-        np_, gp = p_part(no, p), p_part(G.n, p)
-        if np_ == 1 or np_ == gp:
-            continue
-        P = lat.sylow(p)
-        if P.is_cyclic():
-            continue
-        if p == 2 and np_ == 2 and is_generalized_quaternion(P):
-            continue
-        return False
-    return True
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def is_generalized_quaternion(P):
-    """Test P against the generalized quaternion presentation.
-
-    Searches for a of order 2^(k-1) and b outside <a> with b^2 = a^(2^(k-2))
-    and b a b^-1 = a^-1; coset counting then forces <a, b> = P, so finding
-    such images is an isomorphism with the dicyclic group of order 2^k.
-    """
-    G = P.parent
-    k = P.order
-    if k < 8 or k & (k - 1):
-        return False
-    half = k // 2
-    mul, inv = G.mul, G.inv
-    for a in P.members:
-        if G.element_order(a) != half:
-            continue
-        amask = G.join_mask(1 << G.identity, a)
-        a_sq = a
-        for _ in range(half // 2 - 1):
-            a_sq = mul[a_sq][a]
-        a_inv = inv[a]
-        for b in P.members:
-            if (amask >> b) & 1:
-                continue
-            if mul[b][b] != a_sq:
-                continue
-            if mul[mul[b][a]][inv[b]] == a_inv:
-                return True
-    return False
-
-
-def double_cosets(G, K, H):
-    """Minimal-element representatives of the double cosets K g H."""
-    if K.parent is not G or H.parent is not G:
-        raise PreconditionError("double cosets need subgroups of the same group")
-    mul = G.mul
-    seen = 0
-    reps = []
-    for g in range(G.n):
-        if (seen >> g) & 1:
-            continue
-        reps.append(g)
-        for a in K.members:
-            ag = mul[a][g]
-            row = mul[ag]
-            for b in H.members:
-                seen |= 1 << row[b]
-    return tuple(reps)
-
-
-def check_divisor_lemma(G, N):
-    """Order transfer between G and G/N: for each divisor d of |G|, G has a
-    subgroup of order d exactly when G/N has one of order d / gcd(d, |N|)."""
-    lat = subgroup_lattice(G)
-    qm = quotient_group(G, N)
-    qlat = subgroup_lattice(qm.target)
-    orders_g = {s.order for s in lat.subgroups}
-    orders_q = {s.order for s in qlat.subgroups}
-    for d in divisors(G.n):
-        if (d in orders_g) != (d // math.gcd(d, N.order) in orders_q):
+    for H in subgroup_lattice(G).subgroups:
+        if (H.mask & nm).bit_count() != math.gcd(H.order, no):
             return False
     return True

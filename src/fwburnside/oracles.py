@@ -27,7 +27,7 @@ from . import groups
 from .burnside import BurnsideElement
 from .errors import AlgebraError, PreconditionError
 from .groups import Subgroup, mask_of
-from .lattice import double_cosets, subgroup_lattice
+from .lattice import subgroup_lattice
 
 __all__ = [
     "GSet",
@@ -40,6 +40,7 @@ __all__ = [
     "deflate_gset",
     "map_space_gset",
     "marks_by_fixed_points",
+    "double_cosets",
     "mackey_by_double_cosets",
     "moebius_by_recursion",
     "cayley_table_by_entries",
@@ -169,6 +170,24 @@ def marks_by_fixed_points(lat):
             row_marks[j] = count
         rows.append(tuple(row_marks))
     return tuple(rows)
+
+
+def double_cosets(G, K, H):
+    """Minimal-element representatives of the double cosets K g H."""
+    if K.parent is not G or H.parent is not G:
+        raise PreconditionError("double cosets need subgroups of the same group")
+    mul = G.mul
+    seen = 0
+    reps = []
+    for g in range(G.n):
+        if (seen >> g) & 1:
+            continue
+        reps.append(g)
+        for a in K.members:
+            row = mul[mul[a][g]]
+            for b in H.members:
+                seen |= 1 << row[b]
+    return tuple(reps)
 
 
 def mackey_by_double_cosets(f):

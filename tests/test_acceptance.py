@@ -14,17 +14,13 @@ from fwburnside import (
     BurnsideElement,
     basis_element,
     check_commutes,
-    check_divisor_lemma,
     check_gcd_property,
-    check_integrality,
     check_m_equality,
     construct_group,
     cyclic_group,
     deflate,
-    deflate_idempotent,
     fw_apply,
     fw_context,
-    fw_transitive_image,
     full_catalog,
     idempotent,
     identity_element,
@@ -39,8 +35,20 @@ from fwburnside import (
     tensor_induce,
     zero,
 )
-from fwburnside.lattice import GCD_METHODS, divisors
+from fwburnside.fw import _route_pairs
+from fwburnside.lattice import divisors
 from fwburnside.oracles import coset_space, decompose_gset, deflate_gset, map_space_gset
+from fwburnside.propositions import (
+    check_divisor_lemma,
+    check_integrality,
+    deflate_idempotent,
+    deflation_closed_forms,
+    fw_transitive_image,
+    gcd_by_containment,
+    gcd_by_cyclic_containment,
+    gcd_by_cyclic_intersections,
+    gcd_by_sylow,
+)
 
 CATALOG = full_catalog()
 
@@ -66,18 +74,28 @@ def test_criterion_01_idempotents_orthogonal_and_resolve_identity():
 
 
 def test_criterion_02_gcd_property_methods_agree():
-    checked = 0
+    formulations = (
+        check_gcd_property,
+        gcd_by_containment,
+        gcd_by_cyclic_containment,
+        gcd_by_cyclic_intersections,
+    )
+    checked = normal = 0
     for G in groups():
         lat = subgroup_lattice(G)
         for c in range(lat.n_classes()):
             N = lat.class_rep(c)
-            values = {check_gcd_property(G, N, m) for m in ("i", "ii", "iii", "iv")}
+            values = {f(G, N) for f in formulations}
             assert len(values) == 1, (G.label, lat.class_label(c))
             if N.is_normal():
-                assert check_gcd_property(G, N, "sylow") in values
+                assert gcd_by_sylow(G, N) in values
+                normal += 1
             checked += 1
-    assert set(GCD_METHODS) == {"i", "ii", "iii", "iv", "sylow"}
-    print(f"criterion 2 PASS: all formulations agree on {checked} subgroup classes")
+    assert normal == sum(len(subgroup_lattice(G).normal_class_indices()) for G in groups())
+    print(
+        f"criterion 2 PASS: all five formulations agree on {checked} subgroup classes"
+        f" ({normal} normal)"
+    )
 
 
 def test_criterion_03_lift_integral_and_multiplicative():
@@ -150,7 +168,7 @@ def test_criterion_05_induction_iff_gcd():
 
 
 def test_criterion_06_deflation_routes_agree():
-    checked = 0
+    checked = squares = 0
     for G in groups():
         ctx = fw_context(G)
         lat = subgroup_lattice(G)
@@ -166,10 +184,15 @@ def test_criterion_06_deflation_routes_agree():
                     idempotent(lat, c), qm
                 )
                 checked += 1
-            # walking the commutation square asserts the closed-form
-            # coefficients against the transitive-basis routes internally
-            check_commutes(ctx, "def", N)
-    print(f"criterion 6 PASS: closed-form, linear and orbit-space deflation agree on {checked} pairs")
+            # both routes around the commutation square, at every divisor,
+            # against the closed forms t(H, N) and r
+            for d, (_, left, right) in zip(divisors(G.n), _route_pairs(ctx, "def", N)):
+                assert (left, right) == deflation_closed_forms(ctx, N, d), (G.label, nc, d)
+                squares += 1
+    print(
+        f"criterion 6 PASS: closed-form, linear and orbit-space deflation agree on {checked}"
+        f" pairs, closed forms on both routes of {squares} squares"
+    )
 
 
 def test_criterion_07_center_deflation_family():

@@ -13,7 +13,6 @@ from fwburnside import (
     cyclic_group,
     construct_group,
     deflate,
-    deflate_idempotent,
     element_from_json,
     element_from_marks,
     element_to_json,
@@ -48,6 +47,7 @@ from fwburnside.oracles import (
     product_gset,
     restrict_gset,
 )
+from fwburnside.propositions import deflate_idempotent
 from fwburnside.survey import full_catalog
 
 

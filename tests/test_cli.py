@@ -353,15 +353,16 @@ def test_console_script_entry_point():
 
 
 def test_import_does_not_load_numpy():
-    # neither numpy nor the test-only set-level oracles load with the package
+    # neither numpy nor the test-only oracles and propositions load with the package
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, fwburnside, fwburnside.cli;"
-            " print('numpy' in sys.modules, 'fwburnside.oracles' in sys.modules)",
+            " print('numpy' in sys.modules, 'fwburnside.oracles' in sys.modules,"
+            " 'fwburnside.propositions' in sys.modules)",
         ],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "False False False"

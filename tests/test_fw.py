@@ -8,27 +8,32 @@ from fwburnside import (
     BurnsideElement,
     PreconditionError,
     basis_element,
+    GroupHom,
     check_commutes,
-    check_def_necessary,
     check_gcd_property,
-    check_integrality,
     check_m_equality,
-    check_prime_kernel_sufficient,
     construct_group,
     cyclic_group,
     fw_apply,
     fw_context,
-    fw_transitive_image,
     identity_element,
+    induce,
     multiply,
     quotient_group,
-    r_constant,
     subgroup_lattice,
-    t_constant,
-    transport_element,
 )
-from fwburnside.groups import Subgroup, cyclic_generator, cyclic_isomorphism, mask_of
+from fwburnside.groups import Subgroup, mask_of
 from fwburnside.oracles import coset_space, decompose_gset, marks_by_fixed_points
+from fwburnside.propositions import (
+    check_def_necessary,
+    check_integrality,
+    check_prime_kernel_sufficient,
+    cyclic_generator,
+    cyclic_isomorphism,
+    fw_transitive_image,
+    r_constant,
+    t_constant,
+)
 from fwburnside.survey import full_catalog
 
 
@@ -167,8 +172,9 @@ def test_lift_ignores_generator_choice():
         auto = cyclic_isomorphism(C, C, g0, g)
         for c in range(subgroup_lattice(C).n_classes()):
             x = basis_element(C, c)
-            assert transport_element(x, auto, C) == x
-            assert fw_apply(ctx, transport_element(x, auto, C)) == fw_apply(ctx, x)
+            y = induce(x, GroupHom(C, C, auto))
+            assert y == x
+            assert fw_apply(ctx, y) == fw_apply(ctx, x)
 
 
 def test_transport_along_noncyclic_isomorphism():
@@ -188,9 +194,9 @@ def test_transport_along_noncyclic_isomorphism():
         back = tuple(sorted(range(4), key=iso.__getitem__))
         for c in range(qlat.n_classes()):
             image = Subgroup(B, mask_of(iso[k] for k in qlat.class_rep(c).members))
-            y = transport_element(basis_element(Q, c), iso, B)
+            y = induce(basis_element(Q, c), GroupHom(Q, B, iso))
             assert y == decompose_gset(coset_space(B, image))
-            assert transport_element(y, back, Q) == basis_element(Q, c)
+            assert induce(y, GroupHom(B, Q, back)) == basis_element(Q, c)
 
 
 def test_check_commutes_rejects_bad_inputs(q8):

@@ -14,12 +14,13 @@ from fwburnside import (
     Subgroup,
     construct_group,
     cyclic_group,
-    cyclic_isomorphism,
     quotient_group,
     subgroup_embedding,
     subgroup_lattice,
 )
 from fwburnside.oracles import cayley_table_by_entries
+from fwburnside.survey import full_catalog
+from fwburnside.propositions import cyclic_isomorphism
 
 
 @pytest.mark.parametrize(
@@ -315,6 +316,17 @@ def test_conjugate_subgroup_is_subgroup(s4):
         Hg = H.conjugate(g)
         Hg.check()
         assert Hg.order == H.order
+
+
+@pytest.mark.parametrize("spec", full_catalog() + ("S5", "C2xS4", "Dic60"))
+def test_is_normal_matches_conjugation_by_every_element(spec):
+    # conjugating by the generators decides normality: same answer as
+    # conjugating by all n elements, and as a conjugacy class of size one
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    for i, H in enumerate(lat.subgroups):
+        by_all = all(H.conjugate_mask(a) == H.mask for a in range(G.n))
+        assert H.is_normal() == by_all == lat.is_normal_class(lat.class_of[i]), (spec, i)
 
 
 TABLE_SPECS = [

@@ -6,13 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from fwburnside import (
     CapExceededError,
     PreconditionError,
-    check_divisor_lemma,
     check_gcd_property,
     construct_group,
     cyclic_group,
-    double_cosets,
     idempotent,
-    is_generalized_quaternion,
     m_constant,
     m_cyclic,
     subgroup_lattice,
@@ -21,8 +18,25 @@ from fwburnside import (
 )
 from fwburnside.burnside import _coeffs_from_marks
 from fwburnside.groups import bits, mask_of
-from fwburnside.lattice import GCD_METHODS, SubgroupLattice, divisors
-from fwburnside.oracles import moebius_by_recursion
+from fwburnside.lattice import SubgroupLattice, divisors
+from fwburnside.oracles import double_cosets, moebius_by_recursion
+from fwburnside.propositions import (
+    check_divisor_lemma,
+    gcd_by_containment,
+    gcd_by_cyclic_containment,
+    gcd_by_cyclic_intersections,
+    gcd_by_sylow,
+    is_generalized_quaternion,
+    sylow_subgroup,
+)
+
+# the gcd property and its equivalent formulations; gcd_by_sylow needs N normal
+GCD_FORMULATIONS = (
+    check_gcd_property,
+    gcd_by_containment,
+    gcd_by_cyclic_containment,
+    gcd_by_cyclic_intersections,
+)
 
 
 FROZEN_COUNTS = [
@@ -254,15 +268,15 @@ def test_gcd_property_known_cases(spec, normal_sub_order, expected):
         for c in lat.normal_class_indices()
         if lat.class_order(c) == normal_sub_order
     )
-    for method in GCD_METHODS:
-        assert check_gcd_property(G, N, method) is expected
+    for formulation in GCD_FORMULATIONS + (gcd_by_sylow,):
+        assert formulation(G, N) is expected
 
 
 def test_gcd_methods_agree_on_nonnormal(s4):
     lat = subgroup_lattice(s4)
     for c in range(lat.n_classes()):
         N = lat.class_rep(c)
-        vals = {check_gcd_property(s4, N, m) for m in ("i", "ii", "iii", "iv")}
+        vals = {formulation(s4, N) for formulation in GCD_FORMULATIONS}
         assert len(vals) == 1
 
 
@@ -270,7 +284,7 @@ def test_sylow_method_requires_normal(s4):
     lat = subgroup_lattice(s4)
     K = next(H for H in lat.subgroups if H.order == 2)
     with pytest.raises(PreconditionError):
-        check_gcd_property(s4, K, "sylow")
+        gcd_by_sylow(s4, K)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +342,7 @@ def test_generalized_quaternion_detection():
         G = construct_group(spec)
         assert is_generalized_quaternion(G.full_subgroup()) is expected
     sl23 = construct_group("SL(2,3)")
-    P = subgroup_lattice(sl23).sylow(2)
+    P = sylow_subgroup(subgroup_lattice(sl23), 2)
     assert P.order == 8
     assert is_generalized_quaternion(P)
 
@@ -336,12 +350,12 @@ def test_generalized_quaternion_detection():
 def test_sylow_subgroups():
     G = construct_group("S4")
     lat = subgroup_lattice(G)
-    assert lat.sylow(2).order == 8
-    assert lat.sylow(3).order == 3
+    assert sylow_subgroup(lat, 2).order == 8
+    assert sylow_subgroup(lat, 3).order == 3
     A5 = construct_group("A5")
     lat5 = subgroup_lattice(A5)
-    assert lat5.sylow(2).order == 4
-    assert lat5.sylow(5).order == 5
+    assert sylow_subgroup(lat5, 2).order == 4
+    assert sylow_subgroup(lat5, 5).order == 5
 
 
 def test_divisor_lemma_examples():
