@@ -176,7 +176,7 @@ class BurnsideElement:
 
 def _reduce(num, den):
     """(num, den) with den > 0 divided by gcd(den, *num), num as a tuple."""
-    g = math.gcd(den, *num)
+    g = 1 if den == 1 else math.gcd(den, *num)
     if g == 1:
         return tuple(num), den
     return tuple(m // g for m in num), den // g
@@ -305,34 +305,45 @@ def is_integral(x):
 
 
 def idempotent(lat, H):
-    """Primitive rational idempotent attached to the class of H.
-
-    Its marks form the 0/1 indicator of the class of H. Its coefficients
-    (Gluck 1981) are (1/|N_G(H)|) |K| mu(K, H) summed over K <= H,
-    collected by class: integer sums, one division each.
-    """
+    """Primitive rational idempotent attached to the class of H (a
+    subgroup or a class index): _idempotent_sum at that one class, cached
+    per lattice."""
     if isinstance(H, Subgroup):
         c = lat.class_index(H)
     else:
         c = H
     key = ("idempotent", c)
     e = lat._cache.get(key)
-    if e is not None:
-        return e
-    rep_idx = lat.reps[c]
-    norm_order = lat.subgroups[lat.normalizer_idx[rep_idx]].order
-    ncls = lat.n_classes()
-    sums = [0] * ncls
-    for k, mu in lat.mu_column(rep_idx).items():
-        sums[lat.class_of[k]] += lat.masks[k].bit_count() * mu
-    e = _element(
-        lat.group,
-        (0,) * c + (1,) + (0,) * (ncls - c - 1),
-        1,
-        _reduce(sums, norm_order),
-    )
-    lat._cache[key] = e
+    if e is None:
+        e = lat._cache[key] = _idempotent_sum(lat, (c,))
     return e
+
+
+def _idempotent_sum(lat, classes):
+    """The sum of the primitive idempotents at the given subgroup classes.
+
+    Its marks form the 0/1 indicator of those classes. Its coefficients
+    (Gluck 1981) are, for each class representative H,
+    (1/|N_G(H)|) |K| mu(K, H) summed over K <= H, collected by class as
+    integer sums over one denominator, the lcm of the |N_G(H)|; only the
+    nonzero sums are divided when the result is reduced.
+    """
+    norm_orders = [lat.subgroups[lat.normalizer_idx[lat.reps[c]]].order for c in classes]
+    den = math.lcm(*norm_orders)
+    ncls = lat.n_classes()
+    marks = [0] * ncls
+    sums = {}
+    for c, norm_order in zip(classes, norm_orders):
+        marks[c] = 1
+        scale = den // norm_order
+        for k, mu in lat.mu_column(lat.reps[c]).items():
+            j = lat.class_of[k]
+            sums[j] = sums.get(j, 0) + lat.masks[k].bit_count() * mu * scale
+    g = math.gcd(den, *sums.values())
+    cnum = [0] * ncls
+    for j, v in sums.items():
+        cnum[j] = v // g
+    return _element(lat.group, tuple(marks), 1, (tuple(cnum), den // g))
 
 
 # -- operations along a homomorphism f: A -> B ---------------------------------

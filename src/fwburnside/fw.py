@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .burnside import _gather, format_element, idempotent, operation
+from .burnside import _gather, _idempotent_sum, format_element, idempotent, operation
 from .errors import PreconditionError
 from .groups import Subgroup, cyclic_group, mask_of
 from .lattice import divisors, m_constant, m_cyclic, subgroup_lattice
@@ -39,12 +39,13 @@ __all__ = [
 class FwContext:
     """A finite group paired with the canonical cyclic group of its order."""
 
-    __slots__ = ("G", "C", "_lift")
+    __slots__ = ("G", "C", "_lift", "_lifted")
 
     def __init__(self, G):
         self.G = G
         self.C = cyclic_group(G.n)
         self._lift = None
+        self._lifted = {}
 
     def __repr__(self):
         return f"<FwContext for {self.G.label}>"
@@ -72,6 +73,18 @@ class FwContext:
                 self.c_class(glat.class_order(c)) for c in range(glat.n_classes())
             )
         return self._lift
+
+    def lifted_idempotent(self, d):
+        """The lift of the idempotent e[d] of C: the sum of G's idempotents
+        at its subgroup classes of order d, built with its coefficients as
+        well as its marks, so a pushforward needs no back-substitution;
+        cached per d."""
+        x = self._lifted.get(d)
+        if x is None:
+            glat = subgroup_lattice(self.G)
+            classes = [c for c in range(glat.n_classes()) if glat.class_order(c) == d]
+            x = self._lifted[d] = _idempotent_sum(glat, classes)
+        return x
 
 
 def fw_context(G):
@@ -131,7 +144,7 @@ def _route_pairs(ctx, op, sub):
     lat = subgroup_lattice(inner.C)
     for d in divisors(inner.C.n):
         e = idempotent(lat, inner.c_class(d))
-        left = fn(fw_apply(inner, e), f)
+        left = fn(inner.lifted_idempotent(d), f)
         right = fw_apply(outer, fn(e, f_c))
         yield f"e[{d}]", left, right
 

@@ -214,13 +214,13 @@ class Group:
         return Subgroup(self, (1 << self.n) - 1)
 
     def center(self):
+        """The elements that commute with each generator, hence with every
+        element."""
         sub = self._cache.get("center")
         if sub is None:
-            mul = self.mul
+            mul, gens = self.mul, self.generators()
             mask = mask_of(
-                z
-                for z in range(self.n)
-                if all(mul[z][g] == mul[g][z] for g in range(self.n))
+                z for z in range(self.n) if all(mul[z][g] == mul[g][z] for g in gens)
             )
             sub = Subgroup(self, mask)
             self._cache["center"] = sub

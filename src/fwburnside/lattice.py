@@ -15,6 +15,17 @@ grown from J by joining elements that normalize it until its order is
 [G : class size], and the member t J t^-1 gets t N_G(J) t^-1. Classes and
 normalizers are thus by-products of the enumeration.
 
+Two rules skip joins whose result is already known, and neither changes
+the lattice. Prime-index closure: if J = <H, z> and [J : H] = p is prime,
+then <H, z'> = J for every z' in J outside H, since a subgroup strictly
+between H and J would have an order strictly between |H| and p |H|
+dividing p |H|. So once J is built, every zuppo with a generator in J
+outside H is marked done for H: its join would rebuild J, which is
+already listed. Classes of one: when the conjugation search finds J alone
+in its class, N_G(J) = G, so the normalizer is not grown by joins, and
+G's generators, which generate N_G(J), act on the zuppos when J is
+extended.
+
 Subgroups are ordered by (order, sorted member indices); conjugacy-class
 representatives are the minimal subgroups of their classes under that
 order, which makes every derived table (marks, idempotent coefficients)
@@ -130,6 +141,8 @@ def _subgroup_classes(G):
     mul, conj = G.mul, G.conj_rows()
     gens = G.generators()
     zuppos, zuppo_of = _zuppos(G)
+    primes = frozenset(_prime_factors(G.n))
+    whole = (1 << G.n) - 1
     orbits = []
     normalizer = {}
     reps = []
@@ -146,22 +159,27 @@ def _subgroup_classes(G):
                 if cmask not in conjugator:
                     conjugator[cmask] = st
                     queue.append(st)
-        target = G.n // len(queue)
-        nmask, ngens = jmask, jgens
-        for g in range(G.n):
-            if nmask.bit_count() >= target:
-                break
-            row = conj[g]
-            if not (nmask >> g) & 1 and all((jmask >> row[x]) & 1 for x in jgens):
-                nmask = G.join_mask(nmask, g)
-                ngens += (g,)
+        if len(queue) == 1:
+            # a class of one: J is normal, so N_G(J) = G
+            nmask, ngens = whole, gens
+            normalizer[jmask] = whole
+        else:
+            target = G.n // len(queue)
+            nmask, ngens = jmask, jgens
+            for g in range(G.n):
+                if nmask.bit_count() >= target:
+                    break
+                row = conj[g]
+                if not (nmask >> g) & 1 and all((jmask >> row[x]) & 1 for x in jgens):
+                    nmask = G.join_mask(nmask, g)
+                    ngens += (g,)
+            nmembers = tuple(bits(nmask))
+            for cmask, t in conjugator.items():
+                row = conj[t]
+                normalizer[cmask] = mask_of(row[x] for x in nmembers)
         assert len(queue) * nmask.bit_count() == G.n, (
             "class size must equal [G : N_G(H)]"
         )
-        nmembers = tuple(bits(nmask))
-        for cmask, t in conjugator.items():
-            row = conj[t]
-            normalizer[cmask] = mask_of(row[x] for x in nmembers)
         orbits.append(tuple(conjugator))
         reps.append((jmask, jgens, ngens))
 
@@ -171,6 +189,7 @@ def _subgroup_classes(G):
         # zuppo per N_G(H)-orbit suffices; the orbit keeps z outside H and
         # z^p inside it
         seen = set()
+        horder = hmask.bit_count()
         for i, (z, zp) in enumerate(zuppos):
             if i in seen or (hmask >> z) & 1 or not (hmask >> zp) & 1:
                 continue
@@ -185,6 +204,13 @@ def _subgroup_classes(G):
             jmask = G.join_mask(hmask, z)
             if jmask not in normalizer:
                 add_class(jmask, hgens + (z,))
+            if jmask.bit_count() // horder in primes:
+                # [J : H] prime: every generator of J outside H generates J
+                # over H, so no other zuppo there needs the join
+                for x in bits(jmask & ~hmask):
+                    j = zuppo_of[x]
+                    if j is not None:
+                        seen.add(j)
     return orbits, normalizer
 
 

@@ -17,12 +17,15 @@ from fwburnside import (
     fw_apply,
     fw_context,
     identity_element,
+    idempotent,
     induce,
     multiply,
     quotient_group,
     subgroup_lattice,
 )
+from fwburnside.burnside import _coeffs_from_marks
 from fwburnside.groups import Subgroup, mask_of
+from fwburnside.lattice import divisors
 from fwburnside.oracles import coset_space, decompose_gset, marks_by_fixed_points
 from fwburnside.propositions import (
     check_def_necessary,
@@ -93,6 +96,21 @@ def test_lift_coefficients_give_gathered_marks(spec):
         for c in range(glat.n_classes()):
             mark = sum(coef * row[c] for coef, row in zip(y.coeffs, gtom))
             assert mark == ctom[j][ctx.c_class(glat.class_order(c))]
+
+
+@pytest.mark.parametrize("spec", full_catalog())
+def test_lifted_idempotent_matches_lift_and_back_substitution(spec):
+    # the cached lift of e[d], built as a sum of G's idempotents, has the
+    # gathered marks and carries the coefficients back-substitution gives
+    G = construct_group(spec)
+    ctx = fw_context(G)
+    glat, clat = subgroup_lattice(G), subgroup_lattice(ctx.C)
+    for d in divisors(G.n):
+        x = ctx.lifted_idempotent(d)
+        assert x == fw_apply(ctx, idempotent(clat, ctx.c_class(d)))
+        assert x._coeffs is not None
+        assert x._coeff_ints() == _coeffs_from_marks(glat, x.num, x.den)
+        assert ctx.lifted_idempotent(d) is x
 
 
 def test_transitive_image_q8(q8):

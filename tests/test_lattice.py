@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -150,8 +151,56 @@ def test_s4_lattice_is_closure_complete(s4):
             assert s4.generated_subgroup(bits(A.mask | B.mask)).mask in masks
 
 
+@pytest.mark.parametrize("spec", ["C2xC2xC2xC2xC2", "C4xC4xC4", "D128", "C2xS4"])
+def test_lattice_is_join_closed(spec):
+    # every listed mask is a subgroup, every cyclic subgroup is listed, and
+    # <H, g> is listed for every listed H and every element g; with the
+    # trivial subgroup listed, every subgroup (a chain of such joins) is
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    masks = set(lat.masks)
+    assert 1 << G.identity in masks
+    for a in range(G.n):
+        assert G.generated_subgroup([a]).mask in masks
+    for H in lat.subgroups:
+        H.check()
+        for g in range(G.n):
+            assert G.join_mask(H.mask, g) in masks
+
+
+def gaussian_binomial(r, k, p):
+    """The number of k-dimensional subspaces of F_p^r."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "spec, p, r, total",
+    [("C2xC2xC2xC2xC2", 2, 5, 374), ("C3xC3xC3", 3, 3, 28), ("C2xC2xC2xC2xC2xC2", 2, 6, 2825)],
+)
+def test_elementary_abelian_subgroup_counts(spec, p, r, total):
+    # in (C_p)^r the subgroups of order p^k are the k-dimensional subspaces
+    lat = subgroup_lattice(construct_group(spec))
+    counts = Counter(H.order for H in lat.subgroups)
+    assert counts == {p**k: gaussian_binomial(r, k, p) for k in range(r + 1)}
+    assert len(lat.subgroups) == lat.n_classes() == total
+
+
 CONJUGACY_SPECS = ["S4", "A5", "S5", "SL(2,5)", "D128", "C2xS4", "Dic60", "Q16",
                    "C2xC2xC2xC2"]
+
+
+@pytest.mark.parametrize("spec", CONJUGACY_SPECS)
+def test_center_matches_all_pairs_definition(spec):
+    G = construct_group(spec)
+    mul = G.mul
+    brute = mask_of(
+        z for z in range(G.n) if all(mul[z][g] == mul[g][z] for g in range(G.n))
+    )
+    assert G.center().mask == brute
 
 
 def brute_conjugates(H):
