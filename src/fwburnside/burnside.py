@@ -52,7 +52,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
-from .groups import Subgroup, mask_of, quotient_group, subgroup_embedding
+from .groups import Subgroup, bits, quotient_group, subgroup_embedding
 from .lattice import subgroup_lattice
 
 __all__ = [
@@ -372,13 +372,14 @@ def _map_classes(x, target, table):
 
 
 def _push_table(f):
-    """For each subgroup class of A: the class of the image f(K) in B."""
+    """For each subgroup class of A: the class of the image f(K) in B, read
+    from the image mask of K's representative."""
     table = f._cache.get("push")
     if table is None:
         alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+        subgroups, index, class_of = alat.subgroups, blat.index, blat.class_of
         table = f._cache["push"] = tuple(
-            blat.class_index(f.push_subgroup(alat.class_rep(c)))
-            for c in range(alat.n_classes())
+            class_of[index[f.push_mask(subgroups[r].members)]] for r in alat.reps
         )
     return table
 
@@ -388,34 +389,45 @@ def _mackey_table(f):
     f^-1(g^-1 K g ∩ f(A)) in A, one per double coset K g f(A), in the
     order of their minimal elements g.
 
-    The left cosets g f(A) are numbered once, by minimal element; a double
-    coset is the K-orbit of the first unmarked coset. The class of each
-    preimage is read from the masks f(S) of the subgroups S of A that
-    contain ker f."""
+    When K is normal, g^-1 K g ∩ f(A) = K ∩ f(A) for every g and the
+    double cosets are the |B : K f(A)| = |B| |K ∩ f(A)| / (|K| |f(A)|)
+    cosets of the subgroup K f(A), so the row is one class repeated
+    (Bouc 2010). For the other K, the left cosets g f(A) are numbered
+    once, by minimal element; a double coset is the K-orbit of the first
+    unmarked coset. The class of each preimage is read from the masks
+    f(S) of the subgroups S of A that contain ker f."""
     table = f._cache.get("mackey")
     if table is None:
         A, B = f.source, f.target
         alat, blat = subgroup_lattice(A), subgroup_lattice(B)
-        images, fmask = f.images, f.image_mask()
-        image = set(images)
-        mul, inv, conj = B.mul, B.inv, B.conj_rows()
-        coset_of = [-1] * B.n
-        reps = []
-        for g in range(B.n):
-            if coset_of[g] < 0:
-                row = mul[g]
-                for a in image:
-                    coset_of[row[a]] = len(reps)
-                reps.append(g)
-        kmask = f.kernel().mask
+        fmask = f.image_mask()
+        forder = fmask.bit_count()
+        ker = f.kernel().mask
         pulled = {
-            mask_of(images[x] for x in S.members): alat.class_of[s]
+            f.push_mask(S.members): alat.class_of[s]
             for s, S in enumerate(alat.subgroups)
-            if S.mask & kmask == kmask
+            if S.mask & ker == ker
         }
+        coset_of, reps = None, None
         rows = []
-        for c in range(blat.n_classes()):
-            K = blat.class_rep(c).members
+        for cls in blat.classes:
+            kmask = blat.masks[cls[0]]
+            if len(cls) == 1:
+                meet = kmask & fmask
+                count = B.n * meet.bit_count() // (kmask.bit_count() * forder)
+                rows.append((pulled[meet],) * count)
+                continue
+            if coset_of is None:
+                mul, inv, conj = B.mul, B.inv, B.conj_rows()
+                image = tuple(bits(fmask))
+                coset_of, reps = [-1] * B.n, []
+                for g in range(B.n):
+                    if coset_of[g] < 0:
+                        row = mul[g]
+                        for a in image:
+                            coset_of[row[a]] = len(reps)
+                        reps.append(g)
+            K = tuple(bits(kmask))
             marked = [False] * len(reps)
             entries = []
             for t, g in enumerate(reps):
@@ -427,9 +439,9 @@ def _mackey_table(f):
                 conj_mask = 0
                 for k in K:
                     conj_mask |= 1 << crow[k]
-                cls = pulled.get(conj_mask & fmask)
-                assert cls is not None, "preimage of a subgroup must be a subgroup"
-                entries.append(cls)
+                c = pulled.get(conj_mask & fmask)
+                assert c is not None, "preimage of a subgroup must be a subgroup"
+                entries.append(c)
             rows.append(tuple(entries))
         table = f._cache["mackey"] = tuple(rows)
     return table

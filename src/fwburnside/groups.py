@@ -31,7 +31,7 @@ import math
 import re
 from functools import reduce
 from itertools import chain, permutations
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import (
     AlgebraError,
@@ -184,14 +184,9 @@ class Group:
         return self.element_orders()[a]
 
     def is_abelian(self):
-        val = self._cache.get("abelian")
-        if val is None:
-            mul = self.mul
-            val = all(
-                mul[a][b] == mul[b][a] for a in range(self.n) for b in range(a + 1, self.n)
-            )
-            self._cache["abelian"] = val
-        return val
+        """Whether the center is the whole group; center() tests
+        commutation with the generators only."""
+        return self.center().order == self.n
 
     def exponent(self):
         return reduce(math.lcm, self.element_orders(), 1)
@@ -232,10 +227,11 @@ class Subgroup:
 
     __slots__ = ("parent", "mask", "members")
 
-    def __init__(self, parent, mask):
+    def __init__(self, parent, mask, members=None):
+        """members, when given, must be tuple(bits(mask))."""
         self.parent = parent
         self.mask = mask
-        self.members = tuple(bits(mask))
+        self.members = tuple(bits(mask)) if members is None else members
 
     @property
     def order(self):
@@ -338,20 +334,31 @@ class GroupHom:
     def kernel(self):
         return Subgroup(self.source, self.pull_mask(1 << self.target.identity))
 
+    def push_mask(self, members):
+        """Target mask of the image of the source elements members."""
+        bit = self._cache.get("bits")
+        if bit is None:
+            bit = self._cache["bits"] = tuple(1 << y for y in self.images)
+        return reduce(or_, map(bit.__getitem__, members), 0)
+
     def push_subgroup(self, H):
         if H.parent is not self.source:
             raise PreconditionError("subgroup belongs to a different group")
-        images = self.images
-        return Subgroup(self.target, mask_of(images[x] for x in H.members))
+        return Subgroup(self.target, self.push_mask(H.members))
 
 
-def _realize(table, label):
-    """The group with this table: the canonical cyclic group when the table
-    is addition modulo its size, a new group otherwise."""
+def _realize(table, label, hom):
+    """The map hom(D) to or from the group D with this table. D is the
+    canonical cyclic group when the table is addition modulo its size, and
+    otherwise a new group that records the map, so that its subgroup
+    lattice can be read from the parent's (lattice.py); a shared cyclic
+    group keeps its own, whichever parent reached it first."""
     q = len(table)
     if all(table[i][j] == (i + j) % q for i in range(q) for j in range(q)):
-        return cyclic_group(q)
-    return Group(table, label)
+        return hom(cyclic_group(q))
+    D = Group(table, label)
+    f = D._cache["parent_map"] = hom(D)
+    return f
 
 
 def quotient_group(G, N):
@@ -379,7 +386,9 @@ def quotient_group(G, N):
             for m in N.members:
                 proj[mul[g][m]] = t
         table = [[proj[mul[a][b]] for b in reps] for a in reps]
-        f = GroupHom(G, _realize(table, f"{G.label}/{N.order}@{N.members[0]}"), proj)
+        f = _realize(
+            table, f"{G.label}/{N.order}@{N.members[0]}", lambda Q: GroupHom(G, Q, proj)
+        )
     G._cache[key] = f
     return f
 
@@ -398,7 +407,7 @@ def subgroup_embedding(H):
     else:
         pos = {p: s for s, p in enumerate(mem)}
         table = [[pos[G.mul[a][b]] for b in mem] for a in mem]
-        f = GroupHom(_realize(table, f"{G.label}>{H.order}@{mem[0]}"), G, mem)
+        f = _realize(table, f"{G.label}>{H.order}@{mem[0]}", lambda D: GroupHom(D, G, mem))
     G._cache[key] = f
     return f
 

@@ -26,6 +26,21 @@ in its class, N_G(J) = G, so the normalizer is not grown by joins, and
 G's generators, which generate N_G(J), act on the zuppos when J is
 extended.
 
+A group realized from a parent P (groups.py) as a quotient P/N or a
+subgroup H is not enumerated when P's lattice is built: its classes and
+normalizers are read from P's. For P/N this is the correspondence
+theorem: K -> K/N is a bijection from the subgroups of P that contain N
+onto those of P/N, and since (gKg^-1)/N = (gN)(K/N)(gN)^-1 it maps
+P-classes onto P/N-classes, with N_{P/N}(K/N) = N_P(K)/N; so the classes
+of P above N, pushed through the projection, are the classes of P/N, and
+no join or conjugation search is needed. For H the subgroups are P's
+subgroups below H, N_H(K) = N_P(K) ∩ H, and the H-classes split P's
+classes: the H-class of K is its orbit under conjugation by H's
+generators, which is {K} when H <= N_P(K). Either way the (orbits,
+normalizer) pair goes through the same sort as an enumerated one, so the
+lattice is the same. The shared canonical cyclic groups keep their own
+enumeration, since many parents reach them.
+
 Subgroups are ordered by (order, sorted member indices); conjugacy-class
 representatives are the minimal subgroups of their classes under that
 order, which makes every derived table (marks, idempotent coefficients)
@@ -214,6 +229,93 @@ def _subgroup_classes(G):
     return orbits, normalizer
 
 
+def _quotient_classes(f, plat):
+    """Every subgroup of G/N by conjugacy class, with its normalizer, read
+    from the lattice plat of G along the projection f: G -> G/N by the
+    correspondence theorem (see above): the classes of G above N, pushed
+    through f. Returns (orbits, normalizer) as _subgroup_classes does, in
+    G/N's numbering."""
+    nmask = f.kernel().mask
+    masks, nidx, subgroups = plat.masks, plat.normalizer_idx, plat.subgroups
+    pushed = {}
+
+    def push(k):
+        q = pushed.get(k)
+        if q is None:
+            q = pushed[k] = f.push_mask(subgroups[k].members)
+        return q
+
+    orbits, normalizer = [], {}
+    for cls in plat.classes:
+        # N is normal, so a class lies above N when its representative does
+        if masks[cls[0]] & nmask == nmask:
+            for k in cls:
+                normalizer[push(k)] = push(nidx[k])
+            orbits.append([push(k) for k in cls])
+    return orbits, normalizer
+
+
+def _embedded_classes(f, plat):
+    """Every subgroup of H by conjugacy class, with its normalizer, read
+    from the lattice plat of G along the embedding f: H -> G (see above):
+    G's subgroups below H, N_H(K) = N_G(K) ∩ H, and as the H-class of K
+    its orbit under conjugation by H's generators, {K} alone when H
+    normalizes K. Returns (orbits, normalizer) as _subgroup_classes does,
+    in H's numbering."""
+    G = f.target
+    images = f.images
+    hmask, horder = f.image_mask(), len(images)
+    # the bit in H's numbering of each element of G in H
+    hbit = [0] * G.n
+    for s, x in enumerate(images):
+        hbit[x] = 1 << s
+    conj = G.conj_rows()
+    hgens = [images[s] for s in f.source.generators()]
+    masks, nidx, index, subgroups = plat.masks, plat.normalizer_idx, plat.index, plat.subgroups
+    pulled = {}
+
+    def pull(k):
+        d = pulled.get(k)
+        if d is None:
+            d = pulled[k] = sum(map(hbit.__getitem__, subgroups[k].members))
+        return d
+
+    orbits, normalizer = [], {}
+    for k in plat.below(index[hmask]):
+        if pull(k) in normalizer:
+            continue
+        nmask = masks[nidx[k]] & hmask
+        orbit = [k]
+        if nmask != hmask:
+            for j in orbit:
+                members = subgroups[j].members
+                for a in hgens:
+                    i = index[mask_of(map(conj[a].__getitem__, members))]
+                    if i not in orbit:
+                        orbit.append(i)
+        assert len(orbit) * nmask.bit_count() == horder, (
+            "class size must equal [H : N_H(K)]"
+        )
+        for j in orbit:
+            normalizer[pull(j)] = pull(index[masks[nidx[j]] & hmask])
+        orbits.append([pull(j) for j in orbit])
+    return orbits, normalizer
+
+
+def _derived_classes(G):
+    """(orbits, normalizer) of G read from its parent's lattice, when G was
+    realized as a subgroup or a quotient (groups.py) of a group whose
+    lattice is built; None otherwise."""
+    f = G._cache.get("parent_map")
+    if f is None:
+        return None
+    if f.source is G:
+        plat = f.target._cache.get("lattice")
+        return None if plat is None else _embedded_classes(f, plat)
+    plat = f.source._cache.get("lattice")
+    return None if plat is None else _quotient_classes(f, plat)
+
+
 class SubgroupLattice:
     """All subgroups of a finite group, with conjugation and Moebius data."""
 
@@ -226,7 +328,6 @@ class SubgroupLattice:
         "reps",
         "normalizer_idx",
         "masks",
-        "cyclic_flags",
         "class_labels",
         "_label_to_class",
         "_order_runs",
@@ -238,9 +339,10 @@ class SubgroupLattice:
     def __init__(self, G):
         self.group = G
         self._cache = {}
-        orbits, normalizer = _subgroup_classes(G)
-        masks = sorted(normalizer, key=lambda m: (m.bit_count(), tuple(bits(m))))
-        self.subgroups = tuple(Subgroup(G, m) for m in masks)
+        orbits, normalizer = _derived_classes(G) or _subgroup_classes(G)
+        keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in normalizer)
+        masks = [m for _, _, m in keyed]
+        self.subgroups = tuple(Subgroup(G, m, members) for _, members, m in keyed)
         self.index = {m: i for i, m in enumerate(masks)}
         count = len(masks)
         self.classes = tuple(
@@ -264,8 +366,6 @@ class SubgroupLattice:
         self._below = {}
         self._mu = {}
 
-        self.cyclic_flags = tuple(s.is_cyclic() for s in self.subgroups)
-
         labels = []
         seen = {}
         for c, rep in enumerate(self.reps):
@@ -280,6 +380,14 @@ class SubgroupLattice:
             f"<SubgroupLattice of {self.group.label}: "
             f"{len(self.subgroups)} subgroups, {len(self.classes)} classes>"
         )
+
+    @property
+    def cyclic_flags(self):
+        """Whether each subgroup is cyclic, by index; computed on first read."""
+        flags = self._cache.get("cyclic_flags")
+        if flags is None:
+            flags = self._cache["cyclic_flags"] = tuple(s.is_cyclic() for s in self.subgroups)
+        return flags
 
     def subgroup_index(self, H):
         if H.parent is not self.group:
@@ -387,12 +495,6 @@ class SubgroupLattice:
     def normal_class_indices(self):
         return tuple(c for c in range(len(self.classes)) if self.is_normal_class(c))
 
-    def subgroups_containing(self, N):
-        nm = N.mask
-        return tuple(
-            i for i, s in enumerate(self.subgroups) if s.mask & nm == nm
-        )
-
     def frattini_of(self, H):
         """Intersection of the maximal proper subgroups of H (H itself if none).
 
@@ -445,28 +547,17 @@ def subgroup_lattice(G):
     return lat
 
 
-def _is_normal_in(K, L):
-    """K normal in L, both subgroups of the same parent."""
-    if K.mask & L.mask != K.mask:
-        return False
-    crows = K.parent.conj_rows()
-    for a in L.members:
-        crow = crows[a]
-        if mask_of(crow[x] for x in K.members) != K.mask:
-            return False
-    return True
-
-
 def m_constant(lat, L, K):
     """(1/|L|) * sum of |X| mu(X, L) over subgroups X <= L with X K = L.
 
     Defined for K normal in L; this is the coefficient that deflation by K
     picks up on the primitive idempotent attached to L.
     """
-    if not _is_normal_in(K, L):
-        raise PreconditionError("m-constant needs K normal in L")
-    li = lat.subgroup_index(L)
+    li, ki = lat.subgroup_index(L), lat.subgroup_index(K)
     km, ko = K.mask, K.order
+    # K <= L <= N_G(K)
+    if km & L.mask != km or L.mask & ~lat.masks[lat.normalizer_idx[ki]]:
+        raise PreconditionError("m-constant needs K normal in L")
     lo = L.order
     acc = 0
     for x, mu in lat.mu_column(li).items():

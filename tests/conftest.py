@@ -14,6 +14,12 @@ settings.load_profile("exact")
 
 from fwburnside import construct_group
 
+# the groups the benchmark's survey adds to the catalog
+SURVEY_EXTRAS = (
+    "C2xC2xC2xC2", "C2xC2xC4", "C4xC8", "C3xC3xC3", "C2xD8", "C2xQ8",
+    "S3xS3", "SL(2,3)xC2", "Dic48", "Dic60", "C2xS4",
+)
+
 
 @pytest.fixture(scope="session")
 def s3():

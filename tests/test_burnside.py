@@ -34,6 +34,7 @@ from fwburnside import (
     tensor_induce,
     zero,
 )
+from conftest import SURVEY_EXTRAS
 from fwburnside.burnside import _mackey_table, _push_table
 from fwburnside.oracles import (
     coset_space,
@@ -215,15 +216,28 @@ def test_tensor_induce_matches_map_space(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    ["S4", "A5", "D12", "Q16", "SL(2,3)", "C2xC2xC2", "S3xS3", "C2xQ8", "Dic12"],
+    ["S4", "A5", "D12", "Q16", "SL(2,3)", "C2xC2xC2", "S3xS3", "C2xQ8", "Dic12"]
+    + [spec for spec in SURVEY_EXTRAS if spec not in ("S3xS3", "C2xQ8")],
 )
 def test_mackey_table_matches_double_coset_walk(spec):
+    # every subgroup embedding and quotient map, and the maps out of each
+    # quotient, whose lattices are read from G's; the non-normal rows include
+    # S3 and D8 in S4 and A4 in A5
     G = construct_group(spec)
     lat = subgroup_lattice(G)
     maps = [subgroup_embedding(H) for H in lat.subgroups]
-    maps += [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+    quotients = [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+    maps += quotients
+    for q in quotients:
+        qlat = subgroup_lattice(q.target)
+        maps += [subgroup_embedding(K) for K in qlat.subgroups]
     for f in maps:
         assert _mackey_table(f) == mackey_by_double_cosets(f)
+        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+        assert _push_table(f) == tuple(
+            blat.class_index(f.push_subgroup(alat.class_rep(c)))
+            for c in range(alat.n_classes())
+        )
 
 
 @given(coeffs_strategy(4), coeffs_strategy(4))

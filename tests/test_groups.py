@@ -212,6 +212,22 @@ def test_abelianness():
     assert not construct_group("Dic12").is_abelian()
 
 
+def _abelian_by_all_pairs(G):
+    mul = G.mul
+    return all(mul[a][b] == mul[b][a] for a in range(G.n) for b in range(a + 1, G.n))
+
+
+# the groups of the benchmark's ladder
+LADDER = ("S4", "SL(2,3)", "A5", "S5", "SL(2,5)", "SL(2,7)",
+          "D128", "C2xC2xC2xC2xC2", "C2xS4", "C2xC256")
+
+
+@pytest.mark.parametrize("spec", full_catalog() + LADDER)
+def test_is_abelian_matches_all_pairs(spec):
+    G = construct_group(spec)
+    assert G.is_abelian() is _abelian_by_all_pairs(G)
+
+
 def test_subgroup_check_and_generation():
     G = construct_group("S4")
     H = G.generated_subgroup([1])
@@ -369,6 +385,16 @@ def _cycles(perm):
 def test_random_perm_tables_match_entry_by_entry_oracle(gens):
     spec = "perm:[" + ";".join(_cycles(g) for g in gens) + "]"
     assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    )
+)
+def test_random_perm_is_abelian_matches_all_pairs(gens):
+    G = construct_group("perm:[" + ";".join(_cycles(g) for g in gens) + "]")
+    assert G.is_abelian() is _abelian_by_all_pairs(G)
 
 
 @pytest.mark.parametrize("spec", ["C2xC256", "S5", "SL(2,3)xC2", "Dic60", "C1"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import SURVEY_EXTRAS
 from fwburnside import (
     CapExceededError,
     PreconditionError,
@@ -13,14 +14,17 @@ from fwburnside import (
     idempotent,
     m_constant,
     m_cyclic,
+    quotient_group,
+    subgroup_embedding,
     subgroup_lattice,
     table_of_marks,
     totient,
 )
 from fwburnside.burnside import _coeffs_from_marks
-from fwburnside.groups import bits, mask_of
-from fwburnside.lattice import SubgroupLattice, divisors
+from fwburnside.groups import Group, bits, mask_of
+from fwburnside.lattice import SubgroupLattice, _derived_classes, divisors
 from fwburnside.oracles import double_cosets, moebius_by_recursion
+from fwburnside.survey import full_catalog
 from fwburnside.propositions import (
     check_divisor_lemma,
     gcd_by_containment,
@@ -427,12 +431,20 @@ def test_divisor_lemma_examples():
     assert not check_divisor_lemma(A4, V4)
 
 
-def test_subgroups_containing(q8):
+def test_quotient_lattice_is_the_interval_above_the_kernel(q8):
     lat = subgroup_lattice(q8)
     Z = q8.center()
-    above = [lat.subgroups[i] for i in lat.subgroups_containing(Z)]
-    assert all(Z <= H for H in above)
+    above = [H for H in lat.subgroups if Z <= H]
     assert len(above) == 5  # Z, three C4, Q8
+    qm = quotient_group(q8, Z)
+    qlat = SubgroupLattice(qm.target)
+    assert _derived_classes(qm.target) is not None
+    assert sorted(qm.push_subgroup(H).mask for H in above) == sorted(qlat.masks)
+    assert sorted(qm.pull_mask(m) for m in qlat.masks) == sorted(H.mask for H in above)
+    for H in above:
+        K = qm.push_subgroup(H)
+        N = lat.normalizer(H)
+        assert qlat.normalizer(K) == qm.push_subgroup(N)
 
 
 def test_class_by_label_unknown(q8):
@@ -489,3 +501,57 @@ def test_marks_and_idempotents_read_only_representatives():
     assert set(lat._below) == set(lat.reps)
     assert set(lat._mu) == set(lat.reps)
     assert len(lat.reps) < len(lat.subgroups)
+
+
+LATTICE_FIELDS = ("masks", "classes", "normalizer_idx", "reps", "class_labels")
+
+
+def _assert_derived_lattice_matches_enumeration(G, f):
+    """The lattice of the group f realizes from G, read from G's, equals the
+    one cyclic extension enumerates for a copy of its table. G itself and
+    the shared cyclic groups keep their own enumeration."""
+    D = f.source if f.target is G else f.target
+    if D is G or D is cyclic_group(D.n):
+        return
+    assert D._cache["parent_map"] is f
+    assert _derived_classes(D) is not None
+    derived, fresh = SubgroupLattice(D), SubgroupLattice(Group(D.mul, D.label))
+    for field in LATTICE_FIELDS:
+        assert getattr(derived, field) == getattr(fresh, field), field
+
+
+@pytest.mark.parametrize("spec", full_catalog() + SURVEY_EXTRAS + ("C2xS4xS3", "A6"))
+def test_derived_lattices_match_enumeration(spec):
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    maps = [subgroup_embedding(H) for H in lat.subgroups]
+    maps += [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+    for f in maps:
+        _assert_derived_lattice_matches_enumeration(G, f)
+
+
+@settings(max_examples=30)
+@given(st.lists(_small_perm, min_size=2, max_size=3), st.data())
+def test_random_perm_derived_lattices_match_enumeration(gens, data):
+    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    N = lat.class_rep(data.draw(st.sampled_from(lat.normal_class_indices())))
+    H = data.draw(st.sampled_from(lat.subgroups))
+    for f in (quotient_group(G, N), subgroup_embedding(N), subgroup_embedding(H)):
+        _assert_derived_lattice_matches_enumeration(G, f)
+
+
+@pytest.mark.parametrize("spec", ["S4", "SL(2,3)", "C2xS4", "S3xS3"])
+def test_m_constant_normality_matches_conjugation(spec):
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    crows = G.conj_rows()
+    for L in lat.subgroups:
+        for k in lat.below(lat.subgroup_index(L)):
+            K = lat.subgroups[k]
+            if all(mask_of(crows[a][x] for x in K.members) == K.mask for a in L.members):
+                assert isinstance(m_constant(lat, L, K), Fraction)
+            else:
+                with pytest.raises(PreconditionError):
+                    m_constant(lat, L, K)

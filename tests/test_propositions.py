@@ -4,16 +4,11 @@ and the boundary between the engine and the modules only tests import."""
 import ast
 from pathlib import Path
 
+from conftest import SURVEY_EXTRAS
 from fwburnside import check_commutes, construct_group, full_catalog, fw_context, subgroup_lattice
 from fwburnside.fw import _route_pairs
 from fwburnside.lattice import divisors
 from fwburnside.propositions import deflation_closed_forms
-
-# groups the benchmark survey adds to the catalog
-SURVEY_EXTRAS = (
-    "C2xC2xC2xC2", "C2xC2xC4", "C4xC8", "C3xC3xC3", "C2xD8", "C2xQ8",
-    "S3xS3", "SL(2,3)xC2", "Dic48", "Dic60", "C2xS4",
-)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fwburnside"
 TEST_ONLY = {"oracles", "propositions"}

@@ -1,0 +1,23 @@
+"""The survey's CSV at reach scale, pinned byte for byte."""
+
+import hashlib
+import io
+
+import pytest
+
+from fwburnside import SurveyConfig, survey_rows, write_survey_csv
+
+# md5 of write_survey_csv for each group alone, header included; CI pins
+# the slower C2xD8xS3, C2xS4xS3 and S4xS4 the same way
+REACH_SURVEY_MD5 = (
+    ("C4xC4xC4", "cabb1589ad0b3b6d095bc2cf9d7f1fb9"),
+    ("D512", "95aafd1cfca5befd7da801ce98a51116"),
+    ("C2xC2xC2xC2xC2", "556363ef9ab62420043d2e7c911c4c6a"),
+)
+
+
+@pytest.mark.parametrize("spec, md5", REACH_SURVEY_MD5)
+def test_reach_survey_csv_is_pinned(spec, md5):
+    buf = io.StringIO()
+    write_survey_csv(survey_rows(SurveyConfig(specs=(spec,))), buf)
+    assert hashlib.md5(buf.getvalue().encode()).hexdigest() == md5
