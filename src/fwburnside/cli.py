@@ -6,8 +6,8 @@ rationals appear as "p/q" strings and elements as sparse [label, rational]
 pair lists over the canonical class labels ("<order>:<index>").
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition failure
-(cap exceeded, non-normal kernel, missing class), 3 broken internal
-invariant.
+(order cap or subgroup budget exceeded, non-normal kernel, missing class),
+3 broken internal invariant.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fw import check_commutes, fw_apply, fw_context
 from .groups import DEFAULT_ORDER_CAP, construct_group
-from .lattice import m_constant, subgroup_lattice
+from .lattice import DEFAULT_SUBGROUP_BUDGET, m_constant, subgroup_lattice
 from .survey import SurveyConfig, full_catalog, survey_rows, write_survey_csv
 
 
@@ -52,6 +52,9 @@ class _Parser(argparse.ArgumentParser):
 def _common(parser):
     parser.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
                         help="largest allowed group order (default 512)")
+    parser.add_argument("--max-subgroups", type=int, default=DEFAULT_SUBGROUP_BUDGET,
+                        help="largest subgroup count a lattice may be enumerated to "
+                             f"(default {DEFAULT_SUBGROUP_BUDGET})")
     parser.add_argument("--format", choices=("json", "csv", "table"), default=None,
                         help="output format where applicable")
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -172,6 +175,13 @@ def _render_table(headers, rows):
     return "\n".join(lines) + "\n"
 
 
+def _lattice(args):
+    """The lattice of the group args.spec names, built under the subgroup
+    budget; later subgroup_lattice calls read it from the cache."""
+    G = construct_group(args.spec, cap=args.cap)
+    return subgroup_lattice(G, max_subgroups=args.max_subgroups)
+
+
 def cmd_group(args):
     G = construct_group(args.spec, cap=args.cap)
     _require_json(args.format)
@@ -193,8 +203,8 @@ def cmd_group(args):
 
 
 def cmd_lattice(args):
-    G = construct_group(args.spec, cap=args.cap)
-    lat = subgroup_lattice(G)
+    lat = _lattice(args)
+    G = lat.group
     classes = []
     for c in range(lat.n_classes()):
         rep = lat.class_rep(c)
@@ -224,8 +234,8 @@ def cmd_lattice(args):
 
 
 def cmd_marks(args):
-    G = construct_group(args.spec, cap=args.cap)
-    lat = subgroup_lattice(G)
+    lat = _lattice(args)
+    G = lat.group
     tom = table_of_marks(lat)
     labels = [lat.class_label(c) for c in range(lat.n_classes())]
     if args.format == "table":
@@ -243,8 +253,8 @@ def cmd_marks(args):
 
 
 def cmd_idempotents(args):
-    G = construct_group(args.spec, cap=args.cap)
-    lat = subgroup_lattice(G)
+    lat = _lattice(args)
+    G = lat.group
     items = [
         {
             "class": lat.class_label(c),
@@ -257,8 +267,8 @@ def cmd_idempotents(args):
 
 
 def cmd_mconst(args):
-    G = construct_group(args.spec, cap=args.cap)
-    lat = subgroup_lattice(G)
+    lat = _lattice(args)
+    G = lat.group
     L = resolve_selector(G, args.L)
     K = resolve_selector(G, args.K)
     value = m_constant(lat, L, K)
@@ -274,7 +284,7 @@ def cmd_mconst(args):
 
 
 def cmd_op(args):
-    G = construct_group(args.spec, cap=args.cap)
+    G = _lattice(args).group
     sub = resolve_selector(G, args.selector)
     data = _load_element_data(args.element)
     fn, f, src, _ = operation(args.operation, sub)
@@ -290,7 +300,7 @@ def cmd_op(args):
 
 
 def cmd_fw_apply(args):
-    G = construct_group(args.spec, cap=args.cap)
+    G = _lattice(args).group
     ctx = fw_context(G)
     x = element_from_json(ctx.C, _load_element_data(args.element))
     y = fw_apply(ctx, x)
@@ -305,7 +315,7 @@ def cmd_fw_apply(args):
 
 
 def cmd_fw_check(args):
-    G = construct_group(args.spec, cap=args.cap)
+    G = _lattice(args).group
     ctx = fw_context(G)
     sub = resolve_selector(G, args.sub)
     report = check_commutes(ctx, args.op, sub)
@@ -342,7 +352,9 @@ def cmd_fw_survey(args):
                 )
         except OSError as exc:
             raise SpecParseError(f"cannot read catalog {args.catalog!r}: {exc}") from exc
-    rows = survey_rows(SurveyConfig(specs=specs, cap=args.cap))
+    rows = survey_rows(
+        SurveyConfig(specs=specs, cap=args.cap, max_subgroups=args.max_subgroups)
+    )
     if args.format == "json":
         return _dump({"rows": rows})
     if args.format == "table":

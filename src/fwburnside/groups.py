@@ -10,8 +10,11 @@ Tables are built a row at a time. A permutation or matrix group computes
 the rows of a few generators directly and every other row as the
 composition row(x g) = row(x) o row(g), one itemgetter call per element;
 a direct product shifts the second factor's rows into the blocks the
-first factor's row names. Group.validate still checks every atom and
-every product.
+first factor's row names. The same generator argument checks and extends
+a table: Group.validate reads the generators' rows in full and runs
+Light's associativity test on them, which is exact for the whole table,
+and conjugation rows compose as conj(x g) = conj(x) o conj(g). Every atom
+and every product is validated.
 
 Group-spec grammar (whitespace insignificant):
 
@@ -90,14 +93,41 @@ class Group:
         return self.mul[a][b]
 
     def conj_rows(self):
-        """conj_rows()[a][x] = a x a^-1, as plain nested tuples: the row of
-        a composed with the column of a^-1."""
+        """conj_rows()[a][x] = a x a^-1, as plain nested tuples, cached.
+
+        Conjugation by a product composes: conj(x g) = conj(x) o conj(g).
+        The rows of the generators outside the center are computed
+        directly, every other row by one itemgetter call from a row already
+        known, and x z shares the row of x for z central, so the center
+        shares the identity row and an abelian group makes no call.
+        """
         rows = self._cache.get("conj_rows")
         if rows is None:
-            mul, inv = self.mul, self.inv
-            cols = tuple(zip(*mul))
-            rows = tuple(_composer(mul[a])(cols[inv[a]]) for a in range(self.n))
-            self._cache["conj_rows"] = rows
+            n, mul, inv = self.n, self.mul, self.inv
+            center = self.center()
+            zmask, zmembers = center.mask, center.members
+            composers = []
+            for g in self.generators():
+                if not (zmask >> g) & 1:
+                    ig = inv[g]
+                    composers.append((g, _composer(tuple(mul[y][ig] for y in mul[g]))))
+            rows = [None] * n
+            ident = tuple(range(n))
+            for z in zmembers:
+                rows[z] = ident
+            # one representative per coset of the center, closed under right
+            # multiplication by the non-central generators
+            reached = [self.identity]
+            for x in reached:
+                row, xrow = rows[x], mul[x]
+                for s, compose in composers:
+                    y = xrow[s]
+                    if rows[y] is None:
+                        yrow = compose(row)
+                        for z in map(mul[y].__getitem__, zmembers):
+                            rows[z] = yrow
+                        reached.append(y)
+            rows = self._cache["conj_rows"] = tuple(rows)
         return rows
 
     def join_mask(self, hmask, g):
@@ -142,23 +172,42 @@ class Group:
     def validate(self):
         """Check the group axioms exactly; raises AlgebraError on failure.
 
-        Rows and columns must be permutations. Associativity uses Light's
-        test: (x g) y = x (g y) for g in a generating set only, which is
-        exhaustive because the elements passing it form a closed submagma.
+        Only the rows of generators() are read in full. Each must be a
+        permutation, and Light's associativity test must pass on it:
+        (x g) y = x (g y) for every x and y, that is row(x g) =
+        row(x) o row(g). This is exact for the whole table:
+
+        - __init__ found a two-sided identity e and, in every row, an
+          entry equal to e: every element has a right inverse.
+        - generators() reaches every element through products of elements
+          it has already reached, starting from e.
+        - The elements that pass Light's test form a closed submagma
+          (Clifford & Preston 1961, 1.2). It holds e and the generators,
+          so it is the whole table, and the table is associative.
+        - A finite monoid in which every element has a right inverse is a
+          group.
+        - So every row is a composition of generator rows, hence a
+          permutation, and so is every column.
+
+        An entry that is not an element index fails as such.
         """
-        n, mul = self.n, self.mul
+        n, mul, label = self.n, self.mul, self.label
         full = list(range(n))
-        if any(sorted(row) != full for row in mul):
-            raise AlgebraError(f"{self.label}: some row is not a permutation")
-        if any(sorted(col) != full for col in zip(*mul)):
-            raise AlgebraError(f"{self.label}: some column is not a permutation")
-        for g in self.generators():
-            right = itemgetter(*mul[g])
-            for x in range(n):
-                if mul[mul[x][g]] != right(mul[x]):
-                    raise AlgebraError(
-                        f"{self.label}: associativity fails at ({x}*{g})*y"
-                    )
+        try:
+            gens = self.generators()
+            for g in gens:
+                if sorted(mul[g]) != full:
+                    raise AlgebraError(f"{label}: row {g} is not a permutation")
+            for g in gens:
+                right = itemgetter(*mul[g])
+                for x in range(n):
+                    y = mul[x][g]
+                    if mul[y] != right(mul[x]):
+                        if sorted(mul[y]) != full:
+                            raise AlgebraError(f"{label}: row {y} is not a permutation")
+                        raise AlgebraError(f"{label}: associativity fails at ({x}*{g})*y")
+        except (IndexError, TypeError, ValueError):
+            raise AlgebraError(f"{label}: some entry is not an element index") from None
 
     def element_orders(self):
         """Order of every element, by index, cached. One walk over the
@@ -348,13 +397,15 @@ class GroupHom:
 
 
 def _realize(table, label, hom):
-    """The map hom(D) to or from the group D with this table. D is the
-    canonical cyclic group when the table is addition modulo its size, and
+    """The map hom(D) to or from the group D with this table, given as
+    lists. D is the canonical cyclic group when the table is addition
+    modulo its size (each row a slice of a doubled range), and
     otherwise a new group that records the map, so that its subgroup
     lattice can be read from the parent's (lattice.py); a shared cyclic
     group keeps its own, whichever parent reached it first."""
     q = len(table)
-    if all(table[i][j] == (i + j) % q for i in range(q) for j in range(q)):
+    double = list(range(q)) * 2
+    if all(row == double[i : i + q] for i, row in enumerate(table)):
         return hom(cyclic_group(q))
     D = Group(table, label)
     f = D._cache["parent_map"] = hom(D)

@@ -60,10 +60,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import groupby
 
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 from .groups import Subgroup, bits, mask_of
 
 __all__ = [
+    "DEFAULT_SUBGROUP_BUDGET",
     "SubgroupLattice",
     "subgroup_lattice",
     "m_constant",
@@ -73,6 +74,11 @@ __all__ = [
     "p_part",
     "divisors",
 ]
+
+# Enumeration from scratch stops past this many subgroups. It admits
+# S4xS4 (2,976 subgroups) and C2^6 (2,825), and stops C2^7 (29,212)
+# within half a second on a 2-vCPU machine.
+DEFAULT_SUBGROUP_BUDGET = 10000
 
 
 def totient(n):
@@ -146,12 +152,13 @@ def _zuppos(G):
     return zuppos, zuppo_of
 
 
-def _subgroup_classes(G):
+def _subgroup_classes(G, max_subgroups):
     """Every subgroup of G by conjugacy class, with its normalizer.
 
     Returns (orbits, normalizer): orbits lists each class as its member
     masks, and normalizer maps every subgroup mask to the mask of its
-    normalizer.
+    normalizer. Raises CapExceededError as soon as the classes found hold
+    more than max_subgroups subgroups (None: no bound).
     """
     mul, conj = G.mul, G.conj_rows()
     gens = G.generators()
@@ -174,6 +181,12 @@ def _subgroup_classes(G):
                 if cmask not in conjugator:
                     conjugator[cmask] = st
                     queue.append(st)
+        # normalizer holds one entry per subgroup found so far
+        if max_subgroups is not None and len(normalizer) + len(queue) > max_subgroups:
+            raise CapExceededError(
+                f"{G.label} has more than {max_subgroups} subgroups, "
+                f"above the subgroup budget"
+            )
         if len(queue) == 1:
             # a class of one: J is normal, so N_G(J) = G
             nmask, ngens = whole, gens
@@ -336,10 +349,12 @@ class SubgroupLattice:
         "_cache",
     )
 
-    def __init__(self, G):
+    def __init__(self, G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
+        """max_subgroups bounds an enumeration from scratch; a lattice read
+        from the parent's is never larger than the parent's."""
         self.group = G
         self._cache = {}
-        orbits, normalizer = _derived_classes(G) or _subgroup_classes(G)
+        orbits, normalizer = _derived_classes(G) or _subgroup_classes(G, max_subgroups)
         keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in normalizer)
         masks = [m for _, _, m in keyed]
         self.subgroups = tuple(Subgroup(G, m, members) for _, members, m in keyed)
@@ -538,11 +553,13 @@ class SubgroupLattice:
         return sub
 
 
-def subgroup_lattice(G):
-    """The (cached) subgroup lattice of G."""
+def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
+    """The (cached) subgroup lattice of G. Building it raises
+    CapExceededError when G has more than max_subgroups subgroups and its
+    lattice is enumerated from scratch; None means no bound."""
     lat = G._cache.get("lattice")
     if lat is None:
-        lat = SubgroupLattice(G)
+        lat = SubgroupLattice(G, max_subgroups)
         G._cache["lattice"] = lat
     return lat
 

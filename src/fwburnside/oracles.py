@@ -14,7 +14,9 @@ the Mackey table tensor_induce reads works on numbered cosets.
 moebius_by_recursion fills every Moebius value by the all-pairs recursion,
 where the lattice computes them per subgroup on first read, in closed form
 on nilpotent intervals; cayley_table_by_entries computes every table entry
-on its own, where the constructors compose rows.
+on its own, where the constructors compose rows; is_group_table checks
+every row, every column and every triple, where Group.validate reads the
+generators' rows.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -44,6 +46,7 @@ __all__ = [
     "mackey_by_double_cosets",
     "moebius_by_recursion",
     "cayley_table_by_entries",
+    "is_group_table",
 ]
 
 
@@ -296,6 +299,20 @@ def cayley_table_by_entries(spec, cap=None):
     inv = tuple(next(b for b in range(n) if mul[a][b] == identity) for a in range(n))
     conj = tuple(tuple(mul[mul[a][x]][inv[a]] for x in range(n)) for a in range(n))
     return tuple(map(tuple, mul)), identity, inv, conj
+
+
+def is_group_table(table):
+    """Whether every row and every column of the table is a permutation of
+    0..n-1 and (x y) z = x (y z) for all n^3 triples; with a two-sided
+    identity, whether the table is a group's."""
+    n = len(table)
+    full = list(range(n))
+    if any(sorted(row) != full for row in table):
+        return False
+    if any(sorted(col) != full for col in zip(*table)):
+        return False
+    r = range(n)
+    return all(table[table[x][y]][z] == table[x][table[y][z]] for x in r for y in r for z in r)
 
 
 def product_gset(X, Y):

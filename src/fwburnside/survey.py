@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import AlgebraError
 from .fw import check_commutes, check_m_equality, fw_context
 from .groups import DEFAULT_ORDER_CAP, construct_group
-from .lattice import check_gcd_property, subgroup_lattice
+from .lattice import DEFAULT_SUBGROUP_BUDGET, check_gcd_property, subgroup_lattice
 
 __all__ = ["SurveyConfig", "SURVEY_COLUMNS", "full_catalog", "survey_rows", "write_survey_csv"]
 
@@ -67,6 +67,7 @@ def full_catalog():
 class SurveyConfig:
     specs: tuple
     cap: int = DEFAULT_ORDER_CAP
+    max_subgroups: int = DEFAULT_SUBGROUP_BUDGET
 
 
 def _bool(v):
@@ -79,7 +80,7 @@ def survey_rows(config):
     for spec in config.specs:
         try:
             G = construct_group(spec, cap=config.cap)
-            lat = subgroup_lattice(G)
+            lat = subgroup_lattice(G, max_subgroups=config.max_subgroups)
             ctx = fw_context(G)
             normal_classes = lat.normal_class_indices()
         except (AlgebraError, AssertionError) as exc:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,3 +367,43 @@ def test_import_does_not_load_numpy():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False False False"
+
+
+@pytest.mark.parametrize("k", [7, 9])
+def test_subgroup_budget_stops_elementary_abelian_groups(k):
+    # C2^7 has 29,212 subgroups and took about 6 s to enumerate unbounded;
+    # the default budget of 10,000 stops it, and C2^9, within a second or
+    # so on a 2-vCPU machine, so 5 s leaves room for slower hosts
+    spec = "x".join(["C2"] * k)
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lattice", spec])
+    assert perf_counter() - start < 5
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == (
+        f"precondition failed: {spec} has more than 10000 subgroups, above the subgroup budget\n"
+    )
+
+
+def test_max_subgroups_flag(tmp_path):
+    # in a fresh process, so that no cached lattice answers
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fwburnside.cli", *argv], capture_output=True, text=True
+        )
+
+    message = "S4 has more than 29 subgroups, above the subgroup budget"
+    refused = run("lattice", "S4", "--max-subgroups", "29")
+    built = run("lattice", "S4", "--max-subgroups", "30")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.splitlines() == [f"precondition failed: {message}"]
+    assert built.returncode == 0 and json.loads(built.stdout)["subgroup_count"] == 30
+    # the survey records the refusal in the group's row and goes on
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("S4\nC2\n")
+    survey = run("fw", "survey", "--catalog", str(catalog), "--max-subgroups", "29")
+    rows = survey.stdout.splitlines()
+    assert survey.returncode == 0 and len(rows) == 4
+    assert rows[1].startswith("S4,") and rows[1].endswith(f'"{message}"')
+    assert rows[2].startswith("C2,2,") and rows[3].startswith("C2,2,")

@@ -1,8 +1,9 @@
+import random
 from itertools import permutations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwburnside import (
     AlgebraError,
@@ -18,7 +19,7 @@ from fwburnside import (
     subgroup_embedding,
     subgroup_lattice,
 )
-from fwburnside.oracles import cayley_table_by_entries
+from fwburnside.oracles import cayley_table_by_entries, is_group_table
 from fwburnside.survey import full_catalog
 from fwburnside.propositions import cyclic_isomorphism
 
@@ -126,6 +127,108 @@ def test_validate_matches_cubic_associativity_on_order5_loops():
         squares += 1
         groups += assoc
     assert (squares, groups) == (56, 6)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1, 2], [1, -1, 0], [2, 0, 1]],
+        [[0, 1, 2], [1, 3, 0], [2, 0, 1]],
+        [[0, 1, 2], [1, 2.0, 0], [2, 0, 1]],
+    ],
+)
+def test_validate_rejects_entries_that_are_not_indices(table):
+    with pytest.raises(AlgebraError, match="not an element index"):
+        Group(table, "bad3").validate()
+
+
+# two loops of order 6 (Latin squares with identity 0) whose generators are
+# 1 and 2, where Light's test passes at one generator and fails only at the
+# other: (loop, the generator where it fails)
+_LOOPS6 = (
+    ([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+      [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]], 2),
+    ([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+      [3, 5, 1, 4, 0, 2], [4, 2, 5, 1, 3, 0], [5, 3, 4, 0, 2, 1]], 1),
+)
+
+
+@pytest.mark.parametrize("loop, g", _LOOPS6)
+def test_validate_tests_every_generator(loop, g):
+    G = Group(loop, "loop6")
+    assert G.generators() == (1, 2)
+    with pytest.raises(AlgebraError, match=rf"associativity fails at \(\d\*{g}\)"):
+        G.validate()
+
+
+# (table, identity) of every group of order <= 6, and the loops above
+_BASES = {
+    n: [(construct_group(spec).mul, construct_group(spec).identity) for spec in specs]
+    for n, specs in {
+        1: ["C1"], 2: ["C2"], 3: ["C3"], 4: ["C4", "C2xC2"], 5: ["C5"], 6: ["C6", "S3"],
+    }.items()
+}
+_BASES[6] += [(loop, 0) for loop, _ in _LOOPS6]
+
+
+@st.composite
+def _tables_with_identity(draw):
+    """A table of order <= 6 with a two-sided identity at a random index:
+    a relabeled group or loop table with up to three cells off the
+    identity's row and column set at random, or with every such cell
+    random."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    base, identity = draw(st.sampled_from(_BASES[n]))
+    relabel = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[relabel[a]][relabel[b]] = relabel[base[a][b]]
+    e = relabel[identity]
+    cells = [(x, y) for x in range(n) for y in range(n) if e not in (x, y)]
+    if cells:
+        entry = st.integers(min_value=0, max_value=n - 1)
+        if draw(st.booleans()):
+            changes = zip(cells, draw(st.lists(entry, min_size=len(cells), max_size=len(cells))))
+        else:
+            changes = draw(st.lists(st.tuples(st.sampled_from(cells), entry), max_size=3))
+        for (x, y), v in changes:
+            table[x][y] = v
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables_with_identity())
+def test_validate_matches_group_table_oracle(table):
+    # an AlgebraError from Group.__init__ (no identity found, or a row
+    # without it) counts as a rejection
+    try:
+        Group(table, "t").validate()
+        valid = True
+    except AlgebraError:
+        valid = False
+    assert valid == is_group_table(table)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["repeat", "swap"])
+@pytest.mark.parametrize("spec", ["S4", "Q16", "SL(2,3)", "SL(2,3)xC2", "C2xC256"])
+def test_validate_rejects_corrupted_non_generator_row(spec, swap):
+    # validate reads only the generators' rows in full, so a fault in any
+    # other row must still show in Light's test
+    G = construct_group(spec)
+    rows = [x for x in range(G.n) if x not in G.generators() and x != G.identity]
+    columns = [y for y in range(G.n) if y != G.identity]
+    rng = random.Random(spec)
+    for x in [rows[0], rows[-1], *rng.sample(rows, 3)]:
+        y, z = rng.sample(columns, 2)
+        table = [list(row) for row in G.mul]
+        row = table[x]
+        if swap:
+            row[y], row[z] = row[z], row[y]
+        else:
+            row[y] = row[z]
+        with pytest.raises(AlgebraError):
+            Group(table, spec).validate()
 
 
 def test_construction_is_memoized():
@@ -361,6 +464,35 @@ def _group_tables(G):
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_row_composed_tables_match_entry_by_entry_oracle(spec):
     assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
+
+
+def _realized_groups():
+    """Groups that quotient_group and subgroup_embedding realize from a
+    parent's table, without validate."""
+    S4 = construct_group("S4")
+    V4 = next(H for H in subgroup_lattice(S4).subgroups if H.order == 4 and H.is_normal())
+    G = construct_group("SL(2,3)xC2")
+    C = construct_group("C2xC256")
+    yield quotient_group(S4, V4).target
+    yield quotient_group(G, G.center()).target
+    # C2xC256 by the subgroup of order 2 in its C256 factor: C2xC128
+    yield quotient_group(C, C.generated_subgroup([128])).target
+    D = construct_group("Dic60")
+    for c in range(subgroup_lattice(D).n_classes()):
+        yield subgroup_embedding(subgroup_lattice(D).class_rep(c)).source
+
+
+def test_conj_rows_of_realized_groups_match_entries():
+    realized = 0
+    for D in _realized_groups():
+        mul, inv = D.mul, D.inv
+        r = range(D.n)
+        assert D.conj_rows() == tuple(tuple(mul[mul[a][x]][inv[a]] for x in r) for a in r)
+        D.validate()
+        realized += "/" in D.label or ">" in D.label
+    # the three quotients and Dic60's subgroups of orders 4, 12 and 20; the
+    # cyclic ones in canonical numbering are the shared cyclic groups
+    assert realized == 6
 
 
 def _cycles(perm):

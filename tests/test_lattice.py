@@ -555,3 +555,34 @@ def test_m_constant_normality_matches_conjugation(spec):
             else:
                 with pytest.raises(PreconditionError):
                     m_constant(lat, L, K)
+
+
+def _fresh(spec):
+    """A new Group with spec's table, so that no cached lattice answers."""
+    G = construct_group(spec)
+    return Group(G.mul, G.label)
+
+
+def test_subgroup_budget_counts_every_subgroup():
+    # S4 has 30 subgroups in 11 classes
+    with pytest.raises(CapExceededError, match="more than 29 subgroups"):
+        subgroup_lattice(_fresh("S4"), max_subgroups=29)
+    assert len(subgroup_lattice(_fresh("S4"), max_subgroups=30).subgroups) == 30
+    assert len(subgroup_lattice(_fresh("S4"), max_subgroups=None).subgroups) == 30
+
+
+def test_subgroup_budget_exempts_derived_lattices():
+    # A4 and S3 are read from S4's lattice, which is never smaller
+    S4 = _fresh("S4")
+    lat = subgroup_lattice(S4)
+    A4 = next(H for H in lat.subgroups if H.order == 12)
+    V4 = next(H for H in lat.subgroups if H.order == 4 and H.is_normal())
+    assert len(subgroup_lattice(subgroup_embedding(A4).source, max_subgroups=1).subgroups) == 10
+    assert len(subgroup_lattice(quotient_group(S4, V4).target, max_subgroups=1).subgroups) == 6
+
+
+def test_default_subgroup_budget_admits_s4xs4():
+    # the largest lattice CI pins; C2^6 (2,825 subgroups) is built at the
+    # default budget above
+    lat = subgroup_lattice(construct_group("S4xS4", cap=None))
+    assert (len(lat.subgroups), lat.n_classes()) == (2976, 274)
