@@ -32,12 +32,14 @@ Biset Functors for Finite Groups, 2010):
   Mackey table; a projection has one double coset.
 
 Conversion is exact integer arithmetic on the table of marks, which is
-lower triangular in the class order with positive diagonal. Forward, the
-coefficient numerators times the table are the mark numerators over the
-same denominator. Backward, Gluck's idempotent formula
-e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K] shows that the inverse
-table has denominators dividing |N_G(H)|, hence |G|; scaled by |G| times
-the denominator of the marks, every coefficient is an integer, so each
+lower triangular in the class order with positive diagonal. The engine
+holds it sparse, built from containments: the nonzero entries by row,
+those below the diagonal by column, and the diagonal; table_of_marks
+expands it for output only. Forward, the coefficient numerators times the
+rows are the mark numerators over the same denominator. Backward, Gluck's
+formula e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K] shows that the
+inverse table has denominators dividing |N_G(H)|, hence |G|; scaled by |G|
+times the denominator of the marks, every coefficient is an integer, so each
 division of the back-substitution is exact (asserted). The set-level
 models the formulas are checked against (coset actions, orbit spaces, map
 spaces, fixed-point counts, double cosets walked element by element) live
@@ -218,50 +220,54 @@ def identity_element(G):
     return basis_element(G, subgroup_lattice(G).n_classes() - 1)
 
 
-def table_of_marks(lat):
-    """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower triangular.
+def _marks_table(lat):
+    """The sparse table of marks, cached per lattice: the nonzero (column,
+    mark) pairs of each row [G/H], the (row, mark) pairs of each column K
+    below the diagonal, and the diagonal.
 
     Read from containments (Pfeiffer 1997): |(G/H)^K| equals
-    |N_G(K)| * #{K' ~ K : K' <= H} / |H|.
-    """
-    tom = lat._cache.get("tom")
-    if tom is not None:
-        return tom
-    ncls = lat.n_classes()
-    norm_orders = [lat.subgroups[lat.normalizer_idx[r]].order for r in lat.reps]
-    rows = []
-    for i, rep in enumerate(lat.reps):
-        h = lat.subgroups[rep].order
-        row_marks = [0] * ncls
-        for j, count in Counter(map(lat.class_of.__getitem__, lat.below(rep))).items():
-            row_marks[j] = norm_orders[j] * count // h
-        assert row_marks[0] == lat.group.n // h, "mark at 1 must be the index"
-        assert row_marks[i] == norm_orders[i] // h, "diagonal must be [N_G(H):H]"
-        rows.append(tuple(row_marks))
-    tom = tuple(rows)
-    lat._cache["tom"] = tom
-    return tom
+    |N_G(K)| * #{K' ~ K : K' <= H} / |H|. below(H) runs from 1 to H, the
+    one member of its class below H, so a row opens with the mark at 1 and
+    closes with the diagonal."""
+    table = lat._cache.get("marks")
+    if table is None:
+        masks, class_of = lat.masks, lat.class_of
+        norm_orders = [masks[lat.normalizer_idx[r]].bit_count() for r in lat.reps]
+        rows, cols, diag = [], [[] for _ in lat.reps], []
+        for i, rep in enumerate(lat.reps):
+            h = masks[rep].bit_count()
+            row = tuple(
+                (j, norm_orders[j] * count // h)
+                for j, count in Counter(map(class_of.__getitem__, lat.below(rep))).items()
+            )
+            assert row[0] == (0, lat.group.n // h), "mark at 1 must be the index"
+            assert row[-1] == (i, norm_orders[i] // h), "diagonal must be [N_G(H):H]"
+            for j, t in row[:-1]:
+                cols[j].append((i, t))
+            rows.append(row)
+            diag.append(row[-1][1])
+        table = lat._cache["marks"] = (tuple(rows), tuple(map(tuple, cols)), tuple(diag))
+    return table
 
 
-def _sparse_tom(lat):
-    """The nonzero marks by row, as (column, mark) pairs, and below the
-    diagonal by column, as (row, mark) pairs; cached per lattice."""
-    sparse = lat._cache.get("sparse_tom")
-    if sparse is None:
-        tom = table_of_marks(lat)
-        rows = tuple(tuple((j, t) for j, t in enumerate(row) if t) for row in tom)
-        cols = tuple(
-            tuple((i, tom[i][j]) for i in range(j + 1, len(tom)) if tom[i][j])
-            for j in range(len(tom))
-        )
-        sparse = lat._cache["sparse_tom"] = (rows, cols)
-    return sparse
+def table_of_marks(lat):
+    """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower
+    triangular. The dense form of the sparse table, for output: expanded
+    on each call, never cached, and read by nothing in the engine."""
+    rows = _marks_table(lat)[0]
+    dense = []
+    for row in rows:
+        marks = [0] * len(rows)
+        for j, t in row:
+            marks[j] = t
+        dense.append(tuple(marks))
+    return tuple(dense)
 
 
 def _marks_from_coeffs(lat, cnum, cden):
     """Coefficients cnum / cden times the table of marks: the mark
     numerators over the same denominator, reduced."""
-    rows, _ = _sparse_tom(lat)
+    rows = _marks_table(lat)[0]
     acc = [0] * len(cnum)
     for c, row in zip(cnum, rows):
         if c:
@@ -273,15 +279,14 @@ def _marks_from_coeffs(lat, cnum, cden):
 def _coeffs_from_marks(lat, num, den):
     """Back-substitution on the triangular table in integers scaled by
     |G| times the denominator of the marks (exact; see above)."""
-    tom = table_of_marks(lat)
-    _, cols = _sparse_tom(lat)
+    _, cols, diag = _marks_table(lat)
     n = lat.group.n
     acc = [0] * len(num)
     for j in range(len(num) - 1, -1, -1):
         v = num[j] * n
         for i, t in cols[j]:
             v -= acc[i] * t
-        q, r = divmod(v, tom[j][j])
+        q, r = divmod(v, diag[j])
         assert r == 0, "scaled back-substitution must divide exactly"
         acc[j] = q
     return _reduce(acc, den * n)

@@ -329,6 +329,14 @@ def _derived_classes(G):
     return None if plat is None else _quotient_classes(f, plat)
 
 
+def _meet_of_maximal(masks, top):
+    """top intersected with each of the masks that no other one contains."""
+    for m in masks:
+        if not any(x != m and x & m == m for x in masks):
+            top &= m
+    return top
+
+
 class SubgroupLattice:
     """All subgroups of a finite group, with conjugation and Moebius data."""
 
@@ -518,13 +526,8 @@ class SubgroupLattice:
         nonzero Moebius value that no other proper one of them contains.
         """
         h = self.subgroup_index(H)
-        masks = self.masks
-        candidates = [masks[j] for j in self.mu_column(h) if j != h]
-        mask = H.mask
-        for jm in candidates:
-            if not any(xm != jm and xm & jm == jm for xm in candidates):
-                mask &= jm
-        return Subgroup(self.group, mask)
+        proper = [self.masks[j] for j in self.mu_column(h) if j != h]
+        return Subgroup(self.group, _meet_of_maximal(proper, H.mask))
 
     def frattini(self):
         sub = self._cache.get("frattini")
@@ -537,18 +540,9 @@ class SubgroupLattice:
         """Intersection of the maximal cyclic subgroups."""
         sub = self._cache.get("maxcyc")
         if sub is None:
-            cyc = [i for i, f in enumerate(self.cyclic_flags) if f]
-            mask = (1 << self.group.n) - 1
-            hit = False
-            for i in cyc:
-                im = self.subgroups[i].mask
-                if not any(
-                    j != i and self.subgroups[j].mask & im == im for j in cyc
-                ):
-                    mask &= im
-                    hit = True
-            assert hit, "every group has a maximal cyclic subgroup"
-            sub = Subgroup(self.group, mask)
+            # the trivial subgroup is cyclic, so there is a maximal one
+            cyc = [m for m, f in zip(self.masks, self.cyclic_flags) if f]
+            sub = Subgroup(self.group, _meet_of_maximal(cyc, (1 << self.group.n) - 1))
             self._cache["maxcyc"] = sub
         return sub
 

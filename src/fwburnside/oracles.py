@@ -8,7 +8,7 @@ pulled back along a map for restrict and inflate, the coset space G/L for
 inducing [H/L], the orbit space for deflate, and spaces of equivariant
 maps and fixed-point sets for tensor_induce and fixed_points.
 marks_by_fixed_points counts the marks element by element, independently
-of the containment counts table_of_marks reads from the lattice, and
+of the containment counts the table of marks is built from, and
 mackey_by_double_cosets walks each double coset element by element, where
 the Mackey table tensor_induce reads works on numbered cosets.
 moebius_by_recursion fills every Moebius value by the all-pairs recursion,

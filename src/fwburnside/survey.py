@@ -78,22 +78,23 @@ def survey_rows(config):
     """One row dict per (group, normal subgroup class), in catalog order."""
     rows = []
     for spec in config.specs:
+        order = ""  # known once the group is built, even if its lattice is refused
         try:
             G = construct_group(spec, cap=config.cap)
+            order = str(G.n)
             lat = subgroup_lattice(G, max_subgroups=config.max_subgroups)
             ctx = fw_context(G)
             normal_classes = lat.normal_class_indices()
         except (AlgebraError, AssertionError) as exc:
             row = {col: "" for col in SURVEY_COLUMNS}
-            row["group"] = spec
-            row["error"] = str(exc)
+            row.update(group=spec, order=order, error=str(exc))
             rows.append(row)
             continue
         for c in normal_classes:
             N = lat.class_rep(c)
             row = {col: "" for col in SURVEY_COLUMNS}
             row["group"] = spec
-            row["order"] = str(G.n)
+            row["order"] = order
             row["subgroup"] = f"order={lat.class_label(c)}"
             row["sub_order"] = str(N.order)
             try:

@@ -405,5 +405,5 @@ def test_max_subgroups_flag(tmp_path):
     survey = run("fw", "survey", "--catalog", str(catalog), "--max-subgroups", "29")
     rows = survey.stdout.splitlines()
     assert survey.returncode == 0 and len(rows) == 4
-    assert rows[1].startswith("S4,") and rows[1].endswith(f'"{message}"')
+    assert rows[1].startswith("S4,24,") and rows[1].endswith(f'"{message}"')
     assert rows[2].startswith("C2,2,") and rows[3].startswith("C2,2,")

@@ -20,10 +20,10 @@ from fwburnside import (
     table_of_marks,
     totient,
 )
-from fwburnside.burnside import _coeffs_from_marks
+from fwburnside.burnside import _coeffs_from_marks, _marks_table
 from fwburnside.groups import Group, bits, mask_of
 from fwburnside.lattice import SubgroupLattice, _derived_classes, divisors
-from fwburnside.oracles import double_cosets, moebius_by_recursion
+from fwburnside.oracles import double_cosets, marks_by_fixed_points, moebius_by_recursion
 from fwburnside.survey import full_catalog
 from fwburnside.propositions import (
     check_divisor_lemma,
@@ -491,6 +491,61 @@ def test_moebius_matches_all_pairs_recursion(spec):
 def test_random_perm_moebius_matches_all_pairs_recursion(gens):
     spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
     _assert_moebius_and_idempotents_match_oracles(construct_group(spec))
+
+
+# the benchmark's lattice ladder
+LADDER_SPECS = ("S4", "SL(2,3)", "A5", "S5", "SL(2,5)", "SL(2,7)",
+                "D128", "C2xC2xC2xC2xC2", "C2xS4", "C2xC256")
+
+
+def _assert_sparse_marks_match_dense_and_oracle(G):
+    lat = subgroup_lattice(G)
+    rows, cols, diag = _marks_table(lat)
+    dense = table_of_marks(lat)
+    assert dense == marks_by_fixed_points(lat)
+    n = lat.n_classes()
+    assert len(rows) == len(cols) == len(diag) == len(dense) == n
+    for i in range(n):
+        assert all(t for _, t in rows[i]) and len(dict(rows[i])) == len(rows[i])
+        assert dict(rows[i]) == {j: t for j, t in enumerate(dense[i]) if t}
+        assert diag[i] == dense[i][i] > 0
+        assert cols[i] == tuple((r, dense[r][i]) for r in range(i + 1, n) if dense[r][i])
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS)
+def test_sparse_marks_match_dense_and_fixed_point_count(spec):
+    _assert_sparse_marks_match_dense_and_oracle(construct_group(spec))
+
+
+@settings(max_examples=30)
+@given(st.lists(_small_perm, min_size=2, max_size=3))
+def test_random_perm_sparse_marks_match_dense_and_fixed_point_count(gens):
+    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    _assert_sparse_marks_match_dense_and_oracle(construct_group(spec))
+
+
+def _max_cyclic_intersection_by_powers(G):
+    """The subgroups <g>, each walked power by power, the maximal ones
+    found by containment and intersected."""
+    cyclic = set()
+    for g in range(G.n):
+        members, x = {G.identity}, g
+        while x != G.identity:
+            members.add(x)
+            x = G.mul[x][g]
+        cyclic.add(frozenset(members))
+    meet = set(range(G.n))
+    for C in cyclic:
+        if not any(C < D for D in cyclic):
+            meet &= C
+    return meet
+
+
+@pytest.mark.parametrize("spec", full_catalog() + SURVEY_EXTRAS)
+def test_max_cyclic_intersection_matches_powers(spec):
+    G = construct_group(spec)
+    meet = subgroup_lattice(G).max_cyclic_intersection()
+    assert set(bits(meet.mask)) == _max_cyclic_intersection_by_powers(G)
 
 
 def test_marks_and_idempotents_read_only_representatives():

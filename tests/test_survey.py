@@ -5,6 +5,8 @@ import io
 
 import pytest
 
+import fwburnside.burnside
+import fwburnside.groups
 from fwburnside import SurveyConfig, survey_rows, write_survey_csv
 
 # md5 of write_survey_csv for each group alone, header included; CI pins
@@ -21,3 +23,17 @@ def test_reach_survey_csv_is_pinned(spec, md5):
     buf = io.StringIO()
     write_survey_csv(survey_rows(SurveyConfig(specs=(spec,))), buf)
     assert hashlib.md5(buf.getvalue().encode()).hexdigest() == md5
+
+
+def test_survey_never_reads_the_dense_table_of_marks(monkeypatch):
+    specs = ("S4", "C2xQ8", "SL(2,3)xC2")
+    expected = survey_rows(SurveyConfig(specs=specs))
+
+    def refuse(lat):
+        raise RuntimeError("the dense table of marks is for output only")
+
+    # fresh groups, so that no lattice built earlier holds a table already
+    monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
+    monkeypatch.setattr(fwburnside.burnside, "table_of_marks", refuse)
+    rows = survey_rows(SurveyConfig(specs=specs))
+    assert rows == expected and not any(r["error"] for r in rows)
