@@ -49,12 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _common(parser):
-    parser.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
-                        help="largest allowed group order (default 512)")
-    parser.add_argument("--max-subgroups", type=int, default=DEFAULT_SUBGROUP_BUDGET,
-                        help="largest subgroup count a lattice may be enumerated to "
-                             f"(default {DEFAULT_SUBGROUP_BUDGET})")
+    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_ORDER_CAP,
+                        help="largest allowed group order, at least 1 (default 512)")
+    parser.add_argument("--max-subgroups", type=_positive_int,
+                        default=DEFAULT_SUBGROUP_BUDGET,
+                        help="largest subgroup count a lattice may be enumerated to, "
+                             f"at least 1 (default {DEFAULT_SUBGROUP_BUDGET})")
     parser.add_argument("--format", choices=("json", "csv", "table"), default=None,
                         help="output format where applicable")
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -405,8 +416,12 @@ def main(argv=None):
         return 3
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write output file {out!r}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -17,9 +17,8 @@ around each square meet in the same ring with no identification step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Optional
 
 from .burnside import _gather, _idempotent_sum, format_element, idempotent, operation
 from .errors import PreconditionError
@@ -121,14 +120,10 @@ class Certificate:
         return format_element(self.right_element)
 
 
-@dataclass(frozen=True)
-class CommutativityReport:
-    op: str
-    group_label: str
-    sub_label: str
-    commutes: bool
-    checked: int
-    certificate: Optional[Certificate]
+# certificate is None when the square commutes
+CommutativityReport = namedtuple(
+    "CommutativityReport", "op group_label sub_label commutes checked certificate"
+)
 
 
 def _route_pairs(ctx, op, sub):

@@ -130,8 +130,9 @@ class Group:
             rows = self._cache["conj_rows"] = tuple(rows)
         return rows
 
-    def join_mask(self, hmask, g):
-        """Mask of <H, g> for the subgroup mask hmask and the element g.
+    def join_mask(self, hmask, g, hmembers=None):
+        """Mask of <H, g> for the subgroup mask hmask and the element g;
+        hmembers, when given, must be tuple(bits(hmask)).
 
         The join grows as a union of left cosets xH closed under right
         multiplication by g, so it costs O(|<H, g>|) table lookups.
@@ -139,7 +140,8 @@ class Group:
         if (hmask >> g) & 1:
             return hmask
         mul = self.mul
-        hmembers = tuple(bits(hmask))
+        if hmembers is None:
+            hmembers = tuple(bits(hmask))
         mask = hmask
         todo = list(hmembers)
         for y in todo:

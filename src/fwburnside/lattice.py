@@ -9,11 +9,13 @@ z^p in H, one per N_G(H)-orbit. This is complete: adding the zuppos of a
 subgroup in increasing order builds it by such steps, and
 <H^a, z> = <H, z^(a^-1)>^a, so a conjugation-closed set that is closed at
 its representatives is closed everywhere. Each new subgroup J brings in its
-whole class at once, by a breadth-first search over conjugation by the
-generators of G that records a conjugator t for each member. N_G(J) is
-grown from J by joining elements that normalize it until its order is
-[G : class size], and the member t J t^-1 gets t N_G(J) t^-1. Classes and
-normalizers are thus by-products of the enumeration.
+whole class at once. J is normal, a class of one, when the generators of
+G conjugate the generators of J into J; otherwise a breadth-first search
+over conjugation by the generators of G records a conjugator t for each
+member. N_G(J) is grown from J by joining elements that normalize it
+until its order is [G : class size], and the member t J t^-1 gets
+t N_G(J) t^-1. Classes and normalizers are thus by-products of the
+enumeration.
 
 Two rules skip joins whose result is already known, and neither changes
 the lattice. Prime-index closure: if J = <H, z> and [J : H] = p is prime,
@@ -21,10 +23,9 @@ then <H, z'> = J for every z' in J outside H, since a subgroup strictly
 between H and J would have an order strictly between |H| and p |H|
 dividing p |H|. So once J is built, every zuppo with a generator in J
 outside H is marked done for H: its join would rebuild J, which is
-already listed. Classes of one: when the conjugation search finds J alone
-in its class, N_G(J) = G, so the normalizer is not grown by joins, and
-G's generators, which generate N_G(J), act on the zuppos when J is
-extended.
+already listed. Classes of one: when J is normal, N_G(J) = G, so the
+normalizer is not grown by joins, and G's generators, which generate
+N_G(J), act on the zuppos when J is extended.
 
 A group realized from a parent P (groups.py) as a quotient P/N or a
 subgroup H is not enumerated when P's lattice is built: its classes and
@@ -82,11 +83,10 @@ DEFAULT_SUBGROUP_BUDGET = 10000
 
 
 def totient(n):
-    count = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            count += 1
-    return count
+    """Euler's phi: n times the product of (1 - 1/p) over the primes p | n."""
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def p_part(n, p):
@@ -102,13 +102,16 @@ def divisors(n):
 
 
 def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
     primes, p = [], 2
-    while n > 1:
+    while p * p <= n:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
         p += 1
+    if n > 1:
+        primes.append(n)
     return primes
 
 
@@ -170,17 +173,20 @@ def _subgroup_classes(G, max_subgroups):
     reps = []
 
     def add_class(jmask, jgens):
-        members = tuple(bits(jmask))
         conjugator = {jmask: G.identity}
         queue = [G.identity]
-        for t in queue:
-            for s in gens:
-                st = mul[s][t]
-                row = conj[st]
-                cmask = mask_of(row[x] for x in members)
-                if cmask not in conjugator:
-                    conjugator[cmask] = st
-                    queue.append(st)
+        # J = <jgens> is normal when G's generators conjugate jgens into J;
+        # only otherwise does the search conjugate J member by member
+        if not all((jmask >> conj[s][x]) & 1 for s in gens for x in jgens):
+            members = tuple(bits(jmask))
+            for t in queue:
+                for s in gens:
+                    st = mul[s][t]
+                    row = conj[st]
+                    cmask = mask_of(row[x] for x in members)
+                    if cmask not in conjugator:
+                        conjugator[cmask] = st
+                        queue.append(st)
         # normalizer holds one entry per subgroup found so far
         if max_subgroups is not None and len(normalizer) + len(queue) > max_subgroups:
             raise CapExceededError(
@@ -217,6 +223,7 @@ def _subgroup_classes(G, max_subgroups):
         # zuppo per N_G(H)-orbit suffices; the orbit keeps z outside H and
         # z^p inside it
         seen = set()
+        hmembers = tuple(bits(hmask))
         horder = hmask.bit_count()
         for i, (z, zp) in enumerate(zuppos):
             if i in seen or (hmask >> z) & 1 or not (hmask >> zp) & 1:
@@ -229,7 +236,7 @@ def _subgroup_classes(G, max_subgroups):
                     if j not in seen:
                         seen.add(j)
                         orbit.append(zuppos[j][0])
-            jmask = G.join_mask(hmask, z)
+            jmask = G.join_mask(hmask, z, hmembers)
             if jmask not in normalizer:
                 add_class(jmask, hgens + (z,))
             if jmask.bit_count() // horder in primes:

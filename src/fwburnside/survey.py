@@ -9,7 +9,7 @@ catalog always produces a complete, deterministic table.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AlgebraError
 from .fw import check_commutes, check_m_equality, fw_context
@@ -63,11 +63,11 @@ def full_catalog():
     return _CATALOG
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    specs: tuple
-    cap: int = DEFAULT_ORDER_CAP
-    max_subgroups: int = DEFAULT_SUBGROUP_BUDGET
+SurveyConfig = namedtuple(
+    "SurveyConfig",
+    "specs cap max_subgroups",
+    defaults=(DEFAULT_ORDER_CAP, DEFAULT_SUBGROUP_BUDGET),
+)
 
 
 def _bool(v):

@@ -220,6 +220,27 @@ def test_malformed_numbers_and_nesting_exit_one(argv):
     assert _contract(argv) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "C6", "--out"], ["fw", "survey", "--out"]],
+)
+def test_unwritable_out_path_exits_one(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "x")
+    assert _contract(argv + [path]) == 1
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot write output file {path!r}: ")
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--max-subgroups"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cap_and_budget_below_one_are_usage_errors(capsys, flag, value):
+    assert _contract(["lattice", "S4", flag, value]) == 1
+    code, out, err = run_cli(capsys, "lattice", "S4", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"usage error: argument {flag}: must be at least 1, not {value}\n"
+
+
 def test_perm_degree_is_bounded_by_named_points():
     assert _contract(["group", "perm:[(1,100000000)]", "--cap", "16"]) == 0
 
@@ -367,6 +388,24 @@ def test_import_does_not_load_numpy():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False False False"
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # every CLI request imports the package cold, and dataclasses pulls in
+    # inspect, ast, dis and tokenize; compared against a bare interpreter,
+    # since site may preload modules
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import fwburnside, fwburnside.cli;") - loaded("")
+    assert "fwburnside.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("k", [7, 9])

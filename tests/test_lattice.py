@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -271,6 +272,12 @@ def test_m_cyclic_closed_form():
     assert m_cyclic(6, 2) == Fraction(1, 2)
     assert m_cyclic(12, 2) == 1
     assert m_cyclic(9, 3) == Fraction(1, 3) * Fraction(totient(9), totient(3))
+
+
+def test_totient_matches_gcd_count():
+    # the product formula against the definition: the k <= n prime to n
+    for n in range(1, 1025):
+        assert totient(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
 
 
 @given(st.integers(min_value=1, max_value=64))
