@@ -5,6 +5,11 @@ Verbs: group, lattice, marks, idempotents, mconst, op, and the fw family
 rationals appear as "p/q" strings and elements as sparse [label, rational]
 pair lists over the canonical class labels ("<order>:<index>").
 
+Each verb is declared once, by `_verb`, with its handler and the output
+formats it writes, the first being the default: lattice json|table, marks
+json|csv|table, fw survey csv|json|table, every other verb json. Any other
+--format is a usage error, raised while parsing, before any group is built.
+
 Exit codes: 0 success, 1 usage or parse error, 2 precondition failure
 (order cap or subgroup budget exceeded, non-normal kernel, missing class),
 3 broken internal invariant.
@@ -59,73 +64,6 @@ def _positive_int(text):
     return value
 
 
-def _common(parser):
-    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_ORDER_CAP,
-                        help="largest allowed group order, at least 1 (default 512)")
-    parser.add_argument("--max-subgroups", type=_positive_int,
-                        default=DEFAULT_SUBGROUP_BUDGET,
-                        help="largest subgroup count a lattice may be enumerated to, "
-                             f"at least 1 (default {DEFAULT_SUBGROUP_BUDGET})")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default=None,
-                        help="output format where applicable")
-    parser.add_argument("--out", default=None, help="write output to a file")
-
-
-def build_parser():
-    parser = _Parser(prog="fwburnside", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="order, abelianness, and element-order census")
-    p.add_argument("spec")
-    _common(p)
-
-    p = sub.add_parser("lattice", help="subgroup classes with normalizer indices")
-    p.add_argument("spec")
-    _common(p)
-
-    p = sub.add_parser("marks", help="table of marks over the canonical classes")
-    p.add_argument("spec")
-    _common(p)
-
-    p = sub.add_parser("idempotents", help="primitive rational idempotents")
-    p.add_argument("spec")
-    _common(p)
-
-    p = sub.add_parser("mconst", help="m-constant of a normal pair K <= L")
-    p.add_argument("spec")
-    p.add_argument("L", help="subgroup selector for L")
-    p.add_argument("K", help="subgroup selector for K (normal in L)")
-    _common(p)
-
-    p = sub.add_parser("op", help="apply a change-of-group operation to an element")
-    p.add_argument("operation", choices=OPERATIONS)
-    p.add_argument("spec")
-    p.add_argument("selector", help="center | frattini | maxcyc | order=<k>:<i>")
-    p.add_argument("element", help="inline JSON or a path to an element file")
-    _common(p)
-
-    fw = sub.add_parser("fw", help="the cyclic-to-G lift and its checks")
-    fwsub = fw.add_subparsers(dest="fw_command", required=True)
-
-    p = fwsub.add_parser("apply", help="lift an element over the cyclic source ring")
-    p.add_argument("spec")
-    p.add_argument("element", help="inline JSON or a path to an element file")
-    _common(p)
-
-    p = fwsub.add_parser("check", help="commutativity of one operation at one subgroup")
-    p.add_argument("spec")
-    p.add_argument("--op", required=True, choices=OPERATIONS)
-    p.add_argument("--sub", required=True, help="subgroup selector")
-    _common(p)
-
-    p = fwsub.add_parser("survey", help="normal-subgroup survey over a catalog")
-    p.add_argument("--catalog", default=None,
-                   help="file with one group spec per line (default: built-in catalog)")
-    _common(p)
-
-    return parser
-
-
 _SELECTOR_RE = re.compile(r"order=([0-9]+):([0-9]+)")
 
 
@@ -144,35 +82,30 @@ def resolve_selector(G, text):
     raise SpecParseError(f"unknown subgroup selector {text!r}")
 
 
+def _read_user_file(path, what):
+    """The text of a file named on the command line; a file that cannot be
+    opened or is not UTF-8 is a parse error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_element_data(text):
     # ValueError covers JSONDecodeError and numbers too long for int();
     # RecursionError is nesting too deep for the decoder
-    s = text.strip()
-    if s.startswith("["):
-        try:
-            return json.loads(s)
-        except (ValueError, RecursionError) as exc:
-            raise SpecParseError(f"bad element JSON: {exc}") from exc
+    s, where = text.strip(), ""
+    if not s.startswith("["):
+        s, where = _read_user_file(text, "element file"), f" in {text!r}"
     try:
-        with open(text, encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read element file {text!r}: {exc}") from exc
+        return json.loads(s)
     except (ValueError, RecursionError) as exc:
-        raise SpecParseError(f"bad element JSON in {text!r}: {exc}") from exc
+        raise SpecParseError(f"bad element JSON{where}: {exc}") from exc
 
 
 def _dump(obj):
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _class_label_of(lat, sub):
-    return lat.class_label(lat.class_index(sub))
-
-
-def _require_json(fmt):
-    if fmt not in (None, "json"):
-        raise _Usage(f"this command only supports --format json, not {fmt!r}")
 
 
 def _render_table(headers, rows):
@@ -195,7 +128,6 @@ def _lattice(args):
 
 def cmd_group(args):
     G = construct_group(args.spec, cap=args.cap)
-    _require_json(args.format)
     census = {}
     for a in range(G.n):
         k = G.element_order(a)
@@ -233,14 +165,13 @@ def cmd_lattice(args):
         "subgroup_count": len(lat.subgroups),
         "class_count": lat.n_classes(),
         "classes": classes,
-        "frattini": _class_label_of(lat, lat.frattini()),
-        "max_cyclic_intersection": _class_label_of(lat, lat.max_cyclic_intersection()),
+        "frattini": lat.class_label_of(lat.frattini()),
+        "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
     }
     if args.format == "table":
         headers = ("label", "order", "class_size", "normalizer_index")
         rows = [tuple(str(c[h]) for h in headers) for c in classes]
         return _render_table(headers, rows)
-    _require_json(args.format)
     return _dump(payload)
 
 
@@ -259,7 +190,6 @@ def cmd_marks(args):
         for i, row in enumerate(tom):
             buf.write(labels[i] + "," + ",".join(str(v) for v in row) + "\n")
         return buf.getvalue()
-    _require_json(args.format)
     return _dump({"group": G.label, "classes": labels, "table": [list(r) for r in tom]})
 
 
@@ -273,7 +203,6 @@ def cmd_idempotents(args):
         }
         for c in range(lat.n_classes())
     ]
-    _require_json(args.format)
     return _dump({"group": G.label, "idempotents": items})
 
 
@@ -283,12 +212,11 @@ def cmd_mconst(args):
     L = resolve_selector(G, args.L)
     K = resolve_selector(G, args.K)
     value = m_constant(lat, L, K)
-    _require_json(args.format)
     return _dump(
         {
             "group": G.label,
-            "L": _class_label_of(lat, L),
-            "K": _class_label_of(lat, K),
+            "L": lat.class_label_of(L),
+            "K": lat.class_label_of(K),
             "m": format_rational(value),
         }
     )
@@ -300,7 +228,6 @@ def cmd_op(args):
     data = _load_element_data(args.element)
     fn, f, src, _ = operation(args.operation, sub)
     result = fn(element_from_json(src, data), f)
-    _require_json(args.format)
     return _dump(
         {
             "group": result.group.label,
@@ -315,7 +242,6 @@ def cmd_fw_apply(args):
     ctx = fw_context(G)
     x = element_from_json(ctx.C, _load_element_data(args.element))
     y = fw_apply(ctx, x)
-    _require_json(args.format)
     return _dump(
         {
             "group": G.label,
@@ -337,7 +263,6 @@ def cmd_fw_check(args):
             "left": report.certificate.left,
             "right": report.certificate.right,
         }
-    _require_json(args.format)
     return _dump(
         {
             "group": G.label,
@@ -354,15 +279,9 @@ def cmd_fw_survey(args):
     if args.catalog is None:
         specs = full_catalog()
     else:
-        try:
-            with open(args.catalog, encoding="utf-8") as f:
-                specs = tuple(
-                    line.strip()
-                    for line in f
-                    if line.strip() and not line.strip().startswith("#")
-                )
-        except OSError as exc:
-            raise SpecParseError(f"cannot read catalog {args.catalog!r}: {exc}") from exc
+        # read() has already turned \r\n and \r into \n
+        lines = _read_user_file(args.catalog, "catalog").split("\n")
+        specs = tuple(s for s in map(str.strip, lines) if s and not s.startswith("#"))
     rows = survey_rows(
         SurveyConfig(specs=specs, cap=args.cap, max_subgroups=args.max_subgroups)
     )
@@ -376,14 +295,53 @@ def cmd_fw_survey(args):
     return buf.getvalue()
 
 
-_DISPATCH = {
-    "group": cmd_group,
-    "lattice": cmd_lattice,
-    "marks": cmd_marks,
-    "idempotents": cmd_idempotents,
-    "mconst": cmd_mconst,
-    "op": cmd_op,
-}
+def _verb(sub, name, handler, help, *arguments, formats=("json",)):
+    """Declare one verb: its parser, its handler, its own arguments (a name,
+    or a name and add_argument keywords), and the common flags, with
+    --format limited to the formats the verb writes, the first the default."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    for arg in arguments:
+        arg_name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        p.add_argument(arg_name, **kwargs)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ORDER_CAP,
+                   help="largest allowed group order, at least 1 (default 512)")
+    p.add_argument("--max-subgroups", type=_positive_int, default=DEFAULT_SUBGROUP_BUDGET,
+                   help="largest subgroup count a lattice may be enumerated to, "
+                        f"at least 1 (default {DEFAULT_SUBGROUP_BUDGET})")
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help=f"output format (default {formats[0]})")
+    p.add_argument("--out", default=None, help="write output to a file")
+
+
+def build_parser():
+    parser = _Parser(prog="fwburnside", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    element = ("element", {"help": "inline JSON or a path to an element file"})
+    _verb(sub, "group", cmd_group, "order, abelianness, and element-order census", "spec")
+    _verb(sub, "lattice", cmd_lattice, "subgroup classes with normalizer indices", "spec",
+          formats=("json", "table"))
+    _verb(sub, "marks", cmd_marks, "table of marks over the canonical classes", "spec",
+          formats=("json", "csv", "table"))
+    _verb(sub, "idempotents", cmd_idempotents, "primitive rational idempotents", "spec")
+    _verb(sub, "mconst", cmd_mconst, "m-constant of a normal pair K <= L", "spec",
+          ("L", {"help": "subgroup selector for L"}),
+          ("K", {"help": "subgroup selector for K (normal in L)"}))
+    _verb(sub, "op", cmd_op, "apply a change-of-group operation to an element",
+          ("operation", {"choices": OPERATIONS}), "spec",
+          ("selector", {"help": "center | frattini | maxcyc | order=<k>:<i>"}), element)
+
+    fw = sub.add_parser("fw", help="the cyclic-to-G lift and its checks")
+    fwsub = fw.add_subparsers(dest="fw_command", required=True)
+    _verb(fwsub, "apply", cmd_fw_apply, "lift an element over the cyclic source ring",
+          "spec", element)
+    _verb(fwsub, "check", cmd_fw_check, "commutativity of one operation at one subgroup",
+          "spec", ("--op", {"required": True, "choices": OPERATIONS}),
+          ("--sub", {"required": True, "help": "subgroup selector"}))
+    _verb(fwsub, "survey", cmd_fw_survey, "normal-subgroup survey over a catalog",
+          ("--catalog", {"help": "file with one group spec per line (default: built-in catalog)"}),
+          formats=("csv", "json", "table"))
+    return parser
 
 
 def main(argv=None):
@@ -393,15 +351,7 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
-        if args.command == "fw":
-            handler = {
-                "apply": cmd_fw_apply,
-                "check": cmd_fw_check,
-                "survey": cmd_fw_survey,
-            }[args.fw_command]
-        else:
-            handler = _DISPATCH[args.command]
-        text = handler(args)
+        text = args.handler(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -414,7 +364,7 @@ def main(argv=None):
     except (AlgebraError, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    out = getattr(args, "out", None)
+    out = args.out
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as f:

@@ -153,22 +153,14 @@ def check_commutes(ctx, op, sub):
     """
     if sub.parent is not ctx.G:
         raise PreconditionError("subgroup belongs to a different group")
+    sub_label = subgroup_lattice(ctx.G).class_label_of(sub)
     checked = 0
     for label, left, right in _route_pairs(ctx, op, sub):
         checked += 1
         if left != right:
             cert = Certificate(label, left, right)
-            return CommutativityReport(
-                op, ctx.G.label, _sub_label(ctx.G, sub), False, checked, cert
-            )
-    return CommutativityReport(
-        op, ctx.G.label, _sub_label(ctx.G, sub), True, checked, None
-    )
-
-
-def _sub_label(G, sub):
-    lat = subgroup_lattice(G)
-    return lat.class_label(lat.class_index(sub))
+            return CommutativityReport(op, ctx.G.label, sub_label, False, checked, cert)
+    return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
 
 
 def check_m_equality(G, N):

@@ -441,6 +441,10 @@ class SubgroupLattice:
     def class_label(self, c):
         return self.class_labels[c]
 
+    def class_label_of(self, H):
+        """The label of the conjugacy class holding subgroup H."""
+        return self.class_labels[self.class_index(H)]
+
     def class_by_label(self, label):
         c = self._label_to_class.get(label)
         if c is None:

@@ -241,6 +241,19 @@ def test_cap_and_budget_below_one_are_usage_errors(capsys, flag, value):
     assert err == f"usage error: argument {flag}: must be at least 1, not {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["fw", "survey", "--catalog"], "catalog"), (["fw", "apply", "Q8"], "element file")],
+)
+def test_undecodable_user_file_exits_one(tmp_path, capsys, argv, what):
+    path = tmp_path / "not-utf8"
+    path.write_bytes(b"S3\n\xff\xfe\n")
+    assert _contract(argv + [str(path)]) == 1
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"parse error: cannot read {what} {str(path)!r}: 'utf-8' codec")
+
+
 def test_perm_degree_is_bounded_by_named_points():
     assert _contract(["group", "perm:[(1,100000000)]", "--cap", "16"]) == 0
 
@@ -349,6 +362,20 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "lattice")[0] == 1
     assert run_cli(capsys, "marks", "S3", "--format", "bogus")[0] == 1
     assert run_cli(capsys, "group", "S3", "--format", "csv")[0] == 1
+    # an unsupported --format is refused while parsing, before any group is
+    # built: otherwise these exit 2, at the order cap, at the non-normal
+    # kernel, and at the subgroup budget after enumerating up to it
+    for argv in (
+        ["group", "C1024", "--format", "csv"],
+        ["fw", "check", "S4", "--op", "def", "--sub", "order=2:0", "--format", "csv"],
+        ["lattice", "C2xC2xC2xC2xC2xC2xC2", "--format", "csv"],
+    ):
+        start = perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: argument --format: invalid choice: 'csv'")
 
 
 def test_exit_code_preconditions(capsys):
@@ -362,6 +389,17 @@ def test_exit_code_preconditions(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "fw", "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [["group"], ["lattice"], ["marks"], ["idempotents"], ["mconst"], ["op"],
+     ["fw", "apply"], ["fw", "check"], ["fw", "survey"]],
+)
+def test_verb_help_exits_zero(capsys, verb):
+    code, out, err = run_cli(capsys, *verb, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: fwburnside {' '.join(verb)} ")
 
 
 def test_console_script_entry_point():
