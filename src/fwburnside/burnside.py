@@ -54,7 +54,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import PreconditionError, SpecParseError
-from .groups import Subgroup, bits, quotient_group, subgroup_embedding
+from .groups import bits, left_cosets, quotient_group, subgroup_embedding
 from .lattice import subgroup_lattice
 
 __all__ = [
@@ -309,14 +309,9 @@ def is_integral(x):
     return x._coeff_ints()[1] == 1
 
 
-def idempotent(lat, H):
-    """Primitive rational idempotent attached to the class of H (a
-    subgroup or a class index): _idempotent_sum at that one class, cached
-    per lattice."""
-    if isinstance(H, Subgroup):
-        c = lat.class_index(H)
-    else:
-        c = H
+def idempotent(lat, c):
+    """Primitive rational idempotent attached to the subgroup class c:
+    _idempotent_sum at that one class, cached per lattice."""
     key = ("idempotent", c)
     e = lat._cache.get(key)
     if e is None:
@@ -424,14 +419,7 @@ def _mackey_table(f):
                 continue
             if coset_of is None:
                 mul, inv, conj = B.mul, B.inv, B.conj_rows()
-                image = tuple(bits(fmask))
-                coset_of, reps = [-1] * B.n, []
-                for g in range(B.n):
-                    if coset_of[g] < 0:
-                        row = mul[g]
-                        for a in image:
-                            coset_of[row[a]] = len(reps)
-                        reps.append(g)
+                coset_of, reps = left_cosets(B, tuple(bits(fmask)))
             K = tuple(bits(kmask))
             marked = [False] * len(reps)
             entries = []

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .burnside import _gather, _idempotent_sum, format_element, idempotent, operation
 from .errors import PreconditionError
-from .groups import Subgroup, cyclic_group, mask_of
+from .groups import cyclic_group
 from .lattice import divisors, m_constant, m_cyclic, subgroup_lattice
 
 __all__ = [
@@ -49,19 +49,18 @@ class FwContext:
     def __repr__(self):
         return f"<FwContext for {self.G.label}>"
 
-    def c_subgroup(self, d):
-        """The unique subgroup of C of order d; cached on C."""
+    def c_class(self, d):
+        """The class of the unique subgroup of C of order d. C has one
+        subgroup per divisor of its order, so its lattice labels that
+        class "<d>:0"."""
         n = self.G.n
         if d < 1 or n % d:
             raise PreconditionError(f"{d} does not divide the group order {n}")
-        key = ("c_subgroup", d)
-        sub = self.C._cache.get(key)
-        if sub is None:
-            sub = self.C._cache[key] = Subgroup(self.C, mask_of(range(0, n, n // d)))
-        return sub
+        return subgroup_lattice(self.C).class_by_label(f"{d}:0")
 
-    def c_class(self, d):
-        return subgroup_lattice(self.C).class_index(self.c_subgroup(d))
+    def c_subgroup(self, d):
+        """The unique subgroup of C of order d."""
+        return subgroup_lattice(self.C).class_rep(self.c_class(d))
 
     def lift_classes(self):
         """For each subgroup class of G: the class of the subgroup of C

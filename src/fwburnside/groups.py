@@ -89,9 +89,6 @@ class Group:
     def __repr__(self):
         return f"<Group {self.label} of order {self.n}>"
 
-    def op(self, a, b):
-        return self.mul[a][b]
-
     def conj_rows(self):
         """conj_rows()[a][x] = a x a^-1, as plain nested tuples, cached.
 
@@ -244,18 +241,6 @@ class Group:
 
     # -- subgroup constructors ------------------------------------------------
 
-    def subgroup(self, members):
-        """Build a subgroup from explicit members, checking the axioms."""
-        sub = Subgroup(self, mask_of(members))
-        sub.check()
-        return sub
-
-    def generated_subgroup(self, generators):
-        return Subgroup(self, reduce(self.join_mask, generators, 1 << self.identity))
-
-    def trivial_subgroup(self):
-        return Subgroup(self, 1 << self.identity)
-
     def full_subgroup(self):
         return Subgroup(self, (1 << self.n) - 1)
 
@@ -307,26 +292,6 @@ class Subgroup:
             raise PreconditionError("subgroups of different groups are not comparable")
         return self.mask & other.mask == self.mask
 
-    def check(self):
-        """Verify closure, identity, inverses, and Lagrange; raises on failure."""
-        G = self.parent
-        if G.identity not in self:
-            raise AlgebraError("subgroup is missing the identity")
-        for a in self.members:
-            if G.inv[a] not in self:
-                raise AlgebraError(f"subgroup not closed under inverse of {a}")
-            row = G.mul[a]
-            for b in self.members:
-                if row[b] not in self:
-                    raise AlgebraError(f"subgroup not closed under product {a}*{b}")
-        if G.n % self.order != 0:
-            raise AlgebraError("subgroup order does not divide the group order")
-
-    def conjugate(self, a):
-        """The subgroup a H a^-1."""
-        crow = self.parent.conj_rows()[a]
-        return Subgroup(self.parent, mask_of(crow[x] for x in self.members))
-
     def conjugate_mask(self, a):
         crow = self.parent.conj_rows()[a]
         return mask_of(crow[x] for x in self.members)
@@ -339,14 +304,6 @@ class Subgroup:
     def is_cyclic(self):
         orders = self.parent.element_orders()
         return self.order in map(orders.__getitem__, self.members)
-
-    def intersection(self, other):
-        return Subgroup(self.parent, self.mask & other.mask)
-
-    def product_mask(self, other):
-        """The set product {h k}; a subgroup mask when either factor is normal."""
-        mul = self.parent.mul
-        return mask_of(mul[h][k] for h in self.members for k in other.members)
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -392,11 +349,6 @@ class GroupHom:
             bit = self._cache["bits"] = tuple(1 << y for y in self.images)
         return reduce(or_, map(bit.__getitem__, members), 0)
 
-    def push_subgroup(self, H):
-        if H.parent is not self.source:
-            raise PreconditionError("subgroup belongs to a different group")
-        return Subgroup(self.target, self.push_mask(H.members))
-
 
 def _realize(table, label, hom):
     """The map hom(D) to or from the group D with this table, given as
@@ -414,6 +366,21 @@ def _realize(table, label, hom):
     return f
 
 
+def left_cosets(G, members):
+    """The left cosets gH of the subgroup with these members, numbered by
+    their minimal elements in increasing order: (coset_of, reps), with
+    coset_of[g] the number of gH and reps[t] the minimal element of coset t."""
+    mul = G.mul
+    coset_of, reps = [-1] * G.n, []
+    for g in range(G.n):
+        if coset_of[g] < 0:
+            row = mul[g]
+            for h in members:
+                coset_of[row[h]] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
 def quotient_group(G, N):
     """Projection G -> G/N for a normal subgroup N, cosets numbered by their
     minimal elements in increasing order; cached per (G, N)."""
@@ -429,15 +396,7 @@ def quotient_group(G, N):
         f = GroupHom(G, G, range(G.n))
     else:
         mul = G.mul
-        proj = [-1] * G.n
-        reps = []
-        for g in range(G.n):
-            if proj[g] >= 0:
-                continue
-            t = len(reps)
-            reps.append(g)
-            for m in N.members:
-                proj[mul[g][m]] = t
+        proj, reps = left_cosets(G, N.members)
         table = [[proj[mul[a][b]] for b in reps] for a in reps]
         f = _realize(
             table, f"{G.label}/{N.order}@{N.members[0]}", lambda Q: GroupHom(G, Q, proj)
@@ -463,6 +422,17 @@ def subgroup_embedding(H):
         f = _realize(table, f"{G.label}>{H.order}@{mem[0]}", lambda D: GroupHom(D, G, mem))
     G._cache[key] = f
     return f
+
+
+def release_maps(N):
+    """Drop the quotient by N and the embedding of N from the cache of N's
+    group, and with them the groups and tables realized along them. The
+    shared cyclic group of an order keeps its maps, since every group of
+    that order reuses them."""
+    G = N.parent
+    if _GROUP_CACHE.get(f"C{G.n}") is not G:
+        G._cache.pop(("quotient", N.mask), None)
+        G._cache.pop(("embedding", N.mask), None)
 
 
 # -- concrete tables ----------------------------------------------------------

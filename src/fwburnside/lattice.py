@@ -516,13 +516,6 @@ class SubgroupLattice:
         self._mu[h] = col
         return col
 
-    def moebius(self, K, H):
-        """Moebius value of the interval [K, H] in the subgroup lattice."""
-        k, h = self.subgroup_index(K), self.subgroup_index(H)
-        if K.mask & H.mask != K.mask:
-            raise PreconditionError("moebius needs K <= H")
-        return self.mu_column(h).get(k, 0)
-
     def is_normal_class(self, c):
         return len(self.classes[c]) == 1
 

@@ -14,9 +14,11 @@ the Mackey table tensor_induce reads works on numbered cosets.
 moebius_by_recursion fills every Moebius value by the all-pairs recursion,
 where the lattice computes them per subgroup on first read, in closed form
 on nilpotent intervals; cayley_table_by_entries computes every table entry
-on its own, where the constructors compose rows; is_group_table checks
-every row, every column and every triple, where Group.validate reads the
-generators' rows.
+on its own, where the constructors compose rows, with dihedral groups
+as signed affine maps and dicyclic groups as rewritten words;
+is_group_table checks every row, every column and every triple, where
+Group.validate reads the generators' rows; check_subgroup tests a subgroup
+for the identity, every inverse and every product, member by member.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -47,6 +49,7 @@ __all__ = [
     "moebius_by_recursion",
     "cayley_table_by_entries",
     "is_group_table",
+    "check_subgroup",
 ]
 
 
@@ -252,6 +255,44 @@ def _perm_product(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+def _dihedral_elements(n):
+    """D_n as the signed affine maps x -> e x + b on Z/(n/2): r^i is
+    (+1, i) and s r^i is (-1, -i). The sign e is kept as a formal +-1, so
+    D4, where -1 = +1 on Z/2, stays faithful."""
+    m = n // 2
+    return [(1, i) for i in range(m)] + [(-1, -i % m) for i in range(m)]
+
+
+def _dihedral_product(n):
+    """Composition: (e, b)(f, c) is x -> e (f x + c) + b."""
+    m = n // 2
+
+    def product(x, y):
+        (e, b), (f, c) = x, y
+        return e * f, (e * c + b) % m
+    return product
+
+
+def _dicyclic_elements(n):
+    """Dic_n as the words a^i b^e, a of order n/2 and e in {0, 1}."""
+    h = n // 2
+    return [(i, 0) for i in range(h)] + [(i, 1) for i in range(h)]
+
+
+def _dicyclic_product(n):
+    """Words rewritten with b a = a^-1 b and b^2 = a^(n/4)."""
+    h, m = n // 2, n // 4
+
+    def product(x, y):
+        (i, e), (j, f) = x, y
+        if not e:
+            return (i + j) % h, f
+        if not f:
+            return (i - j) % h, 1
+        return (i - j + m) % h, 0
+    return product
+
+
 def _sl2_product(p):
     def product(x, y):
         a, b, c, d = x
@@ -271,9 +312,9 @@ def cayley_table_by_entries(spec, cap=None):
         if kind == "cyclic":
             table = [[(i + j) % arg for j in range(arg)] for i in range(arg)]
         elif kind == "dihedral":
-            table = groups._dihedral_table(arg)
+            table = _table_by_entries(_dihedral_elements(arg), _dihedral_product(arg))
         elif kind == "dicyclic":
-            table = groups._dicyclic_table(arg)
+            table = _table_by_entries(_dicyclic_elements(arg), _dicyclic_product(arg))
         elif kind == "sl2":
             table = _table_by_entries(groups._sl2_elements(arg), _sl2_product(arg))
         else:
@@ -313,6 +354,25 @@ def is_group_table(table):
         return False
     r = range(n)
     return all(table[table[x][y]][z] == table[x][table[y][z]] for x in r for y in r for z in r)
+
+
+def check_subgroup(H):
+    """Verify member by member that H holds the identity, the inverse of
+    each member and the product of each pair, and that its order divides
+    the group order; returns H, raises AlgebraError on failure."""
+    G = H.parent
+    if G.identity not in H:
+        raise AlgebraError("subgroup is missing the identity")
+    for a in H.members:
+        if G.inv[a] not in H:
+            raise AlgebraError(f"subgroup not closed under inverse of {a}")
+        row = G.mul[a]
+        for b in H.members:
+            if row[b] not in H:
+                raise AlgebraError(f"subgroup not closed under product {a}*{b}")
+    if G.n % H.order != 0:
+        raise AlgebraError("subgroup order does not divide the group order")
+    return H
 
 
 def product_gset(X, Y):

@@ -15,12 +15,10 @@ one, and the package root does not re-export it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .burnside import (
-    BurnsideElement,
     basis_element,
     element_from_marks,
     idempotent,
@@ -29,7 +27,7 @@ from .burnside import (
 )
 from .errors import PreconditionError
 from .fw import check_commutes, check_m_equality, fw_apply
-from .groups import Subgroup, quotient_group
+from .groups import Subgroup, mask_of, quotient_group
 from .lattice import (
     _prime_factors,
     check_gcd_property,
@@ -148,11 +146,8 @@ def is_generalized_quaternion(P):
 # -- the lift of transitive sets ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitiveImage:
-    element: BurnsideElement
-    transitive: bool
-    stabilizer: Optional[Subgroup]
+# stabilizer is None when the image is not transitive
+TransitiveImage = namedtuple("TransitiveImage", "element transitive stabilizer")
 
 
 def fw_transitive_image(ctx, D):
@@ -192,33 +187,38 @@ def check_integrality(ctx):
 # -- deflation in closed form ---------------------------------------------------
 
 
+def _times_normal(H, N):
+    """The subgroup HN for N normal: the set of products h k."""
+    G = H.parent
+    mul = G.mul
+    return Subgroup(G, mask_of(mul[h][k] for h in H.members for k in N.members))
+
+
 def t_constant(G, H, N):
     """t(H, N): the scalar deflation by N puts on the idempotent at H, the
     normalizer-index ratio |N_G(HN)| |H| / (|HN| |N_G(H)|) times the
     m-constant of (H, H ∩ N)."""
     lat = subgroup_lattice(G)
-    HN = Subgroup(G, H.product_mask(N))
+    HN = _times_normal(H, N)
     ratio = Fraction(lat.normalizer(HN).order * H.order, HN.order * lat.normalizer(H).order)
-    return ratio * m_constant(lat, H, H.intersection(N))
+    return ratio * m_constant(lat, H, Subgroup(G, H.mask & N.mask))
 
 
 def r_constant(ctx, D, CN):
     """Cyclic-side deflation coefficient: (|D| / |D CN|) m(D, D ∩ CN)."""
     clat = subgroup_lattice(ctx.C)
-    prod = Subgroup(ctx.C, D.product_mask(CN))
-    return Fraction(D.order, prod.order) * m_constant(clat, D, D.intersection(CN))
+    meet = Subgroup(ctx.C, D.mask & CN.mask)
+    return Fraction(D.order, _times_normal(D, CN).order) * m_constant(clat, D, meet)
 
 
 def deflate_idempotent(lat, H, qm):
     """Deflation by N = ker qm sends the idempotent at H to t(H, N) times
-    the idempotent at HN/N."""
+    the idempotent at HN/N, the image of H."""
     if qm.source is not lat.group:
         raise PreconditionError("quotient map does not match the lattice")
-    N = qm.kernel()
-    HN = Subgroup(lat.group, H.product_mask(N))
-    return t_constant(lat.group, H, N) * idempotent(
-        subgroup_lattice(qm.target), qm.push_subgroup(HN)
-    )
+    qlat = subgroup_lattice(qm.target)
+    HN_bar = Subgroup(qm.target, qm.push_mask(H.members))
+    return t_constant(lat.group, H, qm.kernel()) * idempotent(qlat, qlat.class_index(HN_bar))
 
 
 def deflation_closed_forms(ctx, N, d):

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import AlgebraError
 from .fw import check_commutes, check_m_equality, fw_context
-from .groups import DEFAULT_ORDER_CAP, construct_group
+from .groups import DEFAULT_ORDER_CAP, construct_group, release_maps
 from .lattice import DEFAULT_SUBGROUP_BUDGET, check_gcd_property, subgroup_lattice
 
 __all__ = ["SurveyConfig", "SURVEY_COLUMNS", "full_catalog", "survey_rows", "write_survey_csv"]
@@ -75,7 +75,9 @@ def _bool(v):
 
 
 def survey_rows(config):
-    """One row dict per (group, normal subgroup class), in catalog order."""
+    """One row dict per (group, normal subgroup class), in catalog order.
+    Each row's quotient map and embedding are released after its last
+    check, so a group's survey holds one row's maps at a time."""
     rows = []
     for spec in config.specs:
         order = ""  # known once the group is built, even if its lattice is refused
@@ -106,6 +108,7 @@ def survey_rows(config):
                     row[f"commutes_{op}"] = _bool(check_commutes(ctx, op, N).commutes)
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)
+            release_maps(N)
             rows.append(row)
     return rows
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,13 +14,18 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
-from fwburnside import construct_group
+from fwburnside import Subgroup, construct_group
 
 # the groups the benchmark's survey adds to the catalog
 SURVEY_EXTRAS = (
     "C2xC2xC2xC2", "C2xC2xC4", "C4xC8", "C3xC3xC3", "C2xD8", "C2xQ8",
     "S3xS3", "SL(2,3)xC2", "Dic48", "Dic60", "C2xS4",
 )
+
+
+def generated(G, gens):
+    """The subgroup of G generated by gens, joined one element at a time."""
+    return Subgroup(G, reduce(G.join_mask, gens, 1 << G.identity))
 
 
 @pytest.fixture(scope="session")

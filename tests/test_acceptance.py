@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from fwburnside import (
     BurnsideElement,
+    Subgroup,
     basis_element,
     check_commutes,
     check_gcd_property,
@@ -36,8 +37,15 @@ from fwburnside import (
     zero,
 )
 from fwburnside.fw import _route_pairs
+from fwburnside.groups import mask_of
 from fwburnside.lattice import divisors
-from fwburnside.oracles import coset_space, decompose_gset, deflate_gset, map_space_gset
+from fwburnside.oracles import (
+    check_subgroup,
+    coset_space,
+    decompose_gset,
+    deflate_gset,
+    map_space_gset,
+)
 from fwburnside.propositions import (
     check_divisor_lemma,
     check_integrality,
@@ -271,7 +279,7 @@ def test_criterion_09_m_constant_closed_form():
         C = cyclic_group(t)
         lat = subgroup_lattice(C)
         for n in divisors(t):
-            K = C.subgroup(range(0, t, t // n))
+            K = check_subgroup(Subgroup(C, mask_of(range(0, t, t // n))))
             assert K.order == n
             assert m_constant(lat, C.full_subgroup(), K) == m_cyclic(t, n)
 

@@ -428,21 +428,31 @@ def test_import_does_not_load_numpy():
     assert proc.returncode == 0 and proc.stdout.strip() == "False False False"
 
 
+def _modules_loaded_by(code):
+    """sys.modules after running code in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_import_does_not_load_dataclasses_or_inspect():
     # every CLI request imports the package cold, and dataclasses pulls in
     # inspect, ast, dis and tokenize; compared against a bare interpreter,
     # since site may preload modules
-    def loaded(code):
-        proc = subprocess.run(
-            [sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
-
-    added = loaded("import fwburnside, fwburnside.cli;") - loaded("")
+    added = _modules_loaded_by("import fwburnside, fwburnside.cli;") - _modules_loaded_by("")
     assert "fwburnside.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_propositions_and_oracles_do_not_load_dataclasses_or_inspect():
+    # the records of propositions and oracles are named tuples as well
+    code = "import fwburnside.propositions, fwburnside.oracles;"
+    added = _modules_loaded_by(code) - _modules_loaded_by("")
+    assert {"fwburnside.propositions", "fwburnside.oracles"} <= added
     assert not added & {"dataclasses", "inspect"}
 
 

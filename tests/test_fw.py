@@ -26,7 +26,12 @@ from fwburnside import (
 from fwburnside.burnside import _coeffs_from_marks
 from fwburnside.groups import Subgroup, mask_of
 from fwburnside.lattice import divisors
-from fwburnside.oracles import coset_space, decompose_gset, marks_by_fixed_points
+from fwburnside.oracles import (
+    check_subgroup,
+    coset_space,
+    decompose_gset,
+    marks_by_fixed_points,
+)
 from fwburnside.propositions import (
     check_def_necessary,
     check_integrality,
@@ -204,7 +209,7 @@ def test_transport_along_noncyclic_isomorphism():
     isos = [
         p
         for p in permutations(range(4))
-        if all(p[Q.op(a, b)] == B.op(p[a], p[b]) for a in range(4) for b in range(4))
+        if all(p[Q.mul[a][b]] == B.mul[p[a]][p[b]] for a in range(4) for b in range(4))
     ]
     assert len(isos) == 6
     qlat = subgroup_lattice(Q)
@@ -364,8 +369,9 @@ def test_prime_kernel_sufficiency_rejects_bad_hypotheses():
         check_prime_kernel_sufficient(fw_context(s3), C3)
     # composite order
     c8 = cyclic_group(8)
+    C4 = check_subgroup(Subgroup(c8, mask_of([0, 2, 4, 6])))
     with pytest.raises(PreconditionError):
-        check_prime_kernel_sufficient(fw_context(c8), c8.subgroup([0, 2, 4, 6]))
+        check_prime_kernel_sufficient(fw_context(c8), C4)
     # not the unique subgroup of its order
     v = construct_group("C2xC2")
     latv = subgroup_lattice(v)

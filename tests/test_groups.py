@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import generated
 from fwburnside import (
     AlgebraError,
     CapExceededError,
@@ -19,7 +20,8 @@ from fwburnside import (
     subgroup_embedding,
     subgroup_lattice,
 )
-from fwburnside.oracles import cayley_table_by_entries, is_group_table
+from fwburnside.groups import mask_of
+from fwburnside.oracles import cayley_table_by_entries, check_subgroup, is_group_table
 from fwburnside.survey import full_catalog
 from fwburnside.propositions import cyclic_isomorphism
 
@@ -333,10 +335,9 @@ def test_is_abelian_matches_all_pairs(spec):
 
 def test_subgroup_check_and_generation():
     G = construct_group("S4")
-    H = G.generated_subgroup([1])
-    H.check()
+    H = check_subgroup(generated(G, [1]))
     assert G.n % H.order == 0
-    full = G.generated_subgroup(list(range(G.n)))
+    full = generated(G, range(G.n))
     assert full == G.full_subgroup()
 
 
@@ -349,21 +350,19 @@ def test_quotient_q8_by_center():
     # projection is a morphism
     for a in range(G.n):
         for b in range(G.n):
-            assert qm.images[G.op(a, b)] == qm.target.op(
-                qm.images[a], qm.images[b]
-            )
+            assert qm.images[G.mul[a][b]] == qm.target.mul[qm.images[a]][qm.images[b]]
 
 
 def test_quotient_by_trivial_is_identity():
     G = construct_group("S3")
-    qm = quotient_group(G, G.trivial_subgroup())
+    qm = quotient_group(G, Subgroup(G, 1 << G.identity))
     assert qm.target is G
     assert qm.images == tuple(range(G.n))
 
 
 def test_quotient_requires_normal():
     G = construct_group("S3")
-    C2 = G.generated_subgroup([next(a for a in range(G.n) if G.element_order(a) == 2)])
+    C2 = generated(G, [next(a for a in range(G.n) if G.element_order(a) == 2)])
     with pytest.raises(PreconditionError):
         quotient_group(G, C2)
 
@@ -371,7 +370,7 @@ def test_quotient_requires_normal():
 def test_quotient_rejects_kernel_of_another_group():
     # the kernel's parent is checked before the per-mask cache is read
     C4 = cyclic_group(4)
-    quotient_group(C4, C4.subgroup([0, 2]))
+    quotient_group(C4, check_subgroup(Subgroup(C4, mask_of([0, 2]))))
     D8 = construct_group("D8")
     with pytest.raises(PreconditionError):
         quotient_group(C4, Subgroup(D8, 0b101))
@@ -379,19 +378,19 @@ def test_quotient_rejects_kernel_of_another_group():
 
 def test_quotient_of_cyclic_reuses_canonical_instance():
     G = cyclic_group(12)
-    N = G.subgroup([0, 4, 8])
+    N = check_subgroup(Subgroup(G, mask_of([0, 4, 8])))
     qm = quotient_group(G, N)
     assert qm.target is cyclic_group(4)
 
 
 def test_embedding_respects_operation():
     G = construct_group("S4")
-    H = G.generated_subgroup([next(a for a in range(G.n) if G.element_order(a) == 4)])
+    H = generated(G, [next(a for a in range(G.n) if G.element_order(a) == 4)])
     emb = subgroup_embedding(H)
     S = emb.source
     for a in range(S.n):
         for b in range(S.n):
-            assert emb.images[S.op(a, b)] == G.op(emb.images[a], emb.images[b])
+            assert emb.images[S.mul[a][b]] == G.mul[emb.images[a]][emb.images[b]]
     assert emb.source is cyclic_group(4)
 
 
@@ -409,7 +408,7 @@ def test_cyclic_isomorphism_roundtrip():
     assert sorted(f) == list(range(6))
     for a in range(6):
         for b in range(6):
-            assert f[A.op(a, b)] == B.op(f[a], f[b])
+            assert f[A.mul[a][b]] == B.mul[f[a]][f[b]]
 
 
 @given(st.integers(min_value=1, max_value=30))
@@ -430,10 +429,9 @@ def test_product_element_orders_are_lcms(p, q):
 
 def test_conjugate_subgroup_is_subgroup(s4):
     G = s4
-    H = G.generated_subgroup([next(a for a in range(G.n) if G.element_order(a) == 3)])
+    H = generated(G, [next(a for a in range(G.n) if G.element_order(a) == 3)])
     for g in range(G.n):
-        Hg = H.conjugate(g)
-        Hg.check()
+        Hg = check_subgroup(Subgroup(G, H.conjugate_mask(g)))
         assert Hg.order == H.order
 
 
@@ -451,6 +449,7 @@ def test_is_normal_matches_conjugation_by_every_element(spec):
 TABLE_SPECS = [
     "S1", "S2", "S3", "S4", "S5", "A3", "A4", "A5",
     "SL(2,2)", "SL(2,3)", "SL(2,5)", "SL(2,7)",
+    "D4", "D8", "D12", "D128", "Dic12", "Q16", "Dic60",
     "C1xC1", "C2xC256", "SL(2,3)xC2", "Q8xC3",
     "perm:[(1,2,3)(4,5);(1,2)]", "perm:[(1,2);(3,4);(1,3)(2,4)]",
     "perm:[(2,4,6)]", "perm:[(1,5)(2,3)]", "perm:[(1)]",
@@ -476,7 +475,7 @@ def _realized_groups():
     yield quotient_group(S4, V4).target
     yield quotient_group(G, G.center()).target
     # C2xC256 by the subgroup of order 2 in its C256 factor: C2xC128
-    yield quotient_group(C, C.generated_subgroup([128])).target
+    yield quotient_group(C, generated(C, [128])).target
     D = construct_group("Dic60")
     for c in range(subgroup_lattice(D).n_classes()):
         yield subgroup_embedding(subgroup_lattice(D).class_rep(c)).source
@@ -541,5 +540,5 @@ def test_element_orders_match_power_walks(spec):
     lat = subgroup_lattice(G)
     for H in lat.subgroups:
         # cyclic: generated by one of its own elements
-        expected = any(G.generated_subgroup([a]).mask == H.mask for a in H.members)
+        expected = any(generated(G, [a]).mask == H.mask for a in H.members)
         assert H.is_cyclic() == expected

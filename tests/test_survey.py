@@ -7,7 +7,14 @@ import pytest
 
 import fwburnside.burnside
 import fwburnside.groups
-from fwburnside import SurveyConfig, survey_rows, write_survey_csv
+from fwburnside import (
+    SurveyConfig,
+    construct_group,
+    cyclic_group,
+    subgroup_lattice,
+    survey_rows,
+    write_survey_csv,
+)
 
 # md5 of write_survey_csv for each group alone, header included; CI pins
 # the slower C2xD8xS3, C2xS4xS3 and S4xS4 the same way
@@ -37,3 +44,21 @@ def test_survey_never_reads_the_dense_table_of_marks(monkeypatch):
     monkeypatch.setattr(fwburnside.burnside, "table_of_marks", refuse)
     rows = survey_rows(SurveyConfig(specs=specs))
     assert rows == expected and not any(r["error"] for r in rows)
+
+
+def _map_keys(G):
+    return {k for k in G._cache if isinstance(k, tuple) and k[0] in ("quotient", "embedding")}
+
+
+def test_survey_releases_each_rows_maps(monkeypatch):
+    # a row's quotient map and embedding are dropped after its last check,
+    # except on the shared cyclic group of an order, whose maps every group
+    # of that order reuses
+    monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
+    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "C12")))
+    assert len(rows) == 374 + 6 and not any(r["error"] for r in rows)
+    assert _map_keys(construct_group("C2xC2xC2xC2xC2")) == set()
+    C = construct_group("C12")
+    assert C is cyclic_group(12)
+    masks = subgroup_lattice(C).masks
+    assert _map_keys(C) == {(kind, m) for kind in ("quotient", "embedding") for m in masks}
