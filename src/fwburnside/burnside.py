@@ -52,6 +52,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 from .errors import PreconditionError, SpecParseError
 from .groups import bits, left_cosets, quotient_group, subgroup_embedding
@@ -539,19 +540,29 @@ def parse_rational(text):
     raise SpecParseError(f"malformed rational {text!r}")
 
 
+def _nonzero_coeffs(x):
+    """(class, p, q) for each nonzero coefficient p/q of x, read from the
+    integer coefficients: q > 0, the sign on p, in lowest terms as Fraction
+    would print it. Only the nonzero numerators are reduced."""
+    cnum, cden = x._coeff_ints()
+    for c, p in compress(enumerate(cnum), cnum):
+        g = math.gcd(p, cden)
+        yield c, p // g, cden // g
+
+
 def format_element(x):
     lat = subgroup_lattice(x.group)
     parts = []
-    for c, coef in enumerate(x.coeffs):
-        if coef == 0:
-            continue
+    for c, p, q in _nonzero_coeffs(x):
         label = f"[{x.group.label}/{lat.class_label(c)}]"
-        if coef == 1:
+        if q != 1:
+            term = f"{p}/{q}{label}"
+        elif p == 1:
             term = label
-        elif coef == -1:
+        elif p == -1:
             term = f"-{label}"
         else:
-            term = f"{coef}{label}"
+            term = f"{p}{label}"
         parts.append(term)
     if not parts:
         return "0"
@@ -566,12 +577,8 @@ def format_element(x):
 
 def element_to_json(x):
     """Sparse JSON form: [[class_label, "p/q"], ...] over nonzero classes."""
-    lat = subgroup_lattice(x.group)
-    return [
-        [lat.class_label(c), format_rational(coef)]
-        for c, coef in enumerate(x.coeffs)
-        if coef != 0
-    ]
+    labels = subgroup_lattice(x.group).class_labels
+    return [[labels[c], f"{p}/{q}"] for c, p, q in _nonzero_coeffs(x)]
 
 
 def element_from_json(G, data):

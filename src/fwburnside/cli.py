@@ -10,6 +10,12 @@ formats it writes, the first being the default: lattice json|table, marks
 json|csv|table, fw survey csv|json|table, every other verb json. Any other
 --format is a usage error, raised while parsing, before any group is built.
 
+A handler finishes all the algebra and returns its output as an iterable of
+text pieces, which main writes one at a time to stdout or the --out file:
+JSON in batches of encoder chunks, tables and CSV one line per row. So a
+request that fails writes nothing, and a large table is never held as one
+string of cells.
+
 Exit codes: 0 success, 1 usage or parse error, 2 precondition failure
 (order cap or subgroup budget exceeded, non-normal kernel, missing class),
 3 broken internal invariant.
@@ -18,10 +24,12 @@ Exit codes: 0 success, 1 usage or parse error, 2 precondition failure
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import re
 import sys
+from itertools import chain, islice
+from operator import itemgetter
 
 from .burnside import (
     OPERATIONS,
@@ -42,7 +50,7 @@ from .errors import (
 from .fw import check_commutes, fw_apply, fw_context
 from .groups import DEFAULT_ORDER_CAP, construct_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, m_constant, subgroup_lattice
-from .survey import SurveyConfig, full_catalog, survey_rows, write_survey_csv
+from .survey import SURVEY_COLUMNS, SurveyConfig, full_catalog, survey_rows, write_survey_csv
 
 
 class _Usage(Exception):
@@ -104,19 +112,41 @@ def _load_element_data(text):
         raise SpecParseError(f"bad element JSON{where}: {exc}") from exc
 
 
+# Encoder chunks joined per piece: writing chunk by chunk is about five times
+# slower than encoding in one call, and joining them all holds the whole text.
+_JSON_BATCH = 4096
+
+
 def _dump(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as JSON indented by 2, then a newline, in pieces of _JSON_BATCH
+    encoder chunks; together the text one indent=2 encode call gives."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while piece := "".join(islice(chunks, _JSON_BATCH)):
+        yield piece
+    yield "\n"
+
+
+def _table_line(cells, widths):
+    return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
 
 
 def _render_table(headers, rows):
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    """The lines of a text table: each column left-justified to its widest
+    cell, two spaces apart, trailing blanks stripped. rows() returns a fresh
+    iterable of the rows, each cell str(value). A first pass takes the
+    widths without keeping the cells; then one line is yielded per row."""
+    widths = list(map(len, headers))
+    for row in rows():
+        widths = list(map(max, widths, map(len, map(str, row))))
+    yield _table_line(headers, widths)
+    for row in rows():
+        yield _table_line(map(str, row), widths)
+
+
+class _Lines(list):
+    """The strings written to it, one per write, for writers that take a file."""
+
+    write = list.append
 
 
 def _lattice(args):
@@ -170,8 +200,7 @@ def cmd_lattice(args):
     }
     if args.format == "table":
         headers = ("label", "order", "class_size", "normalizer_index")
-        rows = [tuple(str(c[h]) for h in headers) for c in classes]
-        return _render_table(headers, rows)
+        return _render_table(headers, lambda: map(itemgetter(*headers), classes))
     return _dump(payload)
 
 
@@ -181,16 +210,16 @@ def cmd_marks(args):
     tom = table_of_marks(lat)
     labels = [lat.class_label(c) for c in range(lat.n_classes())]
     if args.format == "table":
-        headers = ("class", *labels)
-        rows = [(labels[i], *(str(v) for v in row)) for i, row in enumerate(tom)]
-        return _render_table(headers, rows)
+        return _render_table(
+            ("class", *labels), lambda: ((label, *row) for label, row in zip(labels, tom))
+        )
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("class," + ",".join(labels) + "\n")
-        for i, row in enumerate(tom):
-            buf.write(labels[i] + "," + ",".join(str(v) for v in row) + "\n")
-        return buf.getvalue()
-    return _dump({"group": G.label, "classes": labels, "table": [list(r) for r in tom]})
+        return chain(
+            ("class," + ",".join(labels) + "\n",),
+            (f"{label},{','.join(map(str, row))}\n" for label, row in zip(labels, tom)),
+        )
+    # tuples encode as JSON arrays, so the table is written without a copy
+    return _dump({"group": G.label, "classes": labels, "table": tom})
 
 
 def cmd_idempotents(args):
@@ -288,11 +317,10 @@ def cmd_fw_survey(args):
     if args.format == "json":
         return _dump({"rows": rows})
     if args.format == "table":
-        headers = rows[0].keys() if rows else ()
-        return _render_table(tuple(headers), [tuple(r.values()) for r in rows])
-    buf = io.StringIO()
-    write_survey_csv(rows, buf)
-    return buf.getvalue()
+        return _render_table(SURVEY_COLUMNS, lambda: map(itemgetter(*SURVEY_COLUMNS), rows))
+    lines = _Lines()
+    write_survey_csv(rows, lines)
+    return lines
 
 
 def _verb(sub, name, handler, help, *arguments, formats=("json",)):
@@ -351,7 +379,7 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
-        text = args.handler(args)
+        pieces = args.handler(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -368,12 +396,18 @@ def main(argv=None):
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
+                f.writelines(pieces)
         except OSError as exc:
             print(f"usage error: cannot write output file {out!r}: {exc}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): end quietly, with what is
+            # still buffered sent to devnull so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

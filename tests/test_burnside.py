@@ -408,6 +408,52 @@ def test_format_element_strings(s3):
     assert format_element(zero(s3)) == "0"
 
 
+def _ref_element_to_json(x):
+    """The sparse JSON form read from the dense Fraction coefficients."""
+    lat = subgroup_lattice(x.group)
+    return [
+        [lat.class_label(c), format_rational(coef)]
+        for c, coef in enumerate(x.coeffs)
+        if coef != 0
+    ]
+
+
+def _ref_format_element(x):
+    """format_element written over the dense Fraction coefficients."""
+    lat = subgroup_lattice(x.group)
+    terms = []
+    for c, coef in enumerate(x.coeffs):
+        if coef:
+            label = f"[{x.group.label}/{lat.class_label(c)}]"
+            terms.append({1: label, -1: f"-{label}"}.get(coef, f"{coef}{label}"))
+    if not terms:
+        return "0"
+    return terms[0] + "".join(
+        f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in terms[1:]
+    )
+
+
+@st.composite
+def formatting_cases(draw):
+    G = construct_group(draw(st.sampled_from(["S3", "D8", "Q8", "C2xC2xC2"])))
+    k = subgroup_lattice(G).n_classes()
+    route = draw(st.sampled_from(["coeffs", "marks", "zero"]))
+    if route == "zero":
+        return zero(G)
+    values = draw(coeffs_strategy(k))
+    # coefficients over a common denominator that most numerators share a
+    # factor with, or recovered from marks by back-substitution
+    if route == "coeffs":
+        return BurnsideElement(G, values)
+    return element_from_marks(G, values)
+
+
+@given(formatting_cases())
+def test_formatting_matches_dense_fractions(x):
+    assert element_to_json(x) == _ref_element_to_json(x)
+    assert format_element(x) == _ref_format_element(x)
+
+
 # -- the integer form of an element -----------------------------------------
 
 

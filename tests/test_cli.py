@@ -11,11 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from fwburnside import (
     OPERATIONS,
+    SURVEY_COLUMNS,
     BurnsideElement,
+    SurveyConfig,
     construct_group,
     deflate,
     element_to_json,
     fixed_points,
+    format_rational,
+    idempotent,
     induce,
     inflate,
     operation,
@@ -23,7 +27,10 @@ from fwburnside import (
     restrict,
     subgroup_embedding,
     subgroup_lattice,
+    survey_rows,
+    table_of_marks,
     tensor_induce,
+    write_survey_csv,
 )
 from fwburnside.cli import main, resolve_selector
 
@@ -154,6 +161,161 @@ def test_outputs_are_byte_identical(capsys):
     _, s1, _ = run_cli(capsys, "fw", "survey", "--catalog", "/dev/null")
     _, s2, _ = run_cli(capsys, "fw", "survey", "--catalog", "/dev/null")
     assert s1 == s2
+
+
+# -- byte identity with the one-string rendering --------------------------------
+#
+# The CLI writes its output in pieces; these references build each output as
+# one string, from the engine and the dense Fraction coefficients, and the
+# pieces must join to exactly the same text.
+
+
+def _ref_dump(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _ref_table(headers, rows):
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _ref_lattice(lat, fmt):
+    G = lat.group
+    classes = [
+        {
+            "label": lat.class_label(c),
+            "order": lat.class_rep(c).order,
+            "class_size": len(lat.classes[c]),
+            "normalizer_index": G.n // lat.normalizer(lat.class_rep(c)).order,
+        }
+        for c in range(lat.n_classes())
+    ]
+    if fmt == "table":
+        headers = ("label", "order", "class_size", "normalizer_index")
+        return _ref_table(headers, [tuple(str(c[h]) for h in headers) for c in classes])
+    return _ref_dump(
+        {
+            "group": G.label,
+            "order": G.n,
+            "subgroup_count": len(lat.subgroups),
+            "class_count": lat.n_classes(),
+            "classes": classes,
+            "frattini": lat.class_label_of(lat.frattini()),
+            "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
+        }
+    )
+
+
+def _ref_marks(lat, fmt):
+    tom = table_of_marks(lat)
+    labels = [lat.class_label(c) for c in range(lat.n_classes())]
+    if fmt == "table":
+        rows = [(labels[i], *(str(v) for v in row)) for i, row in enumerate(tom)]
+        return _ref_table(("class", *labels), rows)
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write("class," + ",".join(labels) + "\n")
+        for i, row in enumerate(tom):
+            buf.write(labels[i] + "," + ",".join(str(v) for v in row) + "\n")
+        return buf.getvalue()
+    return _ref_dump({"group": lat.group.label, "classes": labels, "table": [list(r) for r in tom]})
+
+
+def _ref_idempotents(lat, fmt):
+    items = [
+        {
+            "class": lat.class_label(c),
+            "coefficients": [
+                [lat.class_label(k), format_rational(coef)]
+                for k, coef in enumerate(idempotent(lat, c).coeffs)
+                if coef != 0
+            ],
+        }
+        for c in range(lat.n_classes())
+    ]
+    return _ref_dump({"group": lat.group.label, "idempotents": items})
+
+
+_REFERENCES = {"lattice": _ref_lattice, "marks": _ref_marks, "idempotents": _ref_idempotents}
+
+
+@pytest.mark.parametrize(
+    "spec", ["S3", "S4", "Q8", "A4", "D8", "C2xQ8", "C2xS4", "SL(2,3)", "C2xC2xC2xC2xC2"]
+)
+@pytest.mark.parametrize(
+    "verb, fmt",
+    [("lattice", "json"), ("lattice", "table"), ("marks", "json"), ("marks", "csv"),
+     ("marks", "table"), ("idempotents", "json")],
+)
+def test_output_matches_one_string_rendering(capsys, spec, verb, fmt):
+    code, out, err = run_cli(capsys, verb, spec, "--format", fmt)
+    assert code == 0 and err == ""
+    lat = subgroup_lattice(construct_group(spec))
+    assert out == _REFERENCES[verb](lat, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_survey_matches_one_string_rendering(capsys, tmp_path, fmt):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("S3\nQ8\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fw", "survey", "--catalog", str(catalog), "--format", fmt)
+    assert code == 0 and err == ""
+    rows = survey_rows(SurveyConfig(specs=("S3", "Q8")))
+    if fmt == "csv":
+        buf = io.StringIO()
+        write_survey_csv(rows, buf)
+        expected = buf.getvalue()
+    elif fmt == "json":
+        expected = _ref_dump({"rows": rows})
+    else:
+        expected = _ref_table(tuple(rows[0].keys()), [tuple(r.values()) for r in rows])
+    assert out == expected
+
+
+def test_empty_survey_table_prints_the_header(capsys, tmp_path):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("# no groups\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fw", "survey", "--catalog", str(catalog), "--format", "table")
+    assert code == 0
+    assert out == "  ".join(SURVEY_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["marks", "C2xC2xC2xC2xC2xC2xC2"], 2),  # above the subgroup budget
+        (["idempotents", "D7"], 1),
+        (["op", "def", "S4", "order=2:0", "[]"], 2),  # kernel not normal
+    ],
+)
+def test_failed_request_writes_nothing(capsys, tmp_path, argv, expected):
+    # every handler finishes its algebra before the first piece is written
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == expected and out == ""
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_reader_closing_early_ends_quietly():
+    # `fwburnside marks ... | head`: the output (1.3 MB) outgrows the pipe,
+    # so the writes after the reader closes fail with EPIPE
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fwburnside.cli", "marks", "C2xC2xC2xC2xC2", "--format", "table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(5) == b"class"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
