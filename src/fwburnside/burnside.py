@@ -29,7 +29,8 @@ Biset Functors for Finite Groups, 2010):
   tensor induction along an embedding, N-fixed points along a projection.
   The mark at K <= B is the product of the marks of X at
   f^-1(g^-1 K g ∩ f(A)) over the double cosets K g f(A), read through the
-  Mackey table; a projection has one double coset.
+  Mackey table as (class, count) pairs counted from K's conjugates; a
+  projection has one double coset.
 
 Conversion is exact integer arithmetic on the table of marks, which is
 lower triangular in the class order with positive diagonal. The engine
@@ -55,7 +56,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .errors import PreconditionError, SpecParseError
-from .groups import bits, left_cosets, quotient_group, subgroup_embedding
+from .groups import quotient_group, subgroup_embedding
 from .lattice import subgroup_lattice
 
 __all__ = [
@@ -386,58 +387,62 @@ def _push_table(f):
 
 
 def _mackey_table(f):
-    """For each subgroup class of B, with representative K: the classes of
-    f^-1(g^-1 K g ∩ f(A)) in A, one per double coset K g f(A), in the
-    order of their minimal elements g.
+    """(rows, widths): for each subgroup class of B, with representative K,
+    the (class, count) pairs of the A-classes of f^-1(g^-1 K g ∩ f(A)) over
+    the double cosets K g f(A), and the number of those double cosets.
 
-    When K is normal, g^-1 K g ∩ f(A) = K ∩ f(A) for every g and the
-    double cosets are the |B : K f(A)| = |B| |K ∩ f(A)| / (|K| |f(A)|)
-    cosets of the subgroup K f(A), so the row is one class repeated
-    (Bouc 2010). For the other K, the left cosets g f(A) are numbered
-    once, by minimal element; a double coset is the K-orbit of the first
-    unmarked coset. The class of each preimage is read from the masks
-    f(S) of the subgroups S of A that contain ker f."""
+    Counted from the lattice alone. Put F = f(A). The map g -> g^-1 K g
+    sends the double cosets K g F onto the B-conjugates K' of K, and the
+    double cosets sent into one F-orbit of conjugates all pull back to the
+    A-class of f^-1(K' ∩ F). Each K' has |N_B(K)| elements g, and the
+    double coset of g has |K| |F| / |K' ∩ F| elements, so the orbit of K'
+    receives |N_B(K)| |K' ∩ F| / (|K| |N_B(K') ∩ F|) double cosets; it has
+    |F| / |N_B(K') ∩ F| members, so each member K' contributes
+    |N_B(K)| |K' ∩ F| / (|K| |F|). With |N_B(K)| = |B| / (number of
+    conjugates), the count of a class is |B : F| times the sum of
+    |K' ∩ F| over the conjugates K' whose meet pulls back to it, divided
+    by the number of conjugates times |K|, exactly (asserted). A normal K
+    is the case of one conjugate: the one class of f^-1(K ∩ F), |B : K F|
+    times (Bouc 2010). The class of each preimage is read from the masks
+    f(S) of the subgroups S of A that contain ker f; no coset, orbit or
+    conjugate is computed."""
     table = f._cache.get("mackey")
     if table is None:
-        A, B = f.source, f.target
-        alat, blat = subgroup_lattice(A), subgroup_lattice(B)
+        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+        masks = blat.masks
         fmask = f.image_mask()
-        forder = fmask.bit_count()
         ker = f.kernel().mask
         pulled = {
             f.push_mask(S.members): alat.class_of[s]
             for s, S in enumerate(alat.subgroups)
             if S.mask & ker == ker
         }
-        coset_of, reps = None, None
-        rows = []
+        index = f.target.n // fmask.bit_count()  # |B : F|
+        rows, widths, single = [], [], {}
         for cls in blat.classes:
-            kmask = blat.masks[cls[0]]
+            kmask = masks[cls[0]]
             if len(cls) == 1:
                 meet = kmask & fmask
-                count = B.n * meet.bit_count() // (kmask.bit_count() * forder)
-                rows.append((pulled[meet],) * count)
-                continue
-            if coset_of is None:
-                mul, inv, conj = B.mul, B.inv, B.conj_rows()
-                coset_of, reps = left_cosets(B, tuple(bits(fmask)))
-            K = tuple(bits(kmask))
-            marked = [False] * len(reps)
-            entries = []
-            for t, g in enumerate(reps):
-                if marked[t]:
-                    continue
-                for k in K:
-                    marked[coset_of[mul[k][g]]] = True
-                crow = conj[inv[g]]
-                conj_mask = 0
-                for k in K:
-                    conj_mask |= 1 << crow[k]
-                c = pulled.get(conj_mask & fmask)
-                assert c is not None, "preimage of a subgroup must be a subgroup"
-                entries.append(c)
-            rows.append(tuple(entries))
-        table = f._cache["mackey"] = tuple(rows)
+                width = index * meet.bit_count() // kmask.bit_count()
+                pair = (pulled[meet], width)
+                # one row tuple per distinct pair: the garbage collector keeps
+                # a fresh ((c, w),) tracked through a further collection,
+                # which made C2^6's tables (2,825 rows each) a fifth slower
+                row = single.setdefault(pair, (pair,))
+            else:
+                sums = {}
+                for k in cls:
+                    meet = masks[k] & fmask
+                    c = pulled[meet]
+                    sums[c] = sums.get(c, 0) + meet.bit_count()
+                scale = len(cls) * kmask.bit_count()
+                row = tuple((c, index * total // scale) for c, total in sums.items())
+                width = sum(count for _, count in row)
+                # floors sum to less unless every division is exact
+                assert width * scale == index * sum(sums.values()), "counts must be exact"
+            rows.append(row)
+            widths.append(width)
+        table = f._cache["mackey"] = (tuple(rows), tuple(widths))
     return table
 
 
@@ -469,19 +474,20 @@ def tensor_induce(x, f):
     """Multiplicative pushforward along f: A -> B, from the ring of A to
     that of B: X to the A-equivariant maps B -> X. The mark at K <= B is
     the product of the marks of x at f^-1(g^-1 K g ∩ f(A)) over the double
-    cosets K g f(A). Along a subgroup embedding this is tensor induction;
-    along a quotient map there is one double coset, and it gives the
-    N-fixed points."""
+    cosets K g f(A): over each (class, count) pair of K's Mackey row, the
+    mark at the class raised to the count. Along a subgroup embedding this
+    is tensor induction; along a quotient map there is one double coset,
+    and it gives the N-fixed points."""
     _check_over(x, f.source)
     num, den = x.num, x.den
-    rows = _mackey_table(f)
-    # each row's product is over den ** len(row); bring all to the widest
-    width = max(map(len, rows))
+    rows, widths = _mackey_table(f)
+    # each row's product is over den ** its width; bring all to the widest
+    width = max(widths)
     out = []
-    for entries in rows:
-        prod = den ** (width - len(entries))
-        for h in entries:
-            prod *= num[h]
+    for row, w in zip(rows, widths):
+        prod = den ** (width - w)
+        for h, m in row:
+            prod *= num[h] ** m
             if not prod:
                 break
         out.append(prod)

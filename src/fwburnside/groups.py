@@ -366,21 +366,6 @@ def _realize(table, label, hom):
     return f
 
 
-def left_cosets(G, members):
-    """The left cosets gH of the subgroup with these members, numbered by
-    their minimal elements in increasing order: (coset_of, reps), with
-    coset_of[g] the number of gH and reps[t] the minimal element of coset t."""
-    mul = G.mul
-    coset_of, reps = [-1] * G.n, []
-    for g in range(G.n):
-        if coset_of[g] < 0:
-            row = mul[g]
-            for h in members:
-                coset_of[row[h]] = len(reps)
-            reps.append(g)
-    return coset_of, reps
-
-
 def quotient_group(G, N):
     """Projection G -> G/N for a normal subgroup N, cosets numbered by their
     minimal elements in increasing order; cached per (G, N)."""
@@ -396,7 +381,13 @@ def quotient_group(G, N):
         f = GroupHom(G, G, range(G.n))
     else:
         mul = G.mul
-        proj, reps = left_cosets(G, N.members)
+        proj, reps = [-1] * G.n, []
+        for g in range(G.n):
+            if proj[g] < 0:
+                row = mul[g]
+                for h in N.members:
+                    proj[row[h]] = len(reps)
+                reps.append(g)
         table = [[proj[mul[a][b]] for b in reps] for a in reps]
         f = _realize(
             table, f"{G.label}/{N.order}@{N.members[0]}", lambda Q: GroupHom(G, Q, proj)
@@ -677,12 +668,11 @@ def _parse_atom(text, offset):
     if text.startswith("perm:["):
         if not text.endswith("]"):
             raise SpecParseError("perm spec must end with ']'", offset + len(text))
-        body = text[len("perm:[") : -1]
-        gens = [
-            _parse_cycles(part, offset + len("perm:["))
-            for part in body.split(";")
-            if part != ""
-        ]
+        gens, start = [], offset + len("perm:[")
+        for part in text[len("perm:[") : -1].split(";"):
+            if part:
+                gens.append(_parse_cycles(part, start))
+            start += len(part) + 1
         if not gens:
             raise SpecParseError("perm spec has no generators", offset)
         return ("perm", gens, text)

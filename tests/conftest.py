@@ -1,7 +1,7 @@
 from functools import reduce
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 # Exact arithmetic makes per-example timing irrelevant and the group cache
 # makes the first example much slower than the rest, so timing checks are off.
@@ -26,6 +26,28 @@ SURVEY_EXTRAS = (
 def generated(G, gens):
     """The subgroup of G generated by gens, joined one element at a time."""
     return Subgroup(G, reduce(G.join_mask, gens, 1 << G.identity))
+
+
+def cycle_notation(perm):
+    """1-based cycles of a permutation tuple, fixed points included."""
+    seen, out = set(), ""
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = perm[x]
+        out += "(" + ",".join(cycle) + ")"
+    return out
+
+
+# a permutation of points 1..4 times one of points 5..6, so that the groups
+# generated are subdirect products in S4 x S2 and often have order <= 16
+small_perm = st.tuples(st.permutations(range(4)), st.permutations(range(4, 6))).map(
+    lambda pq: tuple(pq[0]) + tuple(pq[1])
+)
 
 
 @pytest.fixture(scope="session")

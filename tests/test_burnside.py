@@ -1,9 +1,10 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwburnside import (
     BurnsideElement,
@@ -35,7 +36,7 @@ from fwburnside import (
     tensor_induce,
     zero,
 )
-from conftest import SURVEY_EXTRAS
+from conftest import SURVEY_EXTRAS, cycle_notation, small_perm
 from fwburnside.burnside import _mackey_table, _push_table
 from fwburnside.groups import mask_of
 from fwburnside.oracles import (
@@ -235,12 +236,40 @@ def test_mackey_table_matches_double_coset_walk(spec):
         qlat = subgroup_lattice(q.target)
         maps += [subgroup_embedding(K) for K in qlat.subgroups]
     for f in maps:
-        assert _mackey_table(f) == mackey_by_double_cosets(f)
-        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
-        assert _push_table(f) == tuple(
-            blat.class_index(Subgroup(f.target, f.push_mask(alat.class_rep(c).members)))
-            for c in range(alat.n_classes())
-        )
+        _assert_class_tables_match_oracles(f)
+
+
+def _assert_class_tables_match_oracles(f):
+    """The Mackey table counts the double-coset walk's rows by class, and the
+    push table holds the class of each pushed mask; returns the walk."""
+    walk = mackey_by_double_cosets(f)
+    rows, widths = _mackey_table(f)
+    assert [sorted(row) for row in rows] == [sorted(Counter(w).items()) for w in walk]
+    assert widths == tuple(map(len, walk))
+    alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+    assert _push_table(f) == tuple(
+        blat.class_index(Subgroup(f.target, f.push_mask(alat.class_rep(c).members)))
+        for c in range(alat.n_classes())
+    )
+    return walk
+
+
+@settings(max_examples=60)
+@given(st.lists(small_perm, min_size=2, max_size=3), st.data())
+def test_random_perm_class_tables_and_tensor_induction_match_oracles(gens, data):
+    # every subgroup embedding and quotient map of a random subgroup of
+    # S4 x S2, and the embeddings out of one drawn quotient
+    G = construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    lat = subgroup_lattice(G)
+    quotients = [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+    q = data.draw(st.sampled_from(quotients))
+    maps = [subgroup_embedding(H) for H in lat.subgroups] + quotients
+    maps += [subgroup_embedding(K) for K in subgroup_lattice(q.target).subgroups]
+    for f in maps:
+        walk = _assert_class_tables_match_oracles(f)
+        for j, marks in enumerate(table_of_marks(subgroup_lattice(f.source))):
+            products = tuple(math.prod(marks[e] for e in entries) for entries in walk)
+            assert tensor_induce(basis_element(f.source, j), f).marks == products
 
 
 @given(coeffs_strategy(4), coeffs_strategy(4))

@@ -286,6 +286,26 @@ def test_parse_error_carries_position():
     assert exc.value.position == 3
 
 
+@pytest.mark.parametrize(
+    "spec, position",
+    [
+        # the error lies in the second or a later generator: the position
+        # is that of the offending cycle, not of the first generator
+        ("perm:[(1,2);(1,x)]", 12),
+        ("C2xperm:[(1,2);(1;2)]", 15),
+        ("perm:[(1,2);(3,4)x]", 17),
+        ("perm:[(1,2);;(3,x)]", 13),
+        # first generators keep their positions
+        ("perm:[(1,x);(1,2)]", 6),
+        ("C2xperm:[(1,2)x]", 14),
+    ],
+)
+def test_perm_parse_error_points_into_its_generator(spec, position):
+    with pytest.raises(SpecParseError) as exc:
+        construct_group(spec)
+    assert exc.value.position == position
+
+
 def test_order_cap():
     with pytest.raises(CapExceededError):
         construct_group("C600")

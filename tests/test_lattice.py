@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SURVEY_EXTRAS, generated
+from conftest import SURVEY_EXTRAS, cycle_notation, generated, small_perm
 from fwburnside import (
     CapExceededError,
     PreconditionError,
@@ -112,32 +112,10 @@ def test_lattice_matches_bruteforce(spec):
     assert sorted(H.mask for H in lat.subgroups) == brute_subgroup_masks(G)
 
 
-def _cycle_notation(perm):
-    """1-based cycles of a permutation tuple, fixed points included."""
-    seen, out = set(), ""
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        cycle, x = [], start
-        while x not in seen:
-            seen.add(x)
-            cycle.append(str(x + 1))
-            x = perm[x]
-        out += "(" + ",".join(cycle) + ")"
-    return out
-
-
-# a permutation of points 1..4 times one of points 5..6, so that the groups
-# generated are subdirect products in S4 x S2 and often have order <= 16
-_small_perm = st.tuples(st.permutations(range(4)), st.permutations(range(4, 6))).map(
-    lambda pq: tuple(pq[0]) + tuple(pq[1])
-)
-
-
 @settings(max_examples=30)
-@given(st.lists(_small_perm, min_size=2, max_size=3))
+@given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_lattice_matches_bruteforce(gens):
-    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     try:
         G = construct_group(spec, cap=16)
     except CapExceededError:
@@ -503,9 +481,9 @@ def test_moebius_matches_all_pairs_recursion(spec):
 
 
 @settings(max_examples=30)
-@given(st.lists(_small_perm, min_size=2, max_size=3))
+@given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_moebius_matches_all_pairs_recursion(gens):
-    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     _assert_moebius_and_idempotents_match_oracles(construct_group(spec))
 
 
@@ -534,9 +512,9 @@ def test_sparse_marks_match_dense_and_fixed_point_count(spec):
 
 
 @settings(max_examples=30)
-@given(st.lists(_small_perm, min_size=2, max_size=3))
+@given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_sparse_marks_match_dense_and_fixed_point_count(gens):
-    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     _assert_sparse_marks_match_dense_and_oracle(construct_group(spec))
 
 
@@ -602,9 +580,9 @@ def test_derived_lattices_match_enumeration(spec):
 
 
 @settings(max_examples=30)
-@given(st.lists(_small_perm, min_size=2, max_size=3), st.data())
+@given(st.lists(small_perm, min_size=2, max_size=3), st.data())
 def test_random_perm_derived_lattices_match_enumeration(gens, data):
-    spec = "perm:[" + ";".join(_cycle_notation(g) for g in gens) + "]"
+    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     G = construct_group(spec)
     lat = subgroup_lattice(G)
     N = lat.class_rep(data.draw(st.sampled_from(lat.normal_class_indices())))
