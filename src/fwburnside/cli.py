@@ -189,19 +189,20 @@ def cmd_lattice(args):
                 "normalizer_index": G.n // lat.normalizer(rep).order,
             }
         )
-    payload = {
-        "group": G.label,
-        "order": G.n,
-        "subgroup_count": len(lat.subgroups),
-        "class_count": lat.n_classes(),
-        "classes": classes,
-        "frattini": lat.class_label_of(lat.frattini()),
-        "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
-    }
     if args.format == "table":
         headers = ("label", "order", "class_size", "normalizer_index")
         return _render_table(headers, lambda: map(itemgetter(*headers), classes))
-    return _dump(payload)
+    return _dump(
+        {
+            "group": G.label,
+            "order": G.n,
+            "subgroup_count": len(lat.subgroups),
+            "class_count": lat.n_classes(),
+            "classes": classes,
+            "frattini": lat.class_label_of(lat.frattini()),
+            "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
+        }
+    )
 
 
 def cmd_marks(args):

@@ -16,6 +16,13 @@ Light's associativity test on them, which is exact for the whole table,
 and conjugation rows compose as conj(x g) = conj(x) o conj(g). Every atom
 and every product is validated.
 
+Subgroups and quotients are realized as one kind of object, a section
+T/S of a parent G with S normal in T (Bouc 2010): a subgroup H is the
+section H/1, and the quotient by N is G/N. The section numbers the cosets of S inside T
+by their minimal elements, so a subgroup keeps G's element order, and
+records its projection from G, from which its subgroup lattice is read
+off G's (lattice.py).
+
 Group-spec grammar (whitespace insignificant):
 
     C<n>            cyclic of order n
@@ -312,9 +319,9 @@ class Subgroup:
 class GroupHom:
     """Homomorphism f: source -> target, images[x] = f(x) by element index.
 
-    Subgroup embeddings and quotient maps are both this type, so the
-    Burnside-ring operations run along one kind of map; tables derived
-    from the map are cached on it.
+    Subgroup embeddings and quotient maps are both this type, the two maps
+    of a section (_section), so the Burnside-ring operations run along one
+    kind of map; tables derived from the map are cached on it.
     """
 
     __slots__ = ("source", "target", "images", "_cache")
@@ -350,68 +357,63 @@ class GroupHom:
         return reduce(or_, map(bit.__getitem__, members), 0)
 
 
-def _realize(table, label, hom):
-    """The map hom(D) to or from the group D with this table, given as
-    lists. D is the canonical cyclic group when the table is addition
-    modulo its size (each row a slice of a doubled range), and
-    otherwise a new group that records the map, so that its subgroup
-    lattice can be read from the parent's (lattice.py); a shared cyclic
-    group keeps its own, whichever parent reached it first."""
-    q = len(table)
+def _section(G, top, bottom, label):
+    """The section T/S of G, for T = top and S = bottom a normal subgroup
+    of T, both as ascending member indices: (D, proj) with proj[g] the
+    coset of S that holds g, numbered by the cosets' minimal elements in
+    increasing order, and -1 for g outside T.
+
+    D is G itself when T/S is all of G, the shared cyclic group when the
+    table is addition modulo its size (each row a slice of a doubled
+    range), and otherwise a new group that records (G, proj), so that its
+    subgroup lattice can be read from G's (lattice.py); a shared cyclic
+    group keeps its own, whichever parent reached it first.
+    """
+    mul = G.mul
+    proj, reps = [-1] * G.n, []
+    for g in top:
+        if proj[g] < 0:
+            row = mul[g]
+            for h in bottom:
+                proj[row[h]] = len(reps)
+            reps.append(g)
+    proj, q = tuple(proj), len(reps)
+    if q == G.n:
+        return G, proj
+    table = [[proj[mul[a][b]] for b in reps] for a in reps]
     double = list(range(q)) * 2
     if all(row == double[i : i + q] for i, row in enumerate(table)):
-        return hom(cyclic_group(q))
+        return cyclic_group(q), proj
     D = Group(table, label)
-    f = D._cache["parent_map"] = hom(D)
-    return f
+    D._cache["section"] = (G, proj)
+    return D, proj
 
 
 def quotient_group(G, N):
-    """Projection G -> G/N for a normal subgroup N, cosets numbered by their
-    minimal elements in increasing order; cached per (G, N)."""
+    """Projection G -> G/N for a normal subgroup N, the section G/N;
+    cached per (G, N)."""
     if N.parent is not G:
         raise PreconditionError("kernel belongs to a different group")
     key = ("quotient", N.mask)
     f = G._cache.get(key)
-    if f is not None:
-        return f
-    if not N.is_normal():
-        raise PreconditionError(f"subgroup of order {N.order} is not normal in {G.label}")
-    if N.order == 1:
-        f = GroupHom(G, G, range(G.n))
-    else:
-        mul = G.mul
-        proj, reps = [-1] * G.n, []
-        for g in range(G.n):
-            if proj[g] < 0:
-                row = mul[g]
-                for h in N.members:
-                    proj[row[h]] = len(reps)
-                reps.append(g)
-        table = [[proj[mul[a][b]] for b in reps] for a in reps]
-        f = _realize(
-            table, f"{G.label}/{N.order}@{N.members[0]}", lambda Q: GroupHom(G, Q, proj)
-        )
-    G._cache[key] = f
+    if f is None:
+        if not N.is_normal():
+            raise PreconditionError(f"subgroup of order {N.order} is not normal in {G.label}")
+        Q, proj = _section(G, range(G.n), N.members, f"{G.label}/{N.order}@{N.members[0]}")
+        f = G._cache[key] = GroupHom(G, Q, proj)
     return f
 
 
 def subgroup_embedding(H):
-    """Inclusion of the subgroup H, realized as a group in its own right;
-    cached per (G, H)."""
+    """Inclusion of the subgroup H, the section H/1, realized as a group in
+    its own right; cached per (G, H)."""
     G = H.parent
     key = ("embedding", H.mask)
     f = G._cache.get(key)
-    if f is not None:
-        return f
-    mem = H.members
-    if H.order == G.n:
-        f = GroupHom(G, G, mem)
-    else:
-        pos = {p: s for s, p in enumerate(mem)}
-        table = [[pos[G.mul[a][b]] for b in mem] for a in mem]
-        f = _realize(table, f"{G.label}>{H.order}@{mem[0]}", lambda D: GroupHom(D, G, mem))
-    G._cache[key] = f
+    if f is None:
+        mem = H.members
+        D, _ = _section(G, mem, (G.identity,), f"{G.label}>{H.order}@{mem[0]}")
+        f = G._cache[key] = GroupHom(D, G, mem)
     return f
 
 

@@ -27,17 +27,16 @@ already listed. Classes of one: when J is normal, N_G(J) = G, so the
 normalizer is not grown by joins, and G's generators, which generate
 N_G(J), act on the zuppos when J is extended.
 
-A group realized from a parent P (groups.py) as a quotient P/N or a
-subgroup H is not enumerated when P's lattice is built: its classes and
-normalizers are read from P's. For P/N this is the correspondence
-theorem: K -> K/N is a bijection from the subgroups of P that contain N
-onto those of P/N, and since (gKg^-1)/N = (gN)(K/N)(gN)^-1 it maps
-P-classes onto P/N-classes, with N_{P/N}(K/N) = N_P(K)/N; so the classes
-of P above N, pushed through the projection, are the classes of P/N, and
-no join or conjugation search is needed. For H the subgroups are P's
-subgroups below H, N_H(K) = N_P(K) ∩ H, and the H-classes split P's
-classes: the H-class of K is its orbit under conjugation by H's
-generators, which is {K} when H <= N_P(K). Either way the (orbits,
+A group D realized as a section T/S of a parent G (groups.py), a
+subgroup H = H/1 or a quotient G/N, is not enumerated when G's lattice
+is built: one rule reads its classes and normalizers from G's. Its
+subgroups are the images K/S of G's subgroups K with S <= K <= T (the
+correspondence theorem), N_D(K/S) is the image of N_G(K) ∩ T, and its
+classes are the T-orbits on those K, since (tKt^-1)/S = (tS)(K/S)(tS)^-1.
+An orbit has one of three outcomes: {K} when T <= N_G(K); K's whole
+G-class when T N_G(K) = G, that is |T| |N_G(K)| = |G| |N_G(K) ∩ T|,
+which holds for every quotient; and otherwise a breadth-first search
+under conjugation by preimages of D's generators. The (orbits,
 normalizer) pair goes through the same sort as an enumerated one, so the
 lattice is the same. The shared canonical cyclic groups keep their own
 enumeration, since many parents reach them.
@@ -58,8 +57,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import groupby
+from operator import or_
 
 from .errors import CapExceededError, PreconditionError
 from .groups import Subgroup, bits, mask_of
@@ -249,91 +249,54 @@ def _subgroup_classes(G, max_subgroups):
     return orbits, normalizer
 
 
-def _quotient_classes(f, plat):
-    """Every subgroup of G/N by conjugacy class, with its normalizer, read
-    from the lattice plat of G along the projection f: G -> G/N by the
-    correspondence theorem (see above): the classes of G above N, pushed
-    through f. Returns (orbits, normalizer) as _subgroup_classes does, in
-    G/N's numbering."""
-    nmask = f.kernel().mask
-    masks, nidx, subgroups = plat.masks, plat.normalizer_idx, plat.subgroups
-    pushed = {}
-
-    def push(k):
-        q = pushed.get(k)
-        if q is None:
-            q = pushed[k] = f.push_mask(subgroups[k].members)
-        return q
-
-    orbits, normalizer = [], {}
-    for cls in plat.classes:
-        # N is normal, so a class lies above N when its representative does
-        if masks[cls[0]] & nmask == nmask:
-            for k in cls:
-                normalizer[push(k)] = push(nidx[k])
-            orbits.append([push(k) for k in cls])
-    return orbits, normalizer
-
-
-def _embedded_classes(f, plat):
-    """Every subgroup of H by conjugacy class, with its normalizer, read
-    from the lattice plat of G along the embedding f: H -> G (see above):
-    G's subgroups below H, N_H(K) = N_G(K) ∩ H, and as the H-class of K
-    its orbit under conjugation by H's generators, {K} alone when H
-    normalizes K. Returns (orbits, normalizer) as _subgroup_classes does,
-    in H's numbering."""
-    G = f.target
-    images = f.images
-    hmask, horder = f.image_mask(), len(images)
-    # the bit in H's numbering of each element of G in H
-    hbit = [0] * G.n
-    for s, x in enumerate(images):
-        hbit[x] = 1 << s
-    conj = G.conj_rows()
-    hgens = [images[s] for s in f.source.generators()]
+def _derived_classes(D):
+    """(orbits, normalizer) of D read from its parent's lattice, when D was
+    realized as a section T/S (groups.py) of a group G whose lattice is
+    built (see above); None otherwise. The orbits and normalizers are in
+    D's numbering, as _subgroup_classes returns them."""
+    record = D._cache.get("section")
+    plat = record and record[0]._cache.get("lattice")
+    if plat is None:
+        return None
+    G, proj = record
+    # S is the coset of the identity, which need not be element 0
+    e = proj[G.identity]
+    tmask = mask_of(g for g, c in enumerate(proj) if c >= 0)
+    smask = mask_of(g for g, c in enumerate(proj) if c == e)
+    torder = tmask.bit_count()
+    bit = [1 << c if c >= 0 else 0 for c in proj]
     masks, nidx, index, subgroups = plat.masks, plat.normalizer_idx, plat.index, plat.subgroups
-    pulled = {}
-
-    def pull(k):
-        d = pulled.get(k)
-        if d is None:
-            d = pulled[k] = sum(map(hbit.__getitem__, subgroups[k].members))
-        return d
-
-    orbits, normalizer = [], {}
-    for k in plat.below(index[hmask]):
-        if pull(k) in normalizer:
+    # the image in D of each subgroup K of G with S <= K <= T
+    image = {
+        k: reduce(or_, map(bit.__getitem__, subgroups[k].members), 0)
+        for k in plat.below(index[tmask])
+        if masks[k] & smask == smask
+    }
+    orbits, normalizer, gens = [], {}, None
+    for k, d in image.items():
+        if d in normalizer:
             continue
-        nmask = masks[nidx[k]] & hmask
-        orbit = [k]
-        if nmask != hmask:
+        nmask = masks[nidx[k]]
+        tnmask = nmask & tmask
+        if tnmask == tmask:
+            orbit = (k,)
+        elif torder * nmask.bit_count() == G.n * tnmask.bit_count():
+            orbit = plat.classes[plat.class_of[k]]
+        else:
+            if gens is None:
+                conj, gens = G.conj_rows(), [proj.index(x) for x in D.generators()]
+            orbit = [k]
             for j in orbit:
                 members = subgroups[j].members
-                for a in hgens:
+                for a in gens:
                     i = index[mask_of(map(conj[a].__getitem__, members))]
                     if i not in orbit:
                         orbit.append(i)
-        assert len(orbit) * nmask.bit_count() == horder, (
-            "class size must equal [H : N_H(K)]"
-        )
+        assert len(orbit) * tnmask.bit_count() == torder, "class size must equal [T : N_T(K)]"
         for j in orbit:
-            normalizer[pull(j)] = pull(index[masks[nidx[j]] & hmask])
-        orbits.append([pull(j) for j in orbit])
+            normalizer[image[j]] = image[index[masks[nidx[j]] & tmask]]
+        orbits.append([image[j] for j in orbit])
     return orbits, normalizer
-
-
-def _derived_classes(G):
-    """(orbits, normalizer) of G read from its parent's lattice, when G was
-    realized as a subgroup or a quotient (groups.py) of a group whose
-    lattice is built; None otherwise."""
-    f = G._cache.get("parent_map")
-    if f is None:
-        return None
-    if f.source is G:
-        plat = f.target._cache.get("lattice")
-        return None if plat is None else _embedded_classes(f, plat)
-    plat = f.source._cache.get("lattice")
-    return None if plat is None else _quotient_classes(f, plat)
 
 
 def _meet_of_maximal(masks, top):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SURVEY_EXTRAS, cycle_notation, generated, small_perm
+from test_burnside import _assert_class_tables_match_oracles
 from fwburnside import (
     CapExceededError,
     PreconditionError,
@@ -562,20 +563,41 @@ def _assert_derived_lattice_matches_enumeration(G, f):
     D = f.source if f.target is G else f.target
     if D is G or D is cyclic_group(D.n):
         return
-    assert D._cache["parent_map"] is f
+    parent, proj = D._cache["section"]
+    assert parent is G
+    if f.source is G:
+        assert proj == f.images
+    else:
+        assert [proj[x] for x in f.images] == list(range(D.n))
+        assert sum(c >= 0 for c in proj) == D.n
     assert _derived_classes(D) is not None
     derived, fresh = SubgroupLattice(D), SubgroupLattice(Group(D.mul, D.label))
     for field in LATTICE_FIELDS:
         assert getattr(derived, field) == getattr(fresh, field), field
 
 
-@pytest.mark.parametrize("spec", full_catalog() + SURVEY_EXTRAS + ("C2xS4xS3", "A6"))
-def test_derived_lattices_match_enumeration(spec):
-    G = construct_group(spec)
+def _sections(G, subgroups=None):
+    """The embeddings of subgroups (by default G's class representatives)
+    and every normal quotient of G."""
     lat = subgroup_lattice(G)
-    maps = [subgroup_embedding(H) for H in lat.subgroups]
-    maps += [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
-    for f in maps:
+    if subgroups is None:
+        subgroups = map(lat.class_rep, range(lat.n_classes()))
+    maps = [subgroup_embedding(H) for H in subgroups]
+    return maps + [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
+
+
+# groups whose sections are checked at class representatives only; between
+# them they reach every outcome of the orbit rule at scale
+CLASS_REP_SPECS = ("S4xS4", "SL(2,7)xC2")
+
+
+@pytest.mark.parametrize(
+    "spec", full_catalog() + SURVEY_EXTRAS + ("C2xS4xS3", "A6") + CLASS_REP_SPECS
+)
+def test_derived_lattices_match_enumeration(spec):
+    G = construct_group(spec, cap=None)
+    lat = subgroup_lattice(G)
+    for f in _sections(G, None if spec in CLASS_REP_SPECS else lat.subgroups):
         _assert_derived_lattice_matches_enumeration(G, f)
 
 
@@ -589,6 +611,31 @@ def test_random_perm_derived_lattices_match_enumeration(gens, data):
     H = data.draw(st.sampled_from(lat.subgroups))
     for f in (quotient_group(G, N), subgroup_embedding(N), subgroup_embedding(H)):
         _assert_derived_lattice_matches_enumeration(G, f)
+
+
+# a permutation group on points 1..4, as a perm: spec
+small_perm_spec = st.lists(st.permutations(range(4)), min_size=1, max_size=2).map(
+    lambda gens: "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+)
+
+
+@settings(max_examples=75)
+@given(small_perm_spec, small_perm_spec, st.data())
+def test_random_product_sections_match_enumeration_and_oracles(left, right, data):
+    # the sections of a direct product of order <= 64, and those of one of
+    # its realized sections, so sections of sections too
+    assume(construct_group(left).n * construct_group(right).n <= 64)
+    G = construct_group(f"{left}x{right}")
+    maps = _sections(G)
+    for f in maps:
+        _assert_derived_lattice_matches_enumeration(G, f)
+        _assert_class_tables_match_oracles(f)
+    realized = [D for f in maps for D in (f.source, f.target) if "section" in D._cache]
+    if realized:
+        D = data.draw(st.sampled_from(realized))
+        for g in _sections(D):
+            _assert_derived_lattice_matches_enumeration(D, g)
+            _assert_class_tables_match_oracles(g)
 
 
 @pytest.mark.parametrize("spec", ["S4", "SL(2,3)", "C2xS4", "S3xS3"])
