@@ -366,24 +366,31 @@ def _map_classes(x, target, table):
     tlat = subgroup_lattice(target)
     cnum, cden = x._coeff_ints()
     out = [0] * tlat.n_classes()
-    for c, v in enumerate(cnum):
-        if v:
-            out[table[c]] += v
+    for c, v in compress(enumerate(cnum), cnum):
+        out[table[c]] += v
     coeffs = _reduce(out, cden)
     return _element(target, *_marks_from_coeffs(tlat, *coeffs), coeffs)
 
 
+def _push_classes(f, classes):
+    """The map's push cache, filled at the given subgroup classes of A: at
+    class c, the class in B of the image f(K) of c's representative,
+    read from its image mask; -1 where not yet read."""
+    alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+    push = f._cache.get("push")
+    if push is None:
+        push = f._cache["push"] = [-1] * alat.n_classes()
+    for c in classes:
+        if push[c] < 0:
+            K = alat.subgroups[alat.reps[c]]
+            push[c] = blat.class_of[blat.index[f.push_mask(K.members)]]
+    return push
+
+
 def _push_table(f):
-    """For each subgroup class of A: the class of the image f(K) in B, read
-    from the image mask of K's representative."""
-    table = f._cache.get("push")
-    if table is None:
-        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
-        subgroups, index, class_of = alat.subgroups, blat.index, blat.class_of
-        table = f._cache["push"] = tuple(
-            class_of[index[f.push_mask(subgroups[r].members)]] for r in alat.reps
-        )
-    return table
+    """For each subgroup class of A: the class of the image f(K) in B, the
+    whole push cache filled."""
+    return tuple(_push_classes(f, range(subgroup_lattice(f.source).n_classes())))
 
 
 def _mackey_table(f):
@@ -464,10 +471,12 @@ def restrict(x, f):
 
 def induce(x, f):
     """Pushforward along f: A -> B, from the ring of A to that of B: X to
-    B x_A X. A class map: [A/K] goes to [B/f(K)]. Along a subgroup
+    B x_A X. A class map: [A/K] goes to [B/f(K)], pushed only for the
+    classes K where x has a nonzero coefficient. Along a subgroup
     embedding this is induction, along a quotient map deflation."""
     _check_over(x, f.source)
-    return _map_classes(x, f.target, _push_table(f))
+    cnum = x._coeff_ints()[0]
+    return _map_classes(x, f.target, _push_classes(f, compress(range(len(cnum)), cnum)))
 
 
 def tensor_induce(x, f):

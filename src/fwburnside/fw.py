@@ -23,7 +23,7 @@ from functools import cached_property
 from .burnside import _gather, _idempotent_sum, format_element, idempotent, operation
 from .errors import PreconditionError
 from .groups import cyclic_group
-from .lattice import divisors, m_constant, m_cyclic, subgroup_lattice
+from .lattice import check_gcd_property, divisors, m_constant, m_cyclic, subgroup_lattice
 
 __all__ = [
     "FwContext",
@@ -32,6 +32,7 @@ __all__ = [
     "Certificate",
     "CommutativityReport",
     "check_commutes",
+    "commutes_by_orders",
     "check_m_equality",
 ]
 
@@ -162,15 +163,69 @@ def check_commutes(ctx, op, sub):
     return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
 
 
+def commutes_by_orders(ctx, op, sub):
+    """Whether the square of op ("inf", "ind" or "ten") at sub commutes:
+    check_commutes(ctx, op, sub).commutes, decided in one scan of G's
+    subgroup masks that stops at the first subgroup against it. No section
+    is realized, no lattice but G's is read and no idempotent is built.
+
+    Both routes are read off subgroup orders. Over a group of order m the
+    lift of C_m's idempotent e[d] has mark [|L| = d] at each subgroup L,
+    since the lift gathers marks by subgroup order; every operand of the
+    walk is such a lift, and the square commutes iff the two routes have
+    equal marks at every K <= G for every d.
+
+    - inf along G -> G/N. Inflation gathers through K -> KN/N, of order
+      |K| / |K ∩ N|, so the left mark at K is [|K| / |K ∩ N| = d]. In C
+      the image has order |K| / gcd(|K|, |N|), so the right mark is
+      [|K| / gcd(|K|, |N|) = d]. They agree at every d iff
+      |K ∩ N| = gcd(|K|, |N|) for every K <= G: N's gcd property.
+    - ten along H -> G. The left mark at K is the product of
+      [|g^-1 K g ∩ H| = d] over the double cosets K g H, and every
+      conjugate of K is some g^-1 K g, so it is 1 iff every conjugate K'
+      has |K' ∩ H| = d. In C every meet is the subgroup of order
+      gcd(|K|, |H|), so the right mark is [gcd(|K|, |H|) = d]. If every
+      K <= G has |K ∩ H| = gcd(|K|, |H|), the two agree at every K and d;
+      if some K does not, at d = gcd(|K|, |H|) the right mark at K is 1
+      and the left is 0. So the square commutes iff H has the gcd
+      property, over all subgroups of G, not only class representatives.
+    - ind along H -> G. The mark of Ind x at K is (1/|H|) times the sum
+      of x's marks at g^-1 K g over the g in G with g^-1 K g <= H, so the
+      left mark at K is [|K| = d] times the mark of [G/H] at K, the
+      number of cosets of H that K fixes. In C every subgroup is normal,
+      so the right mark is [|K| = d] [G : H]. K fixes all [G : H] cosets
+      iff K lies in every conjugate of H, that is in core_G(H). So the
+      square commutes iff every K <= G whose order divides |H| lies in
+      core_G(H), and that holds iff every such K lies in H: the
+      conjugates of H are among those K, so then H is normal and is its
+      own core.
+    """
+    if op not in ("inf", "ind", "ten"):
+        raise PreconditionError(f"orders decide inf, ind and ten, not {op!r}")
+    lat = subgroup_lattice(ctx.G)
+    c = lat.class_index(sub)  # raises for a subgroup of another group
+    if op == "ind":
+        hm, h = sub.mask, sub.order
+        for m in lat.masks:  # ascending by order
+            k = m.bit_count()
+            if k > h:
+                break
+            if h % k == 0 and m & hm != m:
+                return False
+        return True
+    if op == "inf" and not lat.is_normal_class(c):
+        raise PreconditionError(f"subgroup of order {sub.order} is not normal in {ctx.G.label}")
+    return check_gcd_property(ctx.G, sub)
+
+
 def check_m_equality(G, N):
     """Whether m(T, N) matches the cyclic closed form for every T >= N."""
     lat = subgroup_lattice(G)
-    if not N.is_normal():
+    if not lat.is_normal_class(lat.class_index(N)):
         raise PreconditionError("m-equality scan expects N normal in G")
-    for c in range(lat.n_classes()):
-        T = lat.class_rep(c)
-        if T.mask & N.mask != N.mask:
-            continue
+    masks, nm = lat.masks, N.mask
+    for r in [r for r in lat.reps if masks[r] & nm == nm]:
+        T = lat.subgroups[r]
         if m_constant(lat, T, N) != m_cyclic(T.order, N.order):
             return False
     return True

@@ -556,7 +556,5 @@ def m_cyclic(t, n):
 def check_gcd_property(G, N):
     """Whether |H ∩ N| = gcd(|H|, |N|) for every subgroup H of G."""
     nm, no = N.mask, N.order
-    for H in subgroup_lattice(G).subgroups:
-        if (H.mask & nm).bit_count() != math.gcd(H.order, no):
-            return False
-    return True
+    gcd = math.gcd
+    return all((m & nm).bit_count() == gcd(m.bit_count(), no) for m in subgroup_lattice(G).masks)

@@ -1,6 +1,12 @@
 """Catalog survey: one row per (group, conjugacy class of normal subgroups)
 recording the structural predicates next to the four commutativity outcomes.
 
+The inf, ind and ten outcomes are read off the orders in G's subgroup
+lattice (fw.commutes_by_orders), with no section realized and no
+idempotent built. Deflation has no such reading, so its outcome comes from
+the walk over the idempotent basis (fw.check_commutes), along the quotient
+map G -> G/N.
+
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
 catalog always produces a complete, deterministic table.
@@ -12,7 +18,7 @@ import csv
 from collections import namedtuple
 
 from .errors import AlgebraError
-from .fw import check_commutes, check_m_equality, fw_context
+from .fw import check_commutes, check_m_equality, commutes_by_orders, fw_context
 from .groups import DEFAULT_ORDER_CAP, construct_group, release_maps
 from .lattice import DEFAULT_SUBGROUP_BUDGET, check_gcd_property, subgroup_lattice
 
@@ -76,8 +82,8 @@ def _bool(v):
 
 def survey_rows(config):
     """One row dict per (group, normal subgroup class), in catalog order.
-    Each row's quotient map and embedding are released after its last
-    check, so a group's survey holds one row's maps at a time."""
+    Each row's quotient map is released after its deflation check, so a
+    group's survey holds one row's maps at a time."""
     rows = []
     for spec in config.specs:
         order = ""  # known once the group is built, even if its lattice is refused
@@ -104,8 +110,9 @@ def survey_rows(config):
                 row["cyclic"] = _bool(N.is_cyclic())
                 row["central"] = _bool(N.mask & G.center().mask == N.mask)
                 row["m_equal"] = _bool(check_m_equality(G, N))
-                for op in ("inf", "ind", "ten", "def"):
-                    row[f"commutes_{op}"] = _bool(check_commutes(ctx, op, N).commutes)
+                for op in ("inf", "ind", "ten"):
+                    row[f"commutes_{op}"] = _bool(commutes_by_orders(ctx, op, N))
+                row["commutes_def"] = _bool(check_commutes(ctx, "def", N).commutes)
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)
             release_maps(N)

@@ -37,8 +37,8 @@ from fwburnside import (
     zero,
 )
 from conftest import SURVEY_EXTRAS, cycle_notation, small_perm
-from fwburnside.burnside import _mackey_table, _push_table
-from fwburnside.groups import mask_of
+from fwburnside.burnside import _mackey_table, _map_classes, _push_table
+from fwburnside.groups import mask_of, release_maps
 from fwburnside.oracles import (
     check_subgroup,
     coset_space,
@@ -270,6 +270,32 @@ def test_random_perm_class_tables_and_tensor_induction_match_oracles(gens, data)
         for j, marks in enumerate(table_of_marks(subgroup_lattice(f.source))):
             products = tuple(math.prod(marks[e] for e in entries) for entries in walk)
             assert tensor_induce(basis_element(f.source, j), f).marks == products
+
+
+@pytest.mark.parametrize("spec", ["S4", "C2xQ8", "SL(2,3)xC2"])
+def test_deflation_pushes_only_the_classes_it_reads(spec):
+    # on a fresh quotient map, deflating [G/K] pushes K's class alone, and
+    # gives what the class map over the full push table gives (compared by
+    # marks and coefficients, since each fresh map realizes its own G/N)
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    for n in lat.normal_class_indices():
+        N = lat.class_rep(n)
+        deflated = []
+        for c in range(lat.n_classes()):
+            release_maps(N)
+            f = quotient_group(G, N)
+            deflated.append(induce(basis_element(G, c), f))
+            assert [j for j, b in enumerate(f._cache["push"]) if b >= 0] == [c]
+        qlat = subgroup_lattice(f.target)
+        table = tuple(
+            qlat.class_index(Subgroup(f.target, f.push_mask(lat.class_rep(c).members)))
+            for c in range(lat.n_classes())
+        )
+        assert _push_table(f) == table
+        for c, y in enumerate(deflated):
+            z = _map_classes(basis_element(G, c), f.target, table)
+            assert (y.marks, y.coeffs) == (z.marks, z.coeffs), (spec, n, c)
 
 
 @given(coeffs_strategy(4), coeffs_strategy(4))

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwburnside import (
     BurnsideElement,
@@ -12,6 +12,7 @@ from fwburnside import (
     check_commutes,
     check_gcd_property,
     check_m_equality,
+    commutes_by_orders,
     construct_group,
     cyclic_group,
     fw_apply,
@@ -43,6 +44,8 @@ from fwburnside.propositions import (
     t_constant,
 )
 from fwburnside.survey import full_catalog
+
+from conftest import cycle_notation, small_perm
 
 
 def coeffs_strategy(k):
@@ -229,6 +232,52 @@ def test_check_commutes_rejects_bad_inputs(q8):
     other = construct_group("S3")
     with pytest.raises(PreconditionError):
         check_commutes(ctx, "def", other.center())
+
+
+def test_commutes_by_orders_rejects_bad_inputs(s4):
+    ctx = fw_context(s4)
+    lat = subgroup_lattice(s4)
+    H = lat.class_rep(3)
+    assert not lat.is_normal_class(3)
+    for op in ("def", "res", "fix", "bogus"):
+        with pytest.raises(PreconditionError):
+            commutes_by_orders(ctx, op, s4.center())
+    with pytest.raises(PreconditionError, match="is not normal in S4"):
+        commutes_by_orders(ctx, "inf", H)
+    with pytest.raises(PreconditionError, match="different group"):
+        commutes_by_orders(ctx, "ten", construct_group("S3").center())
+
+
+def _assert_orders_decide_like_the_walk(G):
+    """commutes_by_orders agrees with check_commutes: inf on every normal
+    class, ind and ten on every class."""
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in range(lat.n_classes()):
+        H = lat.class_rep(c)
+        ops = ("inf", "ind", "ten") if lat.is_normal_class(c) else ("ind", "ten")
+        for op in ops:
+            walked = check_commutes(ctx, op, H).commutes
+            assert commutes_by_orders(ctx, op, H) == walked, (G.label, op, c)
+
+
+ORDER_VERDICT_EXTRAS = (
+    "S5", "SL(2,7)", "D128", "C2xC2xC2xC2xC2", "C2xS4", "C2xQ8", "C4xC4",
+    "SL(2,3)xC2", "C2xD8xS3", "Dic24", "C4xS3",
+)
+
+
+@pytest.mark.parametrize("spec", full_catalog() + ORDER_VERDICT_EXTRAS)
+def test_commutes_by_orders_matches_walk(spec):
+    _assert_orders_decide_like_the_walk(construct_group(spec))
+
+
+@settings(max_examples=150)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_commutes_by_orders_matches_walk(gens):
+    _assert_orders_decide_like_the_walk(
+        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    )
 
 
 def test_def_counterexample_certificate():

@@ -51,14 +51,17 @@ def _map_keys(G):
 
 
 def test_survey_releases_each_rows_maps(monkeypatch):
-    # a row's quotient map and embedding are dropped after its last check,
-    # except on the shared cyclic group of an order, whose maps every group
-    # of that order reuses
+    # a row's quotient map is dropped after its deflation check, except on
+    # the shared cyclic group of an order, whose maps every group of that
+    # order reuses; inf, ind and ten are read off G's lattice, so the survey
+    # realizes no subgroup embedding at all
     monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
     rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "C12")))
     assert len(rows) == 374 + 6 and not any(r["error"] for r in rows)
     assert _map_keys(construct_group("C2xC2xC2xC2xC2")) == set()
     C = construct_group("C12")
     assert C is cyclic_group(12)
-    masks = subgroup_lattice(C).masks
-    assert _map_keys(C) == {(kind, m) for kind in ("quotient", "embedding") for m in masks}
+    assert _map_keys(C) == {("quotient", m) for m in subgroup_lattice(C).masks}
+    touched = list(fwburnside.groups._GROUP_CACHE.values())
+    touched += [C._cache[k].target for k in _map_keys(C)]
+    assert not any(k[0] == "embedding" for G in touched for k in _map_keys(G))
