@@ -8,6 +8,10 @@ subgroup of C. On idempotents it acts by e_D -> sum of the same-order
 idempotents, so each change-of-group operation either commutes with the
 lift or fails on some idempotent; check_commutes walks the idempotent
 basis in ascending divisor order and reports the first counterexample.
+The survey decides the same squares without realizing a section of G:
+commutes_by_orders reads inf, ind and ten off G's subgroup orders, and
+deflation_commutes compares deflation's two routes inside B(G), through
+G's own table of marks.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
@@ -19,10 +23,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import compress
 
-from .burnside import _gather, _idempotent_sum, format_element, idempotent, operation
+from .burnside import (
+    _gather,
+    _idempotent_sum,
+    _marks_table,
+    deflate,
+    format_element,
+    idempotent,
+    operation,
+)
 from .errors import PreconditionError
-from .groups import cyclic_group
+from .groups import cyclic_group, quotient_group
 from .lattice import check_gcd_property, divisors, m_constant, m_cyclic, subgroup_lattice
 
 __all__ = [
@@ -33,6 +46,7 @@ __all__ = [
     "CommutativityReport",
     "check_commutes",
     "commutes_by_orders",
+    "deflation_commutes",
     "check_m_equality",
 ]
 
@@ -216,6 +230,78 @@ def commutes_by_orders(ctx, op, sub):
     if op == "inf" and not lat.is_normal_class(c):
         raise PreconditionError(f"subgroup of order {sub.order} is not normal in {ctx.G.label}")
     return check_gcd_property(ctx.G, sub)
+
+
+def deflation_commutes(ctx, N):
+    """Whether the square of deflation along G -> G/N commutes:
+    check_commutes(ctx, "def", N).commutes, decided inside B(G) over the
+    same idempotents e[d] in ascending d, stopping at the first mismatch.
+    No section of G is realized: of G, only its lattice and its cached
+    sparse table of marks are read.
+
+    Inflation along G -> G/N is injective: Inf x has mark x(L/N) at each
+    L >= N, and every subgroup of G/N is such an L/N. So the two routes
+    agree in B(G/N) iff their inflations agree in B(G), and the marks of
+    those at the classes L >= N are what is compared.
+
+    - Left route. Def [G/K] = [(G/N)/(KN/N)], whose inflation is the
+      G-set [G/KN], so Inf Def lift(e[d]) is the sum of c_K [G/KN] over
+      the coefficients c_K of the lifted idempotent. KN is the union of
+      N's cosets over K's members, and its marks are its row of G's table.
+    - Right route. Def e[d] is computed in the shared cyclic ring of order
+      |G| / |N|, as the walk does, and lifted to G/N by a gather through
+      subgroup orders, so its inflation has at L >= N the mark of Def e[d]
+      at order |L| / |N|.
+    """
+    G = ctx.G
+    lat = subgroup_lattice(G)
+    c = lat.class_index(N)  # raises for a subgroup of another group
+    if not lat.is_normal_class(c):
+        raise PreconditionError(f"subgroup of order {N.order} is not normal in {G.label}")
+    rows, cols, _ = _marks_table(lat)
+    # the classes L >= N: those whose row has a mark at N's column
+    above = (c,) + tuple(i for i, _ in cols[c])
+    f_c = quotient_group(ctx.C, ctx.c_subgroup(N.order))
+    qlat = subgroup_lattice(f_c.target)  # cyclic, one class "<m>:0" per order m
+    at = [qlat.class_by_label(f"{lat.class_order(j) // N.order}:0") for j in above]
+    clat = subgroup_lattice(ctx.C)
+    reps, index, class_of = lat.reps, lat.index, lat.class_of
+    mul, nm, nmembers = G.mul, N.mask, N.members
+    cosets, pushed = {}, {}  # element -> mask of its coset of N; class of K -> of KN
+
+    def push(k):
+        km = nm
+        for g in lat.subgroups[reps[k]].members:
+            if not (km >> g) & 1:
+                coset = cosets.get(g)
+                if coset is None:
+                    row, coset = mul[g], 0
+                    for h in nmembers:
+                        coset |= 1 << row[h]
+                    cosets[g] = coset
+                km |= coset
+        j = pushed[k] = class_of[index[km]]
+        return j
+
+    for d in divisors(G.n):
+        cnum, cden = ctx.lifted_idempotent(d)._coeff_ints()
+        out = {}
+        for k, v in compress(enumerate(cnum), cnum):
+            j = pushed.get(k)
+            if j is None:
+                j = push(k)
+            out[j] = out.get(j, 0) + v
+        acc = [0] * len(rows)
+        for j, v in out.items():
+            if v:
+                for col, t in rows[j]:
+                    acc[col] += v * t
+        right = deflate(idempotent(clat, ctx.c_class(d)), f_c)
+        rnum, rden = right.num, right.den
+        for j, q in zip(above, at):
+            if acc[j] * rden != rnum[q] * cden:
+                return False
+    return True
 
 
 def check_m_equality(G, N):

@@ -417,17 +417,6 @@ def subgroup_embedding(H):
     return f
 
 
-def release_maps(N):
-    """Drop the quotient by N and the embedding of N from the cache of N's
-    group, and with them the groups and tables realized along them. The
-    shared cyclic group of an order keeps its maps, since every group of
-    that order reuses them."""
-    G = N.parent
-    if _GROUP_CACHE.get(f"C{G.n}") is not G:
-        G._cache.pop(("quotient", N.mask), None)
-        G._cache.pop(("embedding", N.mask), None)
-
-
 # -- concrete tables ----------------------------------------------------------
 
 

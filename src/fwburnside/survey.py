@@ -3,9 +3,10 @@ recording the structural predicates next to the four commutativity outcomes.
 
 The inf, ind and ten outcomes are read off the orders in G's subgroup
 lattice (fw.commutes_by_orders), with no section realized and no
-idempotent built. Deflation has no such reading, so its outcome comes from
-the walk over the idempotent basis (fw.check_commutes), along the quotient
-map G -> G/N.
+idempotent built. Deflation has no such reading: its outcome comes from
+the two routes over the idempotent basis, compared inside B(G) through
+G's own table of marks (fw.deflation_commutes), so no quotient of G is
+realized either; only the shared cyclic ring's quotient maps are used.
 
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
@@ -18,8 +19,8 @@ import csv
 from collections import namedtuple
 
 from .errors import AlgebraError
-from .fw import check_commutes, check_m_equality, commutes_by_orders, fw_context
-from .groups import DEFAULT_ORDER_CAP, construct_group, release_maps
+from .fw import check_m_equality, commutes_by_orders, deflation_commutes, fw_context
+from .groups import DEFAULT_ORDER_CAP, construct_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, check_gcd_property, subgroup_lattice
 
 __all__ = ["SurveyConfig", "SURVEY_COLUMNS", "full_catalog", "survey_rows", "write_survey_csv"]
@@ -81,9 +82,7 @@ def _bool(v):
 
 
 def survey_rows(config):
-    """One row dict per (group, normal subgroup class), in catalog order.
-    Each row's quotient map is released after its deflation check, so a
-    group's survey holds one row's maps at a time."""
+    """One row dict per (group, normal subgroup class), in catalog order."""
     rows = []
     for spec in config.specs:
         order = ""  # known once the group is built, even if its lattice is refused
@@ -112,10 +111,9 @@ def survey_rows(config):
                 row["m_equal"] = _bool(check_m_equality(G, N))
                 for op in ("inf", "ind", "ten"):
                     row[f"commutes_{op}"] = _bool(commutes_by_orders(ctx, op, N))
-                row["commutes_def"] = _bool(check_commutes(ctx, "def", N).commutes)
+                row["commutes_def"] = _bool(deflation_commutes(ctx, N))
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)
-            release_maps(N)
             rows.append(row)
     return rows
 

@@ -15,6 +15,7 @@ from fwburnside import (
     commutes_by_orders,
     construct_group,
     cyclic_group,
+    deflation_commutes,
     fw_apply,
     fw_context,
     identity_element,
@@ -276,6 +277,48 @@ def test_commutes_by_orders_matches_walk(spec):
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_commutes_by_orders_matches_walk(gens):
     _assert_orders_decide_like_the_walk(
+        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    )
+
+
+def test_deflation_commutes_rejects_bad_inputs(s4):
+    ctx = fw_context(s4)
+    lat = subgroup_lattice(s4)
+    H = lat.class_rep(3)
+    assert not lat.is_normal_class(3)
+    with pytest.raises(PreconditionError) as realized:
+        quotient_group(s4, H)
+    with pytest.raises(PreconditionError) as decided:
+        deflation_commutes(ctx, H)
+    assert str(decided.value) == str(realized.value) == "subgroup of order 3 is not normal in S4"
+    with pytest.raises(PreconditionError, match="different group"):
+        deflation_commutes(ctx, construct_group("S3").center())
+
+
+def _assert_deflation_decides_like_the_walk(G):
+    """deflation_commutes agrees with check_commutes on every normal class."""
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in lat.normal_class_indices():
+        N = lat.class_rep(c)
+        walked = check_commutes(ctx, "def", N).commutes
+        assert deflation_commutes(ctx, N) == walked, (G.label, c)
+
+
+DEFLATION_VERDICT_EXTRAS = ORDER_VERDICT_EXTRAS + (
+    "C3xC3xC3", "Q16xC3", "C2xC2xQ8", "S4xS4",
+)
+
+
+@pytest.mark.parametrize("spec", full_catalog() + DEFLATION_VERDICT_EXTRAS)
+def test_deflation_commutes_matches_walk(spec):
+    _assert_deflation_decides_like_the_walk(construct_group(spec, cap=None))
+
+
+@settings(max_examples=150)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_deflation_commutes_matches_walk(gens):
+    _assert_deflation_decides_like_the_walk(
         construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
     )
 

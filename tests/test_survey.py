@@ -50,15 +50,25 @@ def _map_keys(G):
     return {k for k in G._cache if isinstance(k, tuple) and k[0] in ("quotient", "embedding")}
 
 
-def test_survey_releases_each_rows_maps(monkeypatch):
-    # a row's quotient map is dropped after its deflation check, except on
-    # the shared cyclic group of an order, whose maps every group of that
-    # order reuses; inf, ind and ten are read off G's lattice, so the survey
-    # realizes no subgroup embedding at all
+def test_survey_realizes_no_quotient_of_a_noncyclic_group(monkeypatch):
+    # every column is decided inside G's lattice and table of marks, so the
+    # survey realizes no quotient and no subgroup of a non-cyclic G; only
+    # deflation's cyclic route runs along quotient maps, those of the shared
+    # cyclic group of an order, which every group of that order reuses
     monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
-    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "C12")))
-    assert len(rows) == 374 + 6 and not any(r["error"] for r in rows)
-    assert _map_keys(construct_group("C2xC2xC2xC2xC2")) == set()
+    real, parents = fwburnside.groups.quotient_group, []
+
+    def counting(G, N):
+        parents.append(G)
+        return real(G, N)
+
+    for module in (fwburnside, fwburnside.groups, fwburnside.burnside, fwburnside.fw):
+        monkeypatch.setattr(module, "quotient_group", counting)
+    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "S4", "C12")))
+    assert len(rows) == 374 + 4 + 6 and not any(r["error"] for r in rows)
+    surveyed = [construct_group(spec) for spec in ("C2xC2xC2xC2xC2", "S4")]
+    assert parents and not any(G in surveyed for G in parents)
+    assert all(_map_keys(G) == set() for G in surveyed)
     C = construct_group("C12")
     assert C is cyclic_group(12)
     assert _map_keys(C) == {("quotient", m) for m in subgroup_lattice(C).masks}
