@@ -372,25 +372,17 @@ def _map_classes(x, target, table):
     return _element(target, *_marks_from_coeffs(tlat, *coeffs), coeffs)
 
 
-def _push_classes(f, classes):
-    """The map's push cache, filled at the given subgroup classes of A: at
-    class c, the class in B of the image f(K) of c's representative,
-    read from its image mask; -1 where not yet read."""
-    alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
-    push = f._cache.get("push")
-    if push is None:
-        push = f._cache["push"] = [-1] * alat.n_classes()
-    for c in classes:
-        if push[c] < 0:
-            K = alat.subgroups[alat.reps[c]]
-            push[c] = blat.class_of[blat.index[f.push_mask(K.members)]]
-    return push
-
-
 def _push_table(f):
-    """For each subgroup class of A: the class of the image f(K) in B, the
-    whole push cache filled."""
-    return tuple(_push_classes(f, range(subgroup_lattice(f.source).n_classes())))
+    """For each subgroup class of A: the class in B of the image f(K) of
+    its representative, read from the image mask; cached on the map."""
+    table = f._cache.get("push")
+    if table is None:
+        alat, blat = subgroup_lattice(f.source), subgroup_lattice(f.target)
+        table = f._cache["push"] = tuple(
+            blat.class_of[blat.index[f.push_mask(alat.subgroups[r].members)]]
+            for r in alat.reps
+        )
+    return table
 
 
 def _mackey_table(f):
@@ -425,28 +417,18 @@ def _mackey_table(f):
             if S.mask & ker == ker
         }
         index = f.target.n // fmask.bit_count()  # |B : F|
-        rows, widths, single = [], [], {}
+        rows, widths = [], []
         for cls in blat.classes:
-            kmask = masks[cls[0]]
-            if len(cls) == 1:
-                meet = kmask & fmask
-                width = index * meet.bit_count() // kmask.bit_count()
-                pair = (pulled[meet], width)
-                # one row tuple per distinct pair: the garbage collector keeps
-                # a fresh ((c, w),) tracked through a further collection,
-                # which made C2^6's tables (2,825 rows each) a fifth slower
-                row = single.setdefault(pair, (pair,))
-            else:
-                sums = {}
-                for k in cls:
-                    meet = masks[k] & fmask
-                    c = pulled[meet]
-                    sums[c] = sums.get(c, 0) + meet.bit_count()
-                scale = len(cls) * kmask.bit_count()
-                row = tuple((c, index * total // scale) for c, total in sums.items())
-                width = sum(count for _, count in row)
-                # floors sum to less unless every division is exact
-                assert width * scale == index * sum(sums.values()), "counts must be exact"
+            sums = {}
+            for k in cls:
+                meet = masks[k] & fmask
+                c = pulled[meet]
+                sums[c] = sums.get(c, 0) + meet.bit_count()
+            scale = len(cls) * masks[cls[0]].bit_count()
+            row = tuple((c, index * total // scale) for c, total in sums.items())
+            width = sum(count for _, count in row)
+            # floors sum to less unless every division is exact
+            assert width * scale == index * sum(sums.values()), "counts must be exact"
             rows.append(row)
             widths.append(width)
         table = f._cache["mackey"] = (tuple(rows), tuple(widths))
@@ -471,12 +453,11 @@ def restrict(x, f):
 
 def induce(x, f):
     """Pushforward along f: A -> B, from the ring of A to that of B: X to
-    B x_A X. A class map: [A/K] goes to [B/f(K)], pushed only for the
-    classes K where x has a nonzero coefficient. Along a subgroup
-    embedding this is induction, along a quotient map deflation."""
+    B x_A X. A class map through the push table: [A/K] goes to [B/f(K)].
+    Along a subgroup embedding this is induction, along a quotient map
+    deflation."""
     _check_over(x, f.source)
-    cnum = x._coeff_ints()[0]
-    return _map_classes(x, f.target, _push_classes(f, compress(range(len(cnum)), cnum)))
+    return _map_classes(x, f.target, _push_table(f))
 
 
 def tensor_induce(x, f):

@@ -18,10 +18,10 @@ and every product is validated.
 
 Subgroups and quotients are realized as one kind of object, a section
 T/S of a parent G with S normal in T (Bouc 2010): a subgroup H is the
-section H/1, and the quotient by N is G/N. The section numbers the cosets of S inside T
-by their minimal elements, so a subgroup keeps G's element order, and
-records its projection from G, from which its subgroup lattice is read
-off G's (lattice.py).
+section H/1, and the quotient by N is G/N. The section numbers the cosets
+of S inside T by their minimal elements, so a subgroup keeps G's element
+order, and records its parent G, which the subgroup budget reads
+(lattice.py).
 
 Group-spec grammar (whitespace insignificant):
 
@@ -321,7 +321,7 @@ class GroupHom:
 
     Subgroup embeddings and quotient maps are both this type, the two maps
     of a section (_section), so the Burnside-ring operations run along one
-    kind of map; tables derived from the map are cached on it.
+    kind of map; its push and Mackey tables (burnside.py) are cached on it.
     """
 
     __slots__ = ("source", "target", "images", "_cache")
@@ -365,9 +365,8 @@ def _section(G, top, bottom, label):
 
     D is G itself when T/S is all of G, the shared cyclic group when the
     table is addition modulo its size (each row a slice of a doubled
-    range), and otherwise a new group that records (G, proj), so that its
-    subgroup lattice can be read from G's (lattice.py); a shared cyclic
-    group keeps its own, whichever parent reached it first.
+    range), and otherwise a new group that records its parent G, so that
+    the subgroup budget exempts it once G's lattice is built (lattice.py).
     """
     mul = G.mul
     proj, reps = [-1] * G.n, []
@@ -385,7 +384,7 @@ def _section(G, top, bottom, label):
     if all(row == double[i : i + q] for i, row in enumerate(table)):
         return cyclic_group(q), proj
     D = Group(table, label)
-    D._cache["section"] = (G, proj)
+    D._cache["section"] = G
     return D, proj
 
 

@@ -27,19 +27,11 @@ already listed. Classes of one: when J is normal, N_G(J) = G, so the
 normalizer is not grown by joins, and G's generators, which generate
 N_G(J), act on the zuppos when J is extended.
 
-A group D realized as a section T/S of a parent G (groups.py), a
-subgroup H = H/1 or a quotient G/N, is not enumerated when G's lattice
-is built: one rule reads its classes and normalizers from G's. Its
-subgroups are the images K/S of G's subgroups K with S <= K <= T (the
-correspondence theorem), N_D(K/S) is the image of N_G(K) ∩ T, and its
-classes are the T-orbits on those K, since (tKt^-1)/S = (tS)(K/S)(tS)^-1.
-An orbit has one of three outcomes: {K} when T <= N_G(K); K's whole
-G-class when T N_G(K) = G, that is |T| |N_G(K)| = |G| |N_G(K) ∩ T|,
-which holds for every quotient; and otherwise a breadth-first search
-under conjugation by preimages of D's generators. The (orbits,
-normalizer) pair goes through the same sort as an enumerated one, so the
-lattice is the same. The shared canonical cyclic groups keep their own
-enumeration, since many parents reach them.
+A group realized as a section T/S of a parent G (groups.py), a subgroup
+H = H/1 or a quotient G/N, is enumerated like any other group. It records
+its parent, so that the subgroup budget can exempt it when the parent's
+lattice is built: by the correspondence theorem its subgroups are the
+images of G's subgroups K with S <= K <= T, never more than G has.
 
 Subgroups are ordered by (order, sorted member indices); conjugacy-class
 representatives are the minimal subgroups of their classes under that
@@ -57,9 +49,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import groupby
-from operator import or_
 
 from .errors import CapExceededError, PreconditionError
 from .groups import Subgroup, bits, mask_of
@@ -249,56 +240,6 @@ def _subgroup_classes(G, max_subgroups):
     return orbits, normalizer
 
 
-def _derived_classes(D):
-    """(orbits, normalizer) of D read from its parent's lattice, when D was
-    realized as a section T/S (groups.py) of a group G whose lattice is
-    built (see above); None otherwise. The orbits and normalizers are in
-    D's numbering, as _subgroup_classes returns them."""
-    record = D._cache.get("section")
-    plat = record and record[0]._cache.get("lattice")
-    if plat is None:
-        return None
-    G, proj = record
-    # S is the coset of the identity, which need not be element 0
-    e = proj[G.identity]
-    tmask = mask_of(g for g, c in enumerate(proj) if c >= 0)
-    smask = mask_of(g for g, c in enumerate(proj) if c == e)
-    torder = tmask.bit_count()
-    bit = [1 << c if c >= 0 else 0 for c in proj]
-    masks, nidx, index, subgroups = plat.masks, plat.normalizer_idx, plat.index, plat.subgroups
-    # the image in D of each subgroup K of G with S <= K <= T
-    image = {
-        k: reduce(or_, map(bit.__getitem__, subgroups[k].members), 0)
-        for k in plat.below(index[tmask])
-        if masks[k] & smask == smask
-    }
-    orbits, normalizer, gens = [], {}, None
-    for k, d in image.items():
-        if d in normalizer:
-            continue
-        nmask = masks[nidx[k]]
-        tnmask = nmask & tmask
-        if tnmask == tmask:
-            orbit = (k,)
-        elif torder * nmask.bit_count() == G.n * tnmask.bit_count():
-            orbit = plat.classes[plat.class_of[k]]
-        else:
-            if gens is None:
-                conj, gens = G.conj_rows(), [proj.index(x) for x in D.generators()]
-            orbit = [k]
-            for j in orbit:
-                members = subgroups[j].members
-                for a in gens:
-                    i = index[mask_of(map(conj[a].__getitem__, members))]
-                    if i not in orbit:
-                        orbit.append(i)
-        assert len(orbit) * tnmask.bit_count() == torder, "class size must equal [T : N_T(K)]"
-        for j in orbit:
-            normalizer[image[j]] = image[index[masks[nidx[j]] & tmask]]
-        orbits.append([image[j] for j in orbit])
-    return orbits, normalizer
-
-
 def _meet_of_maximal(masks, top):
     """top intersected with each of the masks that no other one contains."""
     for m in masks:
@@ -328,11 +269,15 @@ class SubgroupLattice:
     )
 
     def __init__(self, G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
-        """max_subgroups bounds an enumeration from scratch; a lattice read
-        from the parent's is never larger than the parent's."""
+        """max_subgroups bounds the enumeration, except for a section of a
+        parent whose lattice is built: it has no more subgroups than the
+        parent."""
         self.group = G
         self._cache = {}
-        orbits, normalizer = _derived_classes(G) or _subgroup_classes(G, max_subgroups)
+        parent = G._cache.get("section")
+        if parent is not None and "lattice" in parent._cache:
+            max_subgroups = None
+        orbits, normalizer = _subgroup_classes(G, max_subgroups)
         keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in normalizer)
         masks = [m for _, _, m in keyed]
         self.subgroups = tuple(Subgroup(G, m, members) for _, members, m in keyed)
@@ -516,8 +461,8 @@ class SubgroupLattice:
 
 def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
     """The (cached) subgroup lattice of G. Building it raises
-    CapExceededError when G has more than max_subgroups subgroups and its
-    lattice is enumerated from scratch; None means no bound."""
+    CapExceededError when G has more than max_subgroups subgroups, unless
+    G is a section of a group whose lattice is built; None means no bound."""
     lat = G._cache.get("lattice")
     if lat is None:
         lat = SubgroupLattice(G, max_subgroups)

@@ -25,7 +25,7 @@ from fwburnside import (
 )
 from fwburnside.burnside import _coeffs_from_marks, _marks_table
 from fwburnside.groups import Group, bits, mask_of
-from fwburnside.lattice import SubgroupLattice, _derived_classes, divisors
+from fwburnside.lattice import SubgroupLattice, divisors
 from fwburnside.oracles import (
     check_subgroup,
     double_cosets,
@@ -434,7 +434,6 @@ def test_quotient_lattice_is_the_interval_above_the_kernel(q8):
     assert len(above) == 5  # Z, three C4, Q8
     qm = quotient_group(q8, Z)
     qlat = SubgroupLattice(qm.target)
-    assert _derived_classes(qm.target) is not None
     assert sorted(qm.push_mask(H.members) for H in above) == sorted(qlat.masks)
     assert sorted(qm.pull_mask(m) for m in qlat.masks) == sorted(H.mask for H in above)
     for H in above:
@@ -553,27 +552,29 @@ def test_marks_and_idempotents_read_only_representatives():
     assert len(lat.reps) < len(lat.subgroups)
 
 
-LATTICE_FIELDS = ("masks", "classes", "normalizer_idx", "reps", "class_labels")
-
-
-def _assert_derived_lattice_matches_enumeration(G, f):
-    """The lattice of the group f realizes from G, read from G's, equals the
-    one cyclic extension enumerates for a copy of its table. G itself and
-    the shared cyclic groups keep their own enumeration."""
-    D = f.source if f.target is G else f.target
-    if D is G or D is cyclic_group(D.n):
-        return
-    parent, proj = D._cache["section"]
-    assert parent is G
-    if f.source is G:
-        assert proj == f.images
-    else:
-        assert [proj[x] for x in f.images] == list(range(D.n))
-        assert sum(c >= 0 for c in proj) == D.n
-    assert _derived_classes(D) is not None
-    derived, fresh = SubgroupLattice(D), SubgroupLattice(Group(D.mul, D.label))
-    for field in LATTICE_FIELDS:
-        assert getattr(derived, field) == getattr(fresh, field), field
+def _assert_section_lattice_matches_parent(G, f):
+    """The lattice of the section T/S of G that f realizes agrees with G's
+    by the correspondence theorem: its subgroups are the images of G's
+    subgroups K with S <= K <= T, the normalizer of each is the image of
+    N_G(K) ∩ T, and its class has [T : N_G(K) ∩ T] members."""
+    lat = subgroup_lattice(G)
+    if f.source is G:  # the projection onto G/S
+        D, tmask, smask = f.target, (1 << G.n) - 1, f.kernel().mask
+        image = lambda m: f.push_mask(bits(m))
+    else:  # the embedding of T, with S = 1
+        D, tmask, smask = f.source, f.image_mask(), 1 << G.identity
+        image = f.pull_mask
+    if D is not G and D is not cyclic_group(D.n):
+        assert D._cache["section"] is G
+    dlat = subgroup_lattice(D)
+    interval = [k for k, m in enumerate(lat.masks) if m & smask == smask and m & ~tmask == 0]
+    assert sorted(image(lat.masks[k]) for k in interval) == sorted(dlat.masks)
+    torder = tmask.bit_count()
+    for k in interval:
+        d = dlat.index[image(lat.masks[k])]
+        nmask = lat.masks[lat.normalizer_idx[k]] & tmask
+        assert dlat.masks[dlat.normalizer_idx[d]] == image(nmask)
+        assert len(dlat.classes[dlat.class_of[d]]) * nmask.bit_count() == torder
 
 
 def _sections(G, subgroups=None):
@@ -586,8 +587,8 @@ def _sections(G, subgroups=None):
     return maps + [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
 
 
-# groups whose sections are checked at class representatives only; between
-# them they reach every outcome of the orbit rule at scale
+# groups whose sections are checked at the embeddings of class
+# representatives only, which bounds their cost
 CLASS_REP_SPECS = ("S4xS4", "SL(2,7)xC2")
 
 
@@ -595,22 +596,23 @@ CLASS_REP_SPECS = ("S4xS4", "SL(2,7)xC2")
     "spec", full_catalog() + SURVEY_EXTRAS + ("C2xS4xS3", "A6") + CLASS_REP_SPECS
 )
 def test_derived_lattices_match_enumeration(spec):
+    # each section's enumerated lattice against its parent's
     G = construct_group(spec, cap=None)
     lat = subgroup_lattice(G)
     for f in _sections(G, None if spec in CLASS_REP_SPECS else lat.subgroups):
-        _assert_derived_lattice_matches_enumeration(G, f)
+        _assert_section_lattice_matches_parent(G, f)
 
 
 @settings(max_examples=30)
 @given(st.lists(small_perm, min_size=2, max_size=3), st.data())
-def test_random_perm_derived_lattices_match_enumeration(gens, data):
+def test_random_perm_section_lattices_match_parent(gens, data):
     spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     G = construct_group(spec)
     lat = subgroup_lattice(G)
     N = lat.class_rep(data.draw(st.sampled_from(lat.normal_class_indices())))
     H = data.draw(st.sampled_from(lat.subgroups))
     for f in (quotient_group(G, N), subgroup_embedding(N), subgroup_embedding(H)):
-        _assert_derived_lattice_matches_enumeration(G, f)
+        _assert_section_lattice_matches_parent(G, f)
 
 
 # a permutation group on points 1..4, as a perm: spec
@@ -621,20 +623,20 @@ small_perm_spec = st.lists(st.permutations(range(4)), min_size=1, max_size=2).ma
 
 @settings(max_examples=75)
 @given(small_perm_spec, small_perm_spec, st.data())
-def test_random_product_sections_match_enumeration_and_oracles(left, right, data):
+def test_random_product_sections_match_parent_and_oracles(left, right, data):
     # the sections of a direct product of order <= 64, and those of one of
     # its realized sections, so sections of sections too
     assume(construct_group(left).n * construct_group(right).n <= 64)
     G = construct_group(f"{left}x{right}")
     maps = _sections(G)
     for f in maps:
-        _assert_derived_lattice_matches_enumeration(G, f)
+        _assert_section_lattice_matches_parent(G, f)
         _assert_class_tables_match_oracles(f)
     realized = [D for f in maps for D in (f.source, f.target) if "section" in D._cache]
     if realized:
         D = data.draw(st.sampled_from(realized))
         for g in _sections(D):
-            _assert_derived_lattice_matches_enumeration(D, g)
+            _assert_section_lattice_matches_parent(D, g)
             _assert_class_tables_match_oracles(g)
 
 
@@ -667,14 +669,19 @@ def test_subgroup_budget_counts_every_subgroup():
     assert len(subgroup_lattice(_fresh("S4"), max_subgroups=None).subgroups) == 30
 
 
-def test_subgroup_budget_exempts_derived_lattices():
-    # A4 and S3 are read from S4's lattice, which is never smaller
+def test_subgroup_budget_exempts_sections():
+    # A4 and S3 are sections of S4, whose lattice is built and never smaller
     S4 = _fresh("S4")
     lat = subgroup_lattice(S4)
     A4 = next(H for H in lat.subgroups if H.order == 12)
     V4 = next(H for H in lat.subgroups if H.order == 4 and H.is_normal())
     assert len(subgroup_lattice(subgroup_embedding(A4).source, max_subgroups=1).subgroups) == 10
     assert len(subgroup_lattice(quotient_group(S4, V4).target, max_subgroups=1).subgroups) == 6
+    # a section of a parent whose lattice is not built is held to the budget
+    S4 = _fresh("S4")
+    A4 = Subgroup(S4, A4.mask)
+    with pytest.raises(CapExceededError, match="more than 1 subgroups"):
+        subgroup_lattice(subgroup_embedding(A4).source, max_subgroups=1)
 
 
 def test_default_subgroup_budget_admits_s4xs4():
