@@ -8,10 +8,12 @@ subgroup of C. On idempotents it acts by e_D -> sum of the same-order
 idempotents, so each change-of-group operation either commutes with the
 lift or fails on some idempotent; check_commutes walks the idempotent
 basis in ascending divisor order and reports the first counterexample.
-The survey decides the same squares without realizing a section of G:
-commutes_by_orders reads inf, ind and ten off G's subgroup orders, and
-deflation_commutes compares deflation's two routes inside B(G), through
-G's own table of marks.
+The survey decides the same squares without realizing a section of G or
+of C: commutes_by_orders reads inf, ind and ten off G's subgroup orders,
+and deflation_commutes compares deflation's route through G, read off
+G's own table of marks, with the cyclic route's closed form in (d, |N|).
+check_m_equality reads its classes off the same table, and both compare
+integers only.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
@@ -24,19 +26,19 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress
+from math import gcd
 
 from .burnside import (
     _gather,
     _idempotent_sum,
     _marks_table,
-    deflate,
     format_element,
     idempotent,
     operation,
 )
 from .errors import PreconditionError
-from .groups import cyclic_group, quotient_group
-from .lattice import check_gcd_property, divisors, m_constant, m_cyclic, subgroup_lattice
+from .groups import cyclic_group
+from .lattice import check_gcd_property, divisors, subgroup_lattice, totient
 
 __all__ = [
     "FwContext",
@@ -232,39 +234,47 @@ def commutes_by_orders(ctx, op, sub):
     return check_gcd_property(ctx.G, sub)
 
 
+def _classes_above(lat, N):
+    """The classes of the subgroups L >= N, for N normal in G: N's own class
+    and the rows with a mark at N's column in the sparse table of marks.
+    [G/L] has a nonzero mark at N iff N lies in a conjugate of L, and as N
+    is normal, that holds iff N lies in L and in every conjugate of L."""
+    c = lat.class_index(N)  # raises for a subgroup of another group
+    if not lat.is_normal_class(c):
+        raise PreconditionError(f"subgroup of order {N.order} is not normal in {lat.group.label}")
+    return (c,) + tuple(i for i, _ in _marks_table(lat)[1][c])
+
+
 def deflation_commutes(ctx, N):
     """Whether the square of deflation along G -> G/N commutes:
     check_commutes(ctx, "def", N).commutes, decided inside B(G) over the
     same idempotents e[d] in ascending d, stopping at the first mismatch.
-    No section of G is realized: of G, only its lattice and its cached
-    sparse table of marks are read.
+    No section of G or of C is realized and no idempotent of C is built:
+    of G, only its lattice and its cached sparse table of marks are read.
 
     Inflation along G -> G/N is injective: Inf x has mark x(L/N) at each
     L >= N, and every subgroup of G/N is such an L/N. So the two routes
     agree in B(G/N) iff their inflations agree in B(G), and the marks of
     those at the classes L >= N are what is compared.
 
+    - e[1] is skipped: it is (1/n)[X/1] over a group X of order n, and
+      Def [X/1] = [(X/N)/1], so both routes give (1/|G|)[(G/N)/1].
     - Left route. Def [G/K] = [(G/N)/(KN/N)], whose inflation is the
       G-set [G/KN], so Inf Def lift(e[d]) is the sum of c_K [G/KN] over
       the coefficients c_K of the lifted idempotent. KN is the union of
       N's cosets over K's members, and its marks are its row of G's table.
-    - Right route. Def e[d] is computed in the shared cyclic ring of order
-      |G| / |N|, as the walk does, and lifted to G/N by a gather through
-      subgroup orders, so its inflation has at L >= N the mark of Def e[d]
-      at order |L| / |N|.
+    - Right route, in closed form. In C every normalizer is C, so Bouc's
+      Def e_D = t(D, C_N) e_{D C_N / C_N} reads Def e[d] = r e[d/g] along
+      C -> C/C_N, with g = gcd(d, |N|) and r = phi(d) / (|N| phi(d/g))
+      (propositions.r_constant). Lifted to G/N and inflated, its mark at
+      L >= N is r [|L| / |N| = d/g].
     """
     G = ctx.G
     lat = subgroup_lattice(G)
-    c = lat.class_index(N)  # raises for a subgroup of another group
-    if not lat.is_normal_class(c):
-        raise PreconditionError(f"subgroup of order {N.order} is not normal in {G.label}")
-    rows, cols, _ = _marks_table(lat)
-    # the classes L >= N: those whose row has a mark at N's column
-    above = (c,) + tuple(i for i, _ in cols[c])
-    f_c = quotient_group(ctx.C, ctx.c_subgroup(N.order))
-    qlat = subgroup_lattice(f_c.target)  # cyclic, one class "<m>:0" per order m
-    at = [qlat.class_by_label(f"{lat.class_order(j) // N.order}:0") for j in above]
-    clat = subgroup_lattice(ctx.C)
+    above = _classes_above(lat, N)
+    rows = _marks_table(lat)[0]
+    n = N.order
+    at = [lat.class_order(j) // n for j in above]  # |L| / |N|
     reps, index, class_of = lat.reps, lat.index, lat.class_of
     mul, nm, nmembers = G.mul, N.mask, N.members
     cosets, pushed = {}, {}  # element -> mask of its coset of N; class of K -> of KN
@@ -283,7 +293,7 @@ def deflation_commutes(ctx, N):
         j = pushed[k] = class_of[index[km]]
         return j
 
-    for d in divisors(G.n):
+    for d in divisors(G.n)[1:]:
         cnum, cden = ctx.lifted_idempotent(d)._coeff_ints()
         out = {}
         for k, v in compress(enumerate(cnum), cnum):
@@ -296,22 +306,34 @@ def deflation_commutes(ctx, N):
             if v:
                 for col, t in rows[j]:
                     acc[col] += v * t
-        right = deflate(idempotent(clat, ctx.c_class(d)), f_c)
-        rnum, rden = right.num, right.den
-        for j, q in zip(above, at):
-            if acc[j] * rden != rnum[q] * cden:
+        # acc[j] / cden == r [|L| / |N| = d/g], times cden |N| phi(d/g)
+        q = d // gcd(d, n)
+        scale, hit = n * totient(q), totient(d) * cden
+        for j, o in zip(above, at):
+            if acc[j] * scale != (hit if o == q else 0):
                 return False
     return True
 
 
 def check_m_equality(G, N):
-    """Whether m(T, N) matches the cyclic closed form for every T >= N."""
+    """Whether m(T, N) matches the cyclic closed form for every T >= N.
+
+    The classes T >= N are read from N's column of G's sparse table of
+    marks, and each is compared in integers: m(T, N) = s / |T|, where s
+    is the sum of |X| mu(X, T) over X <= T with XN = T (lattice.m_constant),
+    and the cyclic form is phi(|T|) / (|N| phi(|T| / |N|))
+    (lattice.m_cyclic)."""
     lat = subgroup_lattice(G)
-    if not lat.is_normal_class(lat.class_index(N)):
-        raise PreconditionError("m-equality scan expects N normal in G")
-    masks, nm = lat.masks, N.mask
-    for r in [r for r in lat.reps if masks[r] & nm == nm]:
-        T = lat.subgroups[r]
-        if m_constant(lat, T, N) != m_cyclic(T.order, N.order):
+    masks, reps, nm, n = lat.masks, lat.reps, N.mask, N.order
+    for c in _classes_above(lat, N):
+        r = reps[c]
+        t = masks[r].bit_count()
+        s = 0
+        for x, mu in lat.mu_column(r).items():
+            xm = masks[x]
+            xo = xm.bit_count()
+            if xo * n == t * (xm & nm).bit_count():  # XN = T
+                s += xo * mu
+        if s * n * totient(t // n) != totient(t) * t:
             return False
     return True

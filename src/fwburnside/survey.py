@@ -3,10 +3,13 @@ recording the structural predicates next to the four commutativity outcomes.
 
 The inf, ind and ten outcomes are read off the orders in G's subgroup
 lattice (fw.commutes_by_orders), with no section realized and no
-idempotent built. Deflation has no such reading: its outcome comes from
-the two routes over the idempotent basis, compared inside B(G) through
-G's own table of marks (fw.deflation_commutes), so no quotient of G is
-realized either; only the shared cyclic ring's quotient maps are used.
+idempotent built: for a normal subgroup, inf and ten are its gcd
+property, read once per row. Deflation has no such reading: its outcome
+comes from the two routes over the idempotent basis, compared inside
+B(G) through G's own table of marks, against the cyclic route's closed
+form (fw.deflation_commutes). So the survey realizes no quotient or
+subgroup of any group, cyclic ones included, and builds no idempotent of
+the cyclic group.
 
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
@@ -105,12 +108,15 @@ def survey_rows(config):
             row["subgroup"] = f"order={lat.class_label(c)}"
             row["sub_order"] = str(N.order)
             try:
-                row["gcd"] = _bool(check_gcd_property(G, N))
+                # for normal N, inf and ten commute iff N has the gcd
+                # property (fw.commutes_by_orders), so it is read once
+                gcd = row["gcd"] = _bool(check_gcd_property(G, N))
                 row["cyclic"] = _bool(N.is_cyclic())
                 row["central"] = _bool(N.mask & G.center().mask == N.mask)
                 row["m_equal"] = _bool(check_m_equality(G, N))
-                for op in ("inf", "ind", "ten"):
-                    row[f"commutes_{op}"] = _bool(commutes_by_orders(ctx, op, N))
+                row["commutes_inf"] = gcd
+                row["commutes_ind"] = _bool(commutes_by_orders(ctx, "ind", N))
+                row["commutes_ten"] = gcd
                 row["commutes_def"] = _bool(deflation_commutes(ctx, N))
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,6 +16,7 @@ from fwburnside import (
     commutes_by_orders,
     construct_group,
     cyclic_group,
+    deflate,
     deflation_commutes,
     fw_apply,
     fw_context,
@@ -26,8 +28,9 @@ from fwburnside import (
     subgroup_lattice,
 )
 from fwburnside.burnside import _coeffs_from_marks
+from fwburnside.fw import _route_pairs
 from fwburnside.groups import Subgroup, mask_of
-from fwburnside.lattice import divisors
+from fwburnside.lattice import divisors, m_constant, m_cyclic, totient
 from fwburnside.oracles import (
     check_subgroup,
     coset_space,
@@ -319,6 +322,63 @@ def test_deflation_commutes_matches_walk(spec):
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_deflation_commutes_matches_walk(gens):
     _assert_deflation_decides_like_the_walk(
+        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    )
+
+
+@pytest.mark.parametrize("spec", full_catalog() + ORDER_VERDICT_EXTRAS)
+def test_deflation_square_commutes_at_e1(spec):
+    # both routes give (1/|G|)[(G/N)/1], which is why deflation_commutes
+    # starts at the second divisor
+    G = construct_group(spec)
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in lat.normal_class_indices():
+        label, left, right = next(_route_pairs(ctx, "def", lat.class_rep(c)))
+        assert label == "e[1]" and left == right, (spec, c)
+        assert left == Fraction(1, G.n) * basis_element(left.group, 0), (spec, c)
+
+
+def test_cyclic_deflation_closed_form():
+    # along C_n -> C_n/C_m, Def e[d] = r e[d/g] with g = gcd(d, m) and
+    # r = phi(d) / (m phi(d/g)): the cyclic route deflation_commutes reads
+    for n in range(1, 121):
+        ctx = fw_context(cyclic_group(n))
+        lat = subgroup_lattice(ctx.C)
+        for m in divisors(n):
+            f = quotient_group(ctx.C, ctx.c_subgroup(m))
+            qlat = subgroup_lattice(f.target)
+            for d in divisors(n):
+                q = d // math.gcd(d, m)
+                r = Fraction(totient(d), m * totient(q))
+                closed = r * idempotent(qlat, qlat.class_by_label(f"{q}:0"))
+                assert deflate(idempotent(lat, ctx.c_class(d)), f) == closed, (n, m, d)
+                assert r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(m)) == r, (n, m, d)
+
+
+def _assert_m_equality_matches_fraction_reference(G):
+    """check_m_equality against m_constant == m_cyclic as Fractions, over
+    the class representatives that contain N."""
+    lat = subgroup_lattice(G)
+    for c in lat.normal_class_indices():
+        N = lat.class_rep(c)
+        expected = all(
+            m_constant(lat, T, N) == m_cyclic(T.order, N.order)
+            for T in map(lat.class_rep, range(lat.n_classes()))
+            if T.mask & N.mask == N.mask
+        )
+        assert check_m_equality(G, N) == expected, (G.label, c)
+
+
+@pytest.mark.parametrize("spec", full_catalog() + ORDER_VERDICT_EXTRAS)
+def test_m_equality_matches_fraction_reference(spec):
+    _assert_m_equality_matches_fraction_reference(construct_group(spec))
+
+
+@settings(max_examples=150)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_m_equality_matches_fraction_reference(gens):
+    _assert_m_equality_matches_fraction_reference(
         construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
     )
 
