@@ -8,12 +8,10 @@ subgroup of C. On idempotents it acts by e_D -> sum of the same-order
 idempotents, so each change-of-group operation either commutes with the
 lift or fails on some idempotent; check_commutes walks the idempotent
 basis in ascending divisor order and reports the first counterexample.
-The survey decides the same squares without realizing a section of G or
-of C: commutes_by_orders reads inf, ind and ten off G's subgroup orders,
-and deflation_commutes compares deflation's route through G, read off
-G's own table of marks, with the cyclic route's closed form in (d, |N|).
-check_m_equality reads its classes off the same table, and both compare
-integers only.
+deflation_commutes decides the deflation square without that walk, from
+G's lattice and Moebius function alone: Bouc's Def e_H = t(H, N) e_{HN/N}
+on G's side against its cyclic closed form Def e[d] = r e[d/g], compared
+in integers. check_m_equality reads the same classes and the same m-sums.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import compress
 from math import gcd
 
 from .burnside import (
@@ -38,7 +35,7 @@ from .burnside import (
 )
 from .errors import PreconditionError
 from .groups import cyclic_group
-from .lattice import check_gcd_property, divisors, subgroup_lattice, totient
+from .lattice import divisors, m_sum, subgroup_lattice, totient
 
 __all__ = [
     "FwContext",
@@ -47,7 +44,6 @@ __all__ = [
     "Certificate",
     "CommutativityReport",
     "check_commutes",
-    "commutes_by_orders",
     "deflation_commutes",
     "check_m_equality",
 ]
@@ -97,8 +93,7 @@ class FwContext:
         x = self._lifted.get(d)
         if x is None:
             glat = subgroup_lattice(self.G)
-            classes = [c for c in range(glat.n_classes()) if glat.class_order(c) == d]
-            x = self._lifted[d] = _idempotent_sum(glat, classes)
+            x = self._lifted[d] = _idempotent_sum(glat, glat.classes_of_order(d))
         return x
 
 
@@ -179,61 +174,6 @@ def check_commutes(ctx, op, sub):
     return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
 
 
-def commutes_by_orders(ctx, op, sub):
-    """Whether the square of op ("inf", "ind" or "ten") at sub commutes:
-    check_commutes(ctx, op, sub).commutes, decided in one scan of G's
-    subgroup masks that stops at the first subgroup against it. No section
-    is realized, no lattice but G's is read and no idempotent is built.
-
-    Both routes are read off subgroup orders. Over a group of order m the
-    lift of C_m's idempotent e[d] has mark [|L| = d] at each subgroup L,
-    since the lift gathers marks by subgroup order; every operand of the
-    walk is such a lift, and the square commutes iff the two routes have
-    equal marks at every K <= G for every d.
-
-    - inf along G -> G/N. Inflation gathers through K -> KN/N, of order
-      |K| / |K ∩ N|, so the left mark at K is [|K| / |K ∩ N| = d]. In C
-      the image has order |K| / gcd(|K|, |N|), so the right mark is
-      [|K| / gcd(|K|, |N|) = d]. They agree at every d iff
-      |K ∩ N| = gcd(|K|, |N|) for every K <= G: N's gcd property.
-    - ten along H -> G. The left mark at K is the product of
-      [|g^-1 K g ∩ H| = d] over the double cosets K g H, and every
-      conjugate of K is some g^-1 K g, so it is 1 iff every conjugate K'
-      has |K' ∩ H| = d. In C every meet is the subgroup of order
-      gcd(|K|, |H|), so the right mark is [gcd(|K|, |H|) = d]. If every
-      K <= G has |K ∩ H| = gcd(|K|, |H|), the two agree at every K and d;
-      if some K does not, at d = gcd(|K|, |H|) the right mark at K is 1
-      and the left is 0. So the square commutes iff H has the gcd
-      property, over all subgroups of G, not only class representatives.
-    - ind along H -> G. The mark of Ind x at K is (1/|H|) times the sum
-      of x's marks at g^-1 K g over the g in G with g^-1 K g <= H, so the
-      left mark at K is [|K| = d] times the mark of [G/H] at K, the
-      number of cosets of H that K fixes. In C every subgroup is normal,
-      so the right mark is [|K| = d] [G : H]. K fixes all [G : H] cosets
-      iff K lies in every conjugate of H, that is in core_G(H). So the
-      square commutes iff every K <= G whose order divides |H| lies in
-      core_G(H), and that holds iff every such K lies in H: the
-      conjugates of H are among those K, so then H is normal and is its
-      own core.
-    """
-    if op not in ("inf", "ind", "ten"):
-        raise PreconditionError(f"orders decide inf, ind and ten, not {op!r}")
-    lat = subgroup_lattice(ctx.G)
-    c = lat.class_index(sub)  # raises for a subgroup of another group
-    if op == "ind":
-        hm, h = sub.mask, sub.order
-        for m in lat.masks:  # ascending by order
-            k = m.bit_count()
-            if k > h:
-                break
-            if h % k == 0 and m & hm != m:
-                return False
-        return True
-    if op == "inf" and not lat.is_normal_class(c):
-        raise PreconditionError(f"subgroup of order {sub.order} is not normal in {ctx.G.label}")
-    return check_gcd_property(ctx.G, sub)
-
-
 def _classes_above(lat, N):
     """The classes of the subgroups L >= N, for N normal in G: N's own class
     and the rows with a mark at N's column in the sparse table of marks.
@@ -245,72 +185,63 @@ def _classes_above(lat, N):
     return (c,) + tuple(i for i, _ in _marks_table(lat)[1][c])
 
 
-def deflation_commutes(ctx, N):
+def deflation_commutes(G, N):
     """Whether the square of deflation along G -> G/N commutes:
-    check_commutes(ctx, "def", N).commutes, decided inside B(G) over the
-    same idempotents e[d] in ascending d, stopping at the first mismatch.
-    No section of G or of C is realized and no idempotent of C is built:
-    of G, only its lattice and its cached sparse table of marks are read.
+    check_commutes(fw_context(G), "def", N).commutes, decided over the same
+    idempotents e[d] in ascending d, stopping at the first mismatch. Only
+    G's lattice, its Moebius columns and N's column of its sparse table of
+    marks are read: no section, element or idempotent is built.
 
     Inflation along G -> G/N is injective: Inf x has mark x(L/N) at each
     L >= N, and every subgroup of G/N is such an L/N. So the two routes
-    agree in B(G/N) iff their inflations agree in B(G), and the marks of
-    those at the classes L >= N are what is compared.
+    agree iff their inflations have equal marks at every class L >= N.
 
     - e[1] is skipped: it is (1/n)[X/1] over a group X of order n, and
       Def [X/1] = [(X/N)/1], so both routes give (1/|G|)[(G/N)/1].
-    - Left route. Def [G/K] = [(G/N)/(KN/N)], whose inflation is the
-      G-set [G/KN], so Inf Def lift(e[d]) is the sum of c_K [G/KN] over
-      the coefficients c_K of the lifted idempotent. KN is the union of
-      N's cosets over K's members, and its marks are its row of G's table.
-    - Right route, in closed form. In C every normalizer is C, so Bouc's
-      Def e_D = t(D, C_N) e_{D C_N / C_N} reads Def e[d] = r e[d/g] along
-      C -> C/C_N, with g = gcd(d, |N|) and r = phi(d) / (|N| phi(d/g))
-      (propositions.r_constant). Lifted to G/N and inflated, its mark at
-      L >= N is r [|L| / |N| = d/g].
+    - Left route. The lift of e[d] is the sum of the idempotents e_H at
+      the classes of order d, and Bouc's Def e_H = t(H, N) e_{HN/N} with
+      t(H, N) = s_H |cl H| / (|HN| |cl HN|), where s_H = m_sum(H, N) is
+      |H| m(H, H ∩ N) (propositions.t_constant). Inflated, e_{HN/N} has
+      mark 1 at the class of HN and 0 at the other classes L >= N.
+    - Right route. In C every normalizer is C, so the same formula reads
+      Def e[d] = r e[d/g] along C -> C/C_N, with g = gcd(d, |N|) and
+      r = phi(d) / (|N| phi(d/g)) (propositions.r_constant). Lifted to
+      G/N and inflated, its mark at L >= N is r [|L| / |N| = d/g].
+
+    At each L >= N the sum of s_H |cl H| over the H with HN in L's class
+    is compared with r |L| |cl L| [|L| / |N| = d/g], times |N| phi(d/g).
     """
-    G = ctx.G
     lat = subgroup_lattice(G)
     above = _classes_above(lat, N)
-    rows = _marks_table(lat)[0]
-    n = N.order
-    at = [lat.class_order(j) // n for j in above]  # |L| / |N|
-    reps, index, class_of = lat.reps, lat.index, lat.class_of
-    mul, nm, nmembers = G.mul, N.mask, N.members
-    cosets, pushed = {}, {}  # element -> mask of its coset of N; class of K -> of KN
+    reps, classes, index, class_of = lat.reps, lat.classes, lat.index, lat.class_of
+    mul, nm, nmembers, n = G.mul, N.mask, N.members, N.order
+    cosets = {}  # element -> mask of its coset of N
 
-    def push(k):
-        km = nm
-        for g in lat.subgroups[reps[k]].members:
-            if not (km >> g) & 1:
+    def push(c):
+        """The class of HN for H the representative of class c: the union of
+        N's cosets over H's members."""
+        hn = nm
+        for g in lat.subgroups[reps[c]].members:
+            if not (hn >> g) & 1:
                 coset = cosets.get(g)
                 if coset is None:
                     row, coset = mul[g], 0
-                    for h in nmembers:
-                        coset |= 1 << row[h]
+                    for x in nmembers:
+                        coset |= 1 << row[x]
                     cosets[g] = coset
-                km |= coset
-        j = pushed[k] = class_of[index[km]]
-        return j
+                hn |= coset
+        return class_of[index[hn]]
 
     for d in divisors(G.n)[1:]:
-        cnum, cden = ctx.lifted_idempotent(d)._coeff_ints()
-        out = {}
-        for k, v in compress(enumerate(cnum), cnum):
-            j = pushed.get(k)
-            if j is None:
-                j = push(k)
-            out[j] = out.get(j, 0) + v
-        acc = [0] * len(rows)
-        for j, v in out.items():
-            if v:
-                for col, t in rows[j]:
-                    acc[col] += v * t
-        # acc[j] / cden == r [|L| / |N| = d/g], times cden |N| phi(d/g)
+        acc = {}  # class of HN -> sum of s_H |cl H|
+        for c in lat.classes_of_order(d):
+            j = push(c)
+            acc[j] = acc.get(j, 0) + len(classes[c]) * m_sum(lat, reps[c], nm)
         q = d // gcd(d, n)
-        scale, hit = n * totient(q), totient(d) * cden
-        for j, o in zip(above, at):
-            if acc[j] * scale != (hit if o == q else 0):
+        scale, phi = n * totient(q), totient(d)
+        for j in above:
+            lo = lat.class_order(j)
+            if acc.get(j, 0) * scale != (phi * lo * len(classes[j]) if lo == q * n else 0):
                 return False
     return True
 
@@ -319,21 +250,13 @@ def check_m_equality(G, N):
     """Whether m(T, N) matches the cyclic closed form for every T >= N.
 
     The classes T >= N are read from N's column of G's sparse table of
-    marks, and each is compared in integers: m(T, N) = s / |T|, where s
-    is the sum of |X| mu(X, T) over X <= T with XN = T (lattice.m_constant),
-    and the cyclic form is phi(|T|) / (|N| phi(|T| / |N|))
-    (lattice.m_cyclic)."""
+    marks, and each is compared in integers: |T| m(T, N) is
+    lattice.m_sum(T, N), and the cyclic form is
+    phi(|T|) / (|N| phi(|T| / |N|)) (lattice.m_cyclic)."""
     lat = subgroup_lattice(G)
-    masks, reps, nm, n = lat.masks, lat.reps, N.mask, N.order
+    reps, nm, n = lat.reps, N.mask, N.order
     for c in _classes_above(lat, N):
-        r = reps[c]
-        t = masks[r].bit_count()
-        s = 0
-        for x, mu in lat.mu_column(r).items():
-            xm = masks[x]
-            xo = xm.bit_count()
-            if xo * n == t * (xm & nm).bit_count():  # XN = T
-                s += xo * mu
-        if s * n * totient(t // n) != totient(t) * t:
+        t = lat.class_order(c)
+        if m_sum(lat, reps[c], nm) * n * totient(t // n) != totient(t) * t:
             return False
     return True

@@ -59,6 +59,7 @@ __all__ = [
     "DEFAULT_SUBGROUP_BUDGET",
     "SubgroupLattice",
     "subgroup_lattice",
+    "m_sum",
     "m_constant",
     "m_cyclic",
     "check_gcd_property",
@@ -340,6 +341,16 @@ class SubgroupLattice:
     def n_classes(self):
         return len(self.classes)
 
+    def classes_of_order(self, d):
+        """The classes of subgroups of order d, as a range: representatives
+        ascend by order, and the first subgroup of each order's run is the
+        representative of the first class of that order."""
+        for order, start, stop in self._order_runs:
+            if order == d:
+                end = self.class_of[stop] if stop < len(self.masks) else len(self.classes)
+                return range(self.class_of[start], end)
+        return range(0)
+
     def class_rep(self, c):
         return self.subgroups[self.reps[c]]
 
@@ -470,6 +481,22 @@ def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
     return lat
 
 
+def m_sum(lat, l, kmask):
+    """The sum of |X| mu(X, L) over the subgroups X <= L = subgroup l with
+    X (L ∩ K) = L, for K given by its mask. As X ∩ (L ∩ K) = X ∩ K, that
+    holds iff |X| |L ∩ K| = |L| |X ∩ K|."""
+    masks = lat.masks
+    lm = masks[l]
+    lo, ko = lm.bit_count(), (lm & kmask).bit_count()
+    s = 0
+    for x, mu in lat.mu_column(l).items():
+        xm = masks[x]
+        xo = xm.bit_count()
+        if xo * ko == lo * (xm & kmask).bit_count():
+            s += xo * mu
+    return s
+
+
 def m_constant(lat, L, K):
     """(1/|L|) * sum of |X| mu(X, L) over subgroups X <= L with X K = L.
 
@@ -477,18 +504,11 @@ def m_constant(lat, L, K):
     picks up on the primitive idempotent attached to L.
     """
     li, ki = lat.subgroup_index(L), lat.subgroup_index(K)
-    km, ko = K.mask, K.order
+    km = K.mask
     # K <= L <= N_G(K)
     if km & L.mask != km or L.mask & ~lat.masks[lat.normalizer_idx[ki]]:
         raise PreconditionError("m-constant needs K normal in L")
-    lo = L.order
-    acc = 0
-    for x, mu in lat.mu_column(li).items():
-        xm = lat.masks[x]
-        xo = xm.bit_count()
-        if xo * ko == lo * (xm & km).bit_count():
-            acc += xo * mu
-    return Fraction(acc, lo)
+    return Fraction(m_sum(lat, li, km), L.order)
 
 
 def m_cyclic(t, n):
@@ -500,6 +520,8 @@ def m_cyclic(t, n):
 
 def check_gcd_property(G, N):
     """Whether |H ∩ N| = gcd(|H|, |N|) for every subgroup H of G."""
+    if N.parent is not G:
+        raise PreconditionError("subgroup belongs to a different group")
     nm, no = N.mask, N.order
     gcd = math.gcd
     return all((m & nm).bit_count() == gcd(m.bit_count(), no) for m in subgroup_lattice(G).masks)

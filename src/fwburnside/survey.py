@@ -1,15 +1,12 @@
 """Catalog survey: one row per (group, conjugacy class of normal subgroups)
 recording the structural predicates next to the four commutativity outcomes.
 
-The inf, ind and ten outcomes are read off the orders in G's subgroup
-lattice (fw.commutes_by_orders), with no section realized and no
-idempotent built: for a normal subgroup, inf and ten are its gcd
-property, read once per row. Deflation has no such reading: its outcome
-comes from the two routes over the idempotent basis, compared inside
-B(G) through G's own table of marks, against the cyclic route's closed
-form (fw.deflation_commutes). So the survey realizes no quotient or
-subgroup of any group, cyclic ones included, and builds no idempotent of
-the cyclic group.
+Every column is read off G's subgroup lattice, its Moebius function and
+its sparse table of marks. For a normal subgroup N, inf, ind and ten
+commute exactly when N has the gcd property, so one test fills all three
+(and the gcd column). Deflation is decided by fw.deflation_commutes from
+Bouc's t(H, N) against the cyclic constant r. No section, element or
+idempotent of any group is built, and neither is the cyclic group.
 
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
@@ -22,7 +19,7 @@ import csv
 from collections import namedtuple
 
 from .errors import AlgebraError
-from .fw import check_m_equality, commutes_by_orders, deflation_commutes, fw_context
+from .fw import check_m_equality, deflation_commutes
 from .groups import DEFAULT_ORDER_CAP, construct_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, check_gcd_property, subgroup_lattice
 
@@ -93,7 +90,6 @@ def survey_rows(config):
             G = construct_group(spec, cap=config.cap)
             order = str(G.n)
             lat = subgroup_lattice(G, max_subgroups=config.max_subgroups)
-            ctx = fw_context(G)
             normal_classes = lat.normal_class_indices()
         except (AlgebraError, AssertionError) as exc:
             row = {col: "" for col in SURVEY_COLUMNS}
@@ -108,16 +104,24 @@ def survey_rows(config):
             row["subgroup"] = f"order={lat.class_label(c)}"
             row["sub_order"] = str(N.order)
             try:
-                # for normal N, inf and ten commute iff N has the gcd
-                # property (fw.commutes_by_orders), so it is read once
+                # Every operand of the walk is a lifted idempotent, whose
+                # mark at K is [|K| = d], so both routes of inf, ind and
+                # ten are read off subgroup orders (check_commutes is the
+                # oracle), and each commutes iff N has the gcd property:
+                # - inf: KN/N has order |K| / |K ∩ N|; in C it has order
+                #   |K| / gcd(|K|, |N|).
+                # - ten: the mark at K is 1 iff every conjugate K' of K has
+                #   |K' ∩ N| = d; in C it is [gcd(|K|, |N|) = d].
+                # - ind: the mark at K is [|K| = d] times the number of
+                #   cosets of N that K fixes; in C it is [|K| = d] [G : N].
+                #   They agree iff every K whose order divides |N| lies in
+                #   N, the gcd property's form (ii).
                 gcd = row["gcd"] = _bool(check_gcd_property(G, N))
                 row["cyclic"] = _bool(N.is_cyclic())
                 row["central"] = _bool(N.mask & G.center().mask == N.mask)
                 row["m_equal"] = _bool(check_m_equality(G, N))
-                row["commutes_inf"] = gcd
-                row["commutes_ind"] = _bool(commutes_by_orders(ctx, "ind", N))
-                row["commutes_ten"] = gcd
-                row["commutes_def"] = _bool(deflation_commutes(ctx, N))
+                row["commutes_inf"] = row["commutes_ind"] = row["commutes_ten"] = gcd
+                row["commutes_def"] = _bool(deflation_commutes(G, N))
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)
             rows.append(row)

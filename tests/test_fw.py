@@ -13,7 +13,6 @@ from fwburnside import (
     check_commutes,
     check_gcd_property,
     check_m_equality,
-    commutes_by_orders,
     construct_group,
     cyclic_group,
     deflate,
@@ -238,31 +237,19 @@ def test_check_commutes_rejects_bad_inputs(q8):
         check_commutes(ctx, "def", other.center())
 
 
-def test_commutes_by_orders_rejects_bad_inputs(s4):
-    ctx = fw_context(s4)
-    lat = subgroup_lattice(s4)
-    H = lat.class_rep(3)
-    assert not lat.is_normal_class(3)
-    for op in ("def", "res", "fix", "bogus"):
-        with pytest.raises(PreconditionError):
-            commutes_by_orders(ctx, op, s4.center())
-    with pytest.raises(PreconditionError, match="is not normal in S4"):
-        commutes_by_orders(ctx, "inf", H)
-    with pytest.raises(PreconditionError, match="different group"):
-        commutes_by_orders(ctx, "ten", construct_group("S3").center())
-
-
-def _assert_orders_decide_like_the_walk(G):
-    """commutes_by_orders agrees with check_commutes: inf on every normal
-    class, ind and ten on every class."""
+def _assert_gcd_property_decides_like_the_walk(G):
+    """Criterion 05, with inflation too: the squares of inf at every normal
+    class and of ind and ten at every class commute exactly when the
+    subgroup has the gcd property, the reading of subgroup orders that
+    fills the survey's commutes_inf, commutes_ind and commutes_ten."""
     ctx = fw_context(G)
     lat = subgroup_lattice(G)
     for c in range(lat.n_classes()):
         H = lat.class_rep(c)
+        gcd = check_gcd_property(G, H)
         ops = ("inf", "ind", "ten") if lat.is_normal_class(c) else ("ind", "ten")
         for op in ops:
-            walked = check_commutes(ctx, op, H).commutes
-            assert commutes_by_orders(ctx, op, H) == walked, (G.label, op, c)
+            assert check_commutes(ctx, op, H).commutes == gcd, (G.label, op, c)
 
 
 ORDER_VERDICT_EXTRAS = (
@@ -273,29 +260,28 @@ ORDER_VERDICT_EXTRAS = (
 
 @pytest.mark.parametrize("spec", full_catalog() + ORDER_VERDICT_EXTRAS)
 def test_commutes_by_orders_matches_walk(spec):
-    _assert_orders_decide_like_the_walk(construct_group(spec))
+    _assert_gcd_property_decides_like_the_walk(construct_group(spec))
 
 
 @settings(max_examples=150)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_commutes_by_orders_matches_walk(gens):
-    _assert_orders_decide_like_the_walk(
+    _assert_gcd_property_decides_like_the_walk(
         construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
     )
 
 
 def test_deflation_commutes_rejects_bad_inputs(s4):
-    ctx = fw_context(s4)
     lat = subgroup_lattice(s4)
     H = lat.class_rep(3)
     assert not lat.is_normal_class(3)
     with pytest.raises(PreconditionError) as realized:
         quotient_group(s4, H)
     with pytest.raises(PreconditionError) as decided:
-        deflation_commutes(ctx, H)
+        deflation_commutes(s4, H)
     assert str(decided.value) == str(realized.value) == "subgroup of order 3 is not normal in S4"
     with pytest.raises(PreconditionError, match="different group"):
-        deflation_commutes(ctx, construct_group("S3").center())
+        deflation_commutes(s4, construct_group("S3").center())
 
 
 def _assert_deflation_decides_like_the_walk(G):
@@ -305,7 +291,7 @@ def _assert_deflation_decides_like_the_walk(G):
     for c in lat.normal_class_indices():
         N = lat.class_rep(c)
         walked = check_commutes(ctx, "def", N).commutes
-        assert deflation_commutes(ctx, N) == walked, (G.label, c)
+        assert deflation_commutes(G, N) == walked, (G.label, c)
 
 
 DEFLATION_VERDICT_EXTRAS = ORDER_VERDICT_EXTRAS + (

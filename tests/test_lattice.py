@@ -321,6 +321,11 @@ def test_gcd_property_known_cases(spec, normal_sub_order, expected):
         assert formulation(G, N) is expected
 
 
+def test_check_gcd_property_rejects_a_foreign_subgroup(s4):
+    with pytest.raises(PreconditionError, match="subgroup belongs to a different group"):
+        check_gcd_property(s4, construct_group("S3").center())
+
+
 def test_gcd_methods_agree_on_nonnormal(s4):
     lat = subgroup_lattice(s4)
     for c in range(lat.n_classes()):
@@ -540,6 +545,26 @@ def test_max_cyclic_intersection_matches_powers(spec):
     G = construct_group(spec)
     meet = subgroup_lattice(G).max_cyclic_intersection()
     assert set(bits(meet.mask)) == _max_cyclic_intersection_by_powers(G)
+
+
+def _assert_classes_of_order_match_scan(lat):
+    # every divisor, so also orders with no subgroup (A4 has none of order 6)
+    n = lat.n_classes()
+    for d in divisors(lat.group.n):
+        scanned = [c for c in range(n) if lat.class_order(c) == d]
+        assert list(lat.classes_of_order(d)) == scanned, (lat.group.label, d)
+
+
+@pytest.mark.parametrize("spec", full_catalog())
+def test_classes_of_order_match_scan(spec):
+    _assert_classes_of_order_match_scan(subgroup_lattice(construct_group(spec)))
+
+
+@settings(max_examples=100)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_classes_of_order_match_scan(gens):
+    G = construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    _assert_classes_of_order_match_scan(subgroup_lattice(G))
 
 
 def test_marks_and_idempotents_read_only_representatives():

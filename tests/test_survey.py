@@ -6,6 +6,7 @@ import io
 import pytest
 
 import fwburnside.burnside
+import fwburnside.fw
 import fwburnside.groups
 from fwburnside import (
     SurveyConfig,
@@ -66,3 +67,21 @@ def test_survey_realizes_no_quotient_of_a_noncyclic_group(monkeypatch):
     touched = list(fwburnside.groups._GROUP_CACHE.values())
     assert {"C2xC2xC2xC2xC2", "S4", "C12"} <= {G.label for G in touched}
     assert not any(_map_keys(G) for G in touched)
+
+
+def test_survey_builds_no_idempotent_and_no_cyclic_group(monkeypatch):
+    # every column is read off G's lattice, Moebius function and table of
+    # marks, so no idempotent is summed and no C_|G| is built
+    monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
+    real, calls = fwburnside.burnside._idempotent_sum, []
+
+    def counting(lat, classes):
+        calls.append(lat.group.label)
+        return real(lat, classes)
+
+    for module in (fwburnside.burnside, fwburnside.fw):
+        monkeypatch.setattr(module, "_idempotent_sum", counting)
+    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "S4", "C12")))
+    assert len(rows) == 374 + 4 + 6 and not any(r["error"] for r in rows)
+    assert calls == []
+    assert not {"C32", "C24"} & set(fwburnside.groups._GROUP_CACHE)
