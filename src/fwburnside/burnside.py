@@ -313,12 +313,8 @@ def is_integral(x):
 
 def idempotent(lat, c):
     """Primitive rational idempotent attached to the subgroup class c:
-    _idempotent_sum at that one class, cached per lattice."""
-    key = ("idempotent", c)
-    e = lat._cache.get(key)
-    if e is None:
-        e = lat._cache[key] = _idempotent_sum(lat, (c,))
-    return e
+    _idempotent_sum at that one class, built on each call and not kept."""
+    return _idempotent_sum(lat, (c,))
 
 
 def _idempotent_sum(lat, classes):

@@ -22,7 +22,6 @@ around each square meet in the same ring with no identification step.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import gcd
 
 from .burnside import (
@@ -51,25 +50,23 @@ __all__ = [
 class FwContext:
     """A finite group paired with the canonical cyclic group of its order."""
 
-    __slots__ = ("G", "C", "_lift", "_lifted")
+    __slots__ = ("G", "C", "_lift")
 
     def __init__(self, G):
         self.G = G
         self.C = cyclic_group(G.n)
         self._lift = None
-        self._lifted = {}
 
     def __repr__(self):
         return f"<FwContext for {self.G.label}>"
 
     def c_class(self, d):
-        """The class of the unique subgroup of C of order d. C has one
-        subgroup per divisor of its order, so its lattice labels that
-        class "<d>:0"."""
+        """The class of the unique subgroup of C of order d: C has one
+        subgroup per divisor of its order."""
         n = self.G.n
         if d < 1 or n % d:
             raise PreconditionError(f"{d} does not divide the group order {n}")
-        return subgroup_lattice(self.C).class_by_label(f"{d}:0")
+        return subgroup_lattice(self.C).classes_of_order(d)[0]
 
     def c_subgroup(self, d):
         """The unique subgroup of C of order d."""
@@ -84,17 +81,6 @@ class FwContext:
                 self.c_class(glat.class_order(c)) for c in range(glat.n_classes())
             )
         return self._lift
-
-    def lifted_idempotent(self, d):
-        """The lift of the idempotent e[d] of C: the sum of G's idempotents
-        at its subgroup classes of order d, built with its coefficients as
-        well as its marks, so a pushforward needs no back-substitution;
-        cached per d."""
-        x = self._lifted.get(d)
-        if x is None:
-            glat = subgroup_lattice(self.G)
-            x = self._lifted[d] = _idempotent_sum(glat, glat.classes_of_order(d))
-        return x
 
 
 def fw_context(G):
@@ -113,23 +99,8 @@ def fw_apply(ctx, x):
     return _gather(x, ctx.G, ctx.lift_classes())
 
 
-class Certificate:
-    """The first idempotent on which the two routes differ, with both
-    images; .left and .right format them on first access."""
-
-    def __init__(self, basis_label, left, right):
-        self.basis_label = basis_label
-        self.left_element = left
-        self.right_element = right
-
-    @cached_property
-    def left(self):
-        return format_element(self.left_element)
-
-    @cached_property
-    def right(self):
-        return format_element(self.right_element)
-
+# the first idempotent on which the two routes differ, with both images formatted
+Certificate = namedtuple("Certificate", "basis_label left right")
 
 # certificate is None when the square commutes
 CommutativityReport = namedtuple(
@@ -140,17 +111,21 @@ CommutativityReport = namedtuple(
 def _route_pairs(ctx, op, sub):
     """Yield (basis_label, left, right) per idempotent e of the cyclic ring
     the operation maps from, with left = op(lift(e)) and right = lift(op(e)).
+    Each e and each lift of it is built for its own pair and then dropped.
 
-    Subgroups and quotients of C canonicalize to the shared cyclic
-    instances, so op(e) lands in the ring the other context lifts from.
+    The lift of e[d] is the sum of the source group's idempotents at its
+    classes of order d, built with its coefficients as well as its marks,
+    so a pushforward needs no back-substitution. Subgroups and quotients of
+    C canonicalize to the shared cyclic instances, so op(e) lands in the
+    ring the other context lifts from.
     """
     fn, f, src, dst = operation(op, sub)
     f_c = operation(op, ctx.c_subgroup(sub.order))[1]
     inner, outer = fw_context(src), fw_context(dst)
-    lat = subgroup_lattice(inner.C)
+    lat, glat = subgroup_lattice(inner.C), subgroup_lattice(src)
     for d in divisors(inner.C.n):
         e = idempotent(lat, inner.c_class(d))
-        left = fn(inner.lifted_idempotent(d), f)
+        left = fn(_idempotent_sum(glat, glat.classes_of_order(d)), f)
         right = fw_apply(outer, fn(e, f_c))
         yield f"e[{d}]", left, right
 
@@ -169,7 +144,7 @@ def check_commutes(ctx, op, sub):
     for label, left, right in _route_pairs(ctx, op, sub):
         checked += 1
         if left != right:
-            cert = Certificate(label, left, right)
+            cert = Certificate(label, format_element(left), format_element(right))
             return CommutativityReport(op, ctx.G.label, sub_label, False, checked, cert)
     return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
 

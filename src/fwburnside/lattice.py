@@ -320,14 +320,6 @@ class SubgroupLattice:
             f"{len(self.subgroups)} subgroups, {len(self.classes)} classes>"
         )
 
-    @property
-    def cyclic_flags(self):
-        """Whether each subgroup is cyclic, by index; computed on first read."""
-        flags = self._cache.get("cyclic_flags")
-        if flags is None:
-            flags = self._cache["cyclic_flags"] = tuple(s.is_cyclic() for s in self.subgroups)
-        return flags
-
     def subgroup_index(self, H):
         if H.parent is not self.group:
             raise PreconditionError("subgroup belongs to a different group")
@@ -464,7 +456,7 @@ class SubgroupLattice:
         sub = self._cache.get("maxcyc")
         if sub is None:
             # the trivial subgroup is cyclic, so there is a maximal one
-            cyc = [m for m, f in zip(self.masks, self.cyclic_flags) if f]
+            cyc = [s.mask for s in self.subgroups if s.is_cyclic()]
             sub = Subgroup(self.group, _meet_of_maximal(cyc, (1 << self.group.n) - 1))
             self._cache["maxcyc"] = sub
         return sub

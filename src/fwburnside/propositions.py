@@ -64,7 +64,7 @@ __all__ = [
 
 def _cyclic_subgroups(G):
     lat = subgroup_lattice(G)
-    return [H for H, cyclic in zip(lat.subgroups, lat.cyclic_flags) if cyclic]
+    return [H for H in lat.subgroups if H.is_cyclic()]
 
 
 def _holds_order_divisors(subgroups, N):

@@ -1,4 +1,6 @@
+import gc
 import math
+import types
 from fractions import Fraction
 from itertools import permutations
 
@@ -26,7 +28,7 @@ from fwburnside import (
     quotient_group,
     subgroup_lattice,
 )
-from fwburnside.burnside import _coeffs_from_marks
+from fwburnside.burnside import _coeffs_from_marks, _idempotent_sum
 from fwburnside.fw import _route_pairs
 from fwburnside.groups import Subgroup, mask_of
 from fwburnside.lattice import divisors, m_constant, m_cyclic, totient
@@ -111,17 +113,47 @@ def test_lift_coefficients_give_gathered_marks(spec):
 
 @pytest.mark.parametrize("spec", full_catalog())
 def test_lifted_idempotent_matches_lift_and_back_substitution(spec):
-    # the cached lift of e[d], built as a sum of G's idempotents, has the
+    # the lift of e[d] the walk builds, a sum of G's idempotents, has the
     # gathered marks and carries the coefficients back-substitution gives
     G = construct_group(spec)
     ctx = fw_context(G)
     glat, clat = subgroup_lattice(G), subgroup_lattice(ctx.C)
     for d in divisors(G.n):
-        x = ctx.lifted_idempotent(d)
+        x = _idempotent_sum(glat, glat.classes_of_order(d))
         assert x == fw_apply(ctx, idempotent(clat, ctx.c_class(d)))
         assert x._coeffs is not None
         assert x._coeff_ints() == _coeffs_from_marks(glat, x.num, x.den)
-        assert ctx.lifted_idempotent(d) is x
+
+
+def _holds_element(*roots):
+    """Whether a BurnsideElement is reachable from roots through containers
+    and instance state (types, modules and functions are not followed)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.MethodType, types.CodeType)
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        if isinstance(obj, BurnsideElement):
+            return True
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_idempotents_and_walk_leave_no_element_behind():
+    # idempotents and the lifts a walk compares are built where they are
+    # used and dropped: neither the lattice nor the context keeps one
+    G = construct_group("C2xC2xC2xC2xC2")
+    lat, ctx = subgroup_lattice(G), fw_context(G)
+    for c in range(lat.n_classes()):
+        idempotent(lat, c)
+    report = check_commutes(ctx, "def", lat.class_rep(1))
+    assert report.checked >= 2
+    assert not _holds_element(lat._cache)
+    assert not _holds_element(ctx)
+    assert _holds_element([idempotent(lat, 0)])  # the walker does see an element
 
 
 def test_transitive_image_q8(q8):
@@ -379,7 +411,6 @@ def test_def_counterexample_certificate():
     assert not report.commutes
     assert report.certificate is not None
     cert = report.certificate
-    assert "left" not in vars(cert) and "right" not in vars(cert)  # formatted on demand
     assert cert.basis_label == "e[2]"
     assert cert.left == "-1/4[C2/1:0] + [C2/2:0]"
     assert cert.right == "1/4[C2/1:0]"
