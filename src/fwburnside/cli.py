@@ -130,14 +130,21 @@ def _table_line(cells, widths):
     return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
 
 
+# Rows per batch of the width pass: one max call per column and batch, not
+# per cell, while only a batch of rows and its transpose are held.
+_WIDTH_BATCH = 64
+
+
 def _render_table(headers, rows):
     """The lines of a text table: each column left-justified to its widest
     cell, two spaces apart, trailing blanks stripped. rows() returns a fresh
     iterable of the rows, each cell str(value). A first pass takes the
-    widths without keeping the cells; then one line is yielded per row."""
+    widths a batch of rows at a time, column by column, without keeping the
+    cells; then one line is yielded per row."""
     widths = list(map(len, headers))
-    for row in rows():
-        widths = list(map(max, widths, map(len, map(str, row))))
+    batches = iter(rows())
+    while batch := list(islice(batches, _WIDTH_BATCH)):
+        widths = [max(w, *map(len, map(str, col))) for w, col in zip(widths, zip(*batch))]
     yield _table_line(headers, widths)
     for row in rows():
         yield _table_line(map(str, row), widths)

@@ -134,23 +134,32 @@ class Group:
             rows = self._cache["conj_rows"] = tuple(rows)
         return rows
 
-    def join_mask(self, hmask, g, hmembers=None):
+    def join_mask(self, hmask, g, hmembers=None, limit=None):
         """Mask of <H, g> for the subgroup mask hmask and the element g;
         hmembers, when given, must be tuple(bits(hmask)).
 
         The join grows as a union of left cosets xH closed under right
-        multiplication by g, so it costs O(|<H, g>|) table lookups.
+        multiplication by g, so it costs O(|<H, g>|) table lookups. limit,
+        when given, is the largest order a proper subgroup containing H
+        can have: once the union holds more elements, the join is G, and
+        G's mask is returned without closing it.
         """
         if (hmask >> g) & 1:
             return hmask
         mul = self.mul
         if hmembers is None:
             hmembers = tuple(bits(hmask))
+        if limit is None:
+            limit = self.n
         mask = hmask
+        size = k = len(hmembers)
         todo = list(hmembers)
         for y in todo:
             z = mul[y][g]
             if not (mask >> z) & 1:
+                size += k
+                if size > limit:
+                    return (1 << self.n) - 1
                 row = mul[z]
                 for h in hmembers:
                     w = row[h]
@@ -174,6 +183,40 @@ class Group:
             gens = tuple(gens)
             self._cache["generators"] = gens
         return gens
+
+    def is_solvable(self):
+        """Whether the derived series reaches 1, cached.
+
+        Each term D' is the normal closure in D of the commutators of D's
+        generators: those are joined one at a time, then their conjugates
+        by D's generators, until conjugation maps the generators found
+        into D'. The series stops at 1 (solvable) or at a term equal to
+        the one before it (not solvable).
+        """
+        solvable = self._cache.get("solvable")
+        if solvable is None:
+            mul, inv = self.mul, self.inv
+            one = 1 << self.identity
+            mask, gens = (1 << self.n) - 1, self.generators()
+            while mask != one:
+                dmask, dgens = one, []
+                for a in gens:
+                    for b in gens:
+                        c = mul[mul[inv[a]][inv[b]]][mul[a][b]]
+                        if not (dmask >> c) & 1:
+                            dmask = self.join_mask(dmask, c)
+                            dgens.append(c)
+                for c in dgens:
+                    for a in gens:
+                        x = mul[mul[a][c]][inv[a]]
+                        if not (dmask >> x) & 1:
+                            dmask = self.join_mask(dmask, x)
+                            dgens.append(x)
+                if dmask == mask:
+                    break
+                mask, gens = dmask, dgens
+            solvable = self._cache["solvable"] = mask == one
+        return solvable
 
     def validate(self):
         """Check the group axioms exactly; raises AlgebraError on failure.

@@ -17,15 +17,29 @@ until its order is [G : class size], and the member t J t^-1 gets
 t N_G(J) t^-1. Classes and normalizers are thus by-products of the
 enumeration.
 
-Two rules skip joins whose result is already known, and neither changes
+A zuppo z in N_G(H) is a prime-index step: z^p is in H, so
+[<H, z> : H] = p and <H, z> = H u zH u ... u z^(p-1)H, built coset by
+coset with no closure. When G is solvable (Group.is_solvable) only such
+steps are taken, and this stays complete: a solvable subgroup J > 1 has a
+normal subgroup M of prime index p, the p-part of any x in J outside M
+generates a zuppo z outside M with z^p in M, so J = <M, z> is a step
+from M, and conjugating by a with M^a the representative of M's class
+makes J^a a step from that representative. In other groups a zuppo
+outside N_G(H) is joined by Group.join_mask, which returns G as soon as
+the join holds more than n/q elements, q the least prime dividing
+[G : H]: no proper subgroup containing H is larger.
+
+Two rules skip work whose result is already known, and neither changes
 the lattice. Prime-index closure: if J = <H, z> and [J : H] = p is prime,
 then <H, z'> = J for every z' in J outside H, since a subgroup strictly
 between H and J would have an order strictly between |H| and p |H|
 dividing p |H|. So once J is built, every zuppo with a generator in J
-outside H is marked done for H: its join would rebuild J, which is
-already listed. Classes of one: when J is normal, N_G(J) = G, so the
-normalizer is not grown by joins, and G's generators, which generate
-N_G(J), act on the zuppos when J is extended.
+outside H is marked done for H, the coset build marking them as it
+lists the cosets: its join would rebuild J, which is already listed.
+Classes of one: when J is normal, N_G(J) = G, so the normalizer is not
+grown by joins, and G's generators, which generate N_G(J), act on the
+zuppos when J is extended. Conjugation by a central element is trivial,
+so throughout only G's generators outside the center act.
 
 A group realized as a section T/S of a parent G (groups.py), a subgroup
 H = H/1 or a quotient G/N, is enumerated like any other group. It records
@@ -125,13 +139,15 @@ def _zuppos(G):
     """Cyclic subgroups of prime-power order p^k > 1 ("zuppos").
 
     Returns (zuppos, zuppo_of): zuppos lists the pairs (z, z^p) for the
-    minimal-index generator z of each, and zuppo_of maps every generator
-    of each to its position in that list.
+    minimal-index generator z of each, and zuppo_of lists, by element,
+    the position in zuppos of the cyclic subgroup it generates, or None
+    when that is not a zuppo.
     """
     mul, ident = G.mul, G.identity
-    zuppos, zuppo_of = [], {}
+    zuppos, zuppo_of = [], [None] * G.n
+    done = 1 << ident
     for g in range(G.n):
-        if g == ident or g in zuppo_of:
+        if (done >> g) & 1:
             continue
         powers = [g]
         while powers[-1] != ident:
@@ -142,6 +158,7 @@ def _zuppos(G):
         for e, x in enumerate(powers, 1):
             if math.gcd(e, k) == 1:
                 zuppo_of[x] = z
+                done |= 1 << x
         if z is not None:
             zuppos.append((g, powers[p - 1]))
     return zuppos, zuppo_of
@@ -156,9 +173,12 @@ def _subgroup_classes(G, max_subgroups):
     more than max_subgroups subgroups (None: no bound).
     """
     mul, conj = G.mul, G.conj_rows()
-    gens = G.generators()
+    # conjugation by a central element is trivial
+    zmask = G.center().mask
+    gens = tuple(s for s in G.generators() if not (zmask >> s) & 1)
     zuppos, zuppo_of = _zuppos(G)
-    primes = frozenset(_prime_factors(G.n))
+    primes = _prime_factors(G.n)  # ascending
+    solvable = G.is_solvable()
     whole = (1 << G.n) - 1
     orbits = []
     normalizer = {}
@@ -175,7 +195,7 @@ def _subgroup_classes(G, max_subgroups):
                 for s in gens:
                     st = mul[s][t]
                     row = conj[st]
-                    cmask = mask_of(row[x] for x in members)
+                    cmask = mask_of([row[x] for x in members])
                     if cmask not in conjugator:
                         conjugator[cmask] = st
                         queue.append(st)
@@ -202,7 +222,7 @@ def _subgroup_classes(G, max_subgroups):
             nmembers = tuple(bits(nmask))
             for cmask, t in conjugator.items():
                 row = conj[t]
-                normalizer[cmask] = mask_of(row[x] for x in nmembers)
+                normalizer[cmask] = mask_of([row[x] for x in nmembers])
         assert len(queue) * nmask.bit_count() == G.n, (
             "class size must equal [G : N_G(H)]"
         )
@@ -213,12 +233,20 @@ def _subgroup_classes(G, max_subgroups):
     for hmask, hgens, ngens in reps:
         # <H, z> and <H, a z a^-1> are conjugate for a in N_G(H), so one
         # zuppo per N_G(H)-orbit suffices; the orbit keeps z outside H and
-        # z^p inside it
+        # z^p inside it, and keeps z in N_G(H) or out of it
         seen = set()
         hmembers = tuple(bits(hmask))
-        horder = hmask.bit_count()
+        horder = len(hmembers)
+        nmask = normalizer[hmask]
+        # a solvable group is reached by extensions of prime index
+        allowed = nmask if solvable else whole
         for i, (z, zp) in enumerate(zuppos):
-            if i in seen or (hmask >> z) & 1 or not (hmask >> zp) & 1:
+            if (
+                i in seen
+                or (hmask >> z) & 1
+                or not (hmask >> zp) & 1
+                or not (allowed >> z) & 1
+            ):
                 continue
             seen.add(i)
             orbit = [z]
@@ -228,16 +256,29 @@ def _subgroup_classes(G, max_subgroups):
                     if j not in seen:
                         seen.add(j)
                         orbit.append(zuppos[j][0])
-            jmask = G.join_mask(hmask, z, hmembers)
+            if (nmask >> z) & 1:
+                # z normalizes H and z^p is in H, so [<H, z> : H] = p and
+                # <H, z> = H u zH u ... u z^(p-1)H; every generator of J
+                # outside H generates J over H, so no zuppo there needs
+                # the join (seen may also take the None of the elements
+                # outside every zuppo, which no lookup asks for)
+                jmask, x = hmask, z
+                while not (hmask >> x) & 1:
+                    row = mul[x]
+                    coset = [row[h] for h in hmembers]
+                    jmask |= mask_of(coset)
+                    seen.update(map(zuppo_of.__getitem__, coset))
+                    x = row[z]
+            else:
+                # a proper subgroup above H has order at most n/q, for q
+                # the least prime dividing [G : H]
+                q = next(q for q in primes if G.n // horder % q == 0)
+                jmask = G.join_mask(hmask, z, hmembers, G.n // q)
+                if jmask.bit_count() // horder in primes:
+                    # [J : H] prime: as above
+                    seen.update(map(zuppo_of.__getitem__, bits(jmask & ~hmask)))
             if jmask not in normalizer:
                 add_class(jmask, hgens + (z,))
-            if jmask.bit_count() // horder in primes:
-                # [J : H] prime: every generator of J outside H generates J
-                # over H, so no other zuppo there needs the join
-                for x in bits(jmask & ~hmask):
-                    j = zuppo_of[x]
-                    if j is not None:
-                        seen.add(j)
     return orbits, normalizer
 
 
@@ -476,10 +517,13 @@ def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):
 def m_sum(lat, l, kmask):
     """The sum of |X| mu(X, L) over the subgroups X <= L = subgroup l with
     X (L ∩ K) = L, for K given by its mask. As X ∩ (L ∩ K) = X ∩ K, that
-    holds iff |X| |L ∩ K| = |L| |X ∩ K|."""
+    holds iff |X| |L ∩ K| = |L| |X ∩ K|. When L ∩ K = 1 only X = L
+    qualifies, and the sum is |L| without reading L's Moebius column."""
     masks = lat.masks
     lm = masks[l]
     lo, ko = lm.bit_count(), (lm & kmask).bit_count()
+    if ko == 1:
+        return lo
     s = 0
     for x, mu in lat.mu_column(l).items():
         xm = masks[x]

@@ -18,7 +18,10 @@ on its own, where the constructors compose rows, with dihedral groups
 as signed affine maps and dicyclic groups as rewritten words;
 is_group_table checks every row, every column and every triple, where
 Group.validate reads the generators' rows; check_subgroup tests a subgroup
-for the identity, every inverse and every product, member by member.
+for the identity, every inverse and every product, member by member;
+derived_series_by_sets takes the commutators of all pairs and closes them
+under products, where Group.is_solvable joins the commutators of
+generators and their conjugates.
 Work grows with the size of the sets, so keep the groups small. No module
 of the package imports this one.
 """
@@ -50,6 +53,7 @@ __all__ = [
     "cayley_table_by_entries",
     "is_group_table",
     "check_subgroup",
+    "derived_series_by_sets",
 ]
 
 
@@ -373,6 +377,30 @@ def check_subgroup(H):
     if G.n % H.order != 0:
         raise AlgebraError("subgroup order does not divide the group order")
     return H
+
+
+def derived_series_by_sets(G):
+    """The derived series of G as frozensets of element indices, from G
+    down to its first term equal to its own derived subgroup: each next
+    term is the set of commutators a^-1 b^-1 a b over all pairs a, b of
+    the last one, closed under products. G is solvable iff the last term
+    is the identity alone."""
+    mul, inv = G.mul, G.inv
+    series = [frozenset(range(G.n))]
+    while True:
+        D = series[-1]
+        commutators = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in D for b in D}
+        closure = [G.identity]
+        found = {G.identity}
+        for x in closure:
+            for c in commutators:
+                y = mul[x][c]
+                if y not in found:
+                    found.add(y)
+                    closure.append(y)
+        if found == D:
+            return series
+        series.append(frozenset(found))
 
 
 def product_gset(X, Y):

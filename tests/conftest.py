@@ -50,6 +50,16 @@ small_perm = st.tuples(st.permutations(range(4)), st.permutations(range(4, 6))).
 )
 
 
+# two permutations of points 1..5: the groups generated include A5 and S5,
+# which small_perm never reaches, as every subgroup of S4 x S2 is solvable
+two_perms_of_5 = st.tuples(st.permutations(range(5)), st.permutations(range(5)))
+
+
+def perm_spec(gens):
+    """The perm: spec generated by the permutation tuples gens."""
+    return "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+
+
 @pytest.fixture(scope="session")
 def s3():
     return construct_group("S3")

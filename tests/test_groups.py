@@ -5,7 +5,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import generated
+from conftest import generated, perm_spec, two_perms_of_5
+from test_fw import ORDER_VERDICT_EXTRAS
 from fwburnside import (
     AlgebraError,
     CapExceededError,
@@ -21,7 +22,12 @@ from fwburnside import (
     subgroup_lattice,
 )
 from fwburnside.groups import mask_of
-from fwburnside.oracles import cayley_table_by_entries, check_subgroup, is_group_table
+from fwburnside.oracles import (
+    cayley_table_by_entries,
+    check_subgroup,
+    derived_series_by_sets,
+    is_group_table,
+)
 from fwburnside.survey import full_catalog
 from fwburnside.propositions import cyclic_isomorphism
 
@@ -351,6 +357,33 @@ LADDER = ("S4", "SL(2,3)", "A5", "S5", "SL(2,5)", "SL(2,7)",
 def test_is_abelian_matches_all_pairs(spec):
     G = construct_group(spec)
     assert G.is_abelian() is _abelian_by_all_pairs(G)
+
+
+NONSOLVABLE = ("A5", "S5", "SL(2,5)", "A6", "SL(2,7)", "SL(2,5)xC2")
+
+
+def _assert_solvability_matches_sets(G):
+    series = derived_series_by_sets(G)
+    assert G.is_solvable() == (len(series[-1]) == 1), G.label
+
+
+@pytest.mark.parametrize(
+    "spec", tuple(dict.fromkeys(full_catalog() + ORDER_VERDICT_EXTRAS + NONSOLVABLE))
+)
+def test_is_solvable_matches_derived_series_by_sets(spec):
+    _assert_solvability_matches_sets(construct_group(spec))
+
+
+def test_is_solvable_known_cases():
+    for spec in NONSOLVABLE:
+        assert not construct_group(spec).is_solvable(), spec
+    for spec in ("C1", "S4", "SL(2,3)", "D128", "C2xS4xS3", "C2xC2xC2xC2xC2"):
+        assert construct_group(spec).is_solvable(), spec
+
+
+@given(two_perms_of_5)
+def test_random_s5_subgroup_solvability_matches_derived_series_by_sets(gens):
+    _assert_solvability_matches_sets(construct_group(perm_spec(gens)))
 
 
 def test_subgroup_check_and_generation():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SURVEY_EXTRAS, cycle_notation, generated, small_perm
+from conftest import (
+    SURVEY_EXTRAS,
+    cycle_notation,
+    generated,
+    perm_spec,
+    small_perm,
+    two_perms_of_5,
+)
 from test_burnside import _assert_class_tables_match_oracles
 from fwburnside import (
     CapExceededError,
@@ -25,7 +33,7 @@ from fwburnside import (
 )
 from fwburnside.burnside import _coeffs_from_marks, _marks_table
 from fwburnside.groups import Group, bits, mask_of
-from fwburnside.lattice import SubgroupLattice, divisors
+from fwburnside.lattice import SubgroupLattice, divisors, m_sum
 from fwburnside.oracles import (
     check_subgroup,
     double_cosets,
@@ -221,6 +229,84 @@ def test_class_sizes_match_normalizer_index(spec):
     for c in range(lat.n_classes()):
         rep = lat.class_rep(c)
         assert len(lat.classes[c]) * lat.normalizer(rep).order == G.n
+
+
+# Non-solvable groups, whose enumeration takes both the coset build and the
+# cut-off join: subgroup and class counts and the md5 of repr((masks,
+# classes, normalizer_idx)). S5's A5 has order exactly |S5|/2, the largest a
+# proper subgroup above a subgroup of even index can have.
+NONSOLVABLE_LATTICES = [
+    ("A5", 59, 9, "6eeb33b66d587e6fd120b3cdebec687b"),
+    ("S5", 156, 19, "a06c98f1d43776ec6ccbdbc0a07c97ad"),
+    ("SL(2,5)", 76, 12, "bd16757e4df0c889ff349c3c63dce6f8"),
+    ("SL(2,7)", 224, 19, "b9f1f715c4c5a7f9385655d87b4d5f46"),
+    ("A6", 501, 22, "0cae5d0cfbfc6e7a25c1b991c85e0172"),
+    ("SL(2,5)xC2", 215, 31, "199455a01e7377600728dcc76fed6860"),
+]
+
+
+@pytest.mark.parametrize("spec, n_subgroups, n_classes, md5", NONSOLVABLE_LATTICES)
+def test_nonsolvable_lattices_are_pinned(spec, n_subgroups, n_classes, md5):
+    lat = subgroup_lattice(construct_group(spec))
+    assert (len(lat.subgroups), lat.n_classes()) == (n_subgroups, n_classes)
+    digest = repr((lat.masks, lat.classes, lat.normalizer_idx)).encode()
+    assert hashlib.md5(digest).hexdigest() == md5
+
+
+@settings(max_examples=30)
+@given(two_perms_of_5)
+def test_random_s5_subgroup_lattice_is_complete(gens):
+    # every listed mask is a subgroup, every class is closed under
+    # conjugation by G's generators, every normalizer is the stabilizer,
+    # and <H, g> is listed for every representative H and element g; as
+    # <a H a^-1, g> = a <H, a^-1 g a> a^-1, every join of a listed
+    # subgroup is listed, and so is every subgroup
+    G = construct_group(perm_spec(gens))
+    lat = subgroup_lattice(G)
+    masks = set(lat.masks)
+    assert 1 << G.identity in masks
+    for H in lat.subgroups:
+        check_subgroup(H)
+    for cls in lat.classes:
+        members = {lat.masks[i] for i in cls}
+        for i in cls:
+            H = lat.subgroups[i]
+            assert {H.conjugate_mask(s) for s in G.generators()} <= members
+    for c in range(lat.n_classes()):
+        H = lat.class_rep(c)
+        assert lat.normalizer(H).mask == brute_normalizer_mask(H)
+        for g in range(G.n):
+            assert G.join_mask(H.mask, g) in masks
+
+
+def test_m_sum_of_a_trivial_meet_reads_no_moebius_column():
+    # X (L ∩ K) = L with L ∩ K = 1 forces X = L, so the sum is |L|
+    G = construct_group("S4")
+    lat = SubgroupLattice(G)
+    V = next(H for H in lat.subgroups if H.order == 4 and H.is_normal())
+    l = next(i for i, H in enumerate(lat.subgroups) if H.order == 6)
+    assert lat.masks[l] & V.mask == 1 << G.identity
+    assert m_sum(lat, l, V.mask) == 6
+    assert l not in lat._mu
+
+
+@pytest.mark.parametrize("spec", full_catalog())
+def test_m_sum_matches_summed_form(spec):
+    # the sum of |X| mu(X, L) over X <= L whose product set with L ∩ N is L
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    mul = G.mul
+    for l in lat.reps:
+        L = lat.subgroups[l]
+        for c in lat.normal_class_indices():
+            N = lat.class_rep(c)
+            meet = [k for k in L.members if k in N]
+            expected = 0
+            for x, mu in lat.mu_column(l).items():
+                X = lat.subgroups[x]
+                if len({mul[a][b] for a in X.members for b in meet}) == L.order:
+                    expected += X.order * mu
+            assert m_sum(lat, l, N.mask) == expected, (spec, l, c)
 
 
 def test_moebius_diagonal_and_sum():
