@@ -4,10 +4,14 @@ An element stores its mark vector: for each conjugacy class of subgroups K,
 in the lattice's canonical class order, the number of points fixed by K.
 The marks are integer numerators over one positive denominator, kept in
 lowest terms, so equal elements have equal numerators and denominators;
-.marks reads them as Fractions. The ring product is pointwise on marks and
-the Frobenius-Wielandt lift of fw.py is defined on them, so marks are the
-one representation; coefficients over the transitive basis [G/H] are
-recovered on first read and memoised in the same integer form.
+.marks reads them as Fractions. Fractions are made only where rationals
+come in or go out (the constructor, element_from_marks, .marks, .coeffs,
+a scalar product, parse_rational), each importing `fractions` when called,
+so a CLI request that makes none never loads it, nor `decimal` with it.
+The ring product is pointwise on marks and the Frobenius-Wielandt lift
+of fw.py is defined on them, so marks are the one representation;
+coefficients over the transitive basis [G/H] are recovered on first read
+and memoised in the same integer form.
 
 Sums, scalar multiples and products are pointwise. Every change of group
 runs along one homomorphism f: A -> B, a GroupHom (groups.py): the
@@ -50,13 +54,11 @@ in oracles.py, which no module of the package imports.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
-from fractions import Fraction
 from itertools import compress
 
 from .errors import PreconditionError, SpecParseError
-from .groups import quotient_group, subgroup_embedding
+from .groups import ascii_digits, quotient_group, subgroup_embedding
 from .lattice import subgroup_lattice
 
 __all__ = [
@@ -110,11 +112,15 @@ class BurnsideElement:
 
     @property
     def marks(self):
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(m, den) for m in self.num)
 
     @property
     def coeffs(self):
+        from fractions import Fraction
+
         cnum, cden = self._coeff_ints()
         return tuple(Fraction(c, cden) for c in cnum)
 
@@ -165,6 +171,8 @@ class BurnsideElement:
     def __mul__(self, other):
         if isinstance(other, BurnsideElement):
             return multiply(self, other)
+        from fractions import Fraction
+
         s = Fraction(other)
         p = s.numerator
         return _element(self.group, tuple(a * p for a in self.num), self.den * s.denominator)
@@ -190,6 +198,8 @@ def _over_one_den(values):
     """Rationals as (integer numerators, one positive denominator). In lowest
     terms: each prime power in the lcm of the reduced denominators is the
     whole p-part of some value's denominator, which its numerator is prime to."""
+    from fractions import Fraction
+
     values = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
@@ -518,18 +528,26 @@ def format_rational(fr):
     return f"{fr.numerator}/{fr.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+def _rational_ints(text):
+    """(p, q) for "p" or "p/q" with ASCII digits only, p carrying the sign
+    and q > 0, not reduced; anything else is a SpecParseError."""
+    num, slash, den = text.partition("/")
+    if ascii_digits(num.removeprefix("-")) and (ascii_digits(den) or not slash):
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:  # too many digits
+            pass
+        else:
+            if q:
+                return p, q
+    raise SpecParseError(f"malformed rational {text!r}")
 
 
 def parse_rational(text):
     """Parse "p" or "p/q" with ASCII digits only; q must be nonzero."""
-    if _RATIONAL_RE.fullmatch(text):
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(int(num), int(den or 1))
-        except (ZeroDivisionError, ValueError):  # ValueError: too many digits
-            pass
-    raise SpecParseError(f"malformed rational {text!r}")
+    from fractions import Fraction
+
+    return Fraction(*_rational_ints(text))
 
 
 def _nonzero_coeffs(x):
@@ -574,13 +592,22 @@ def element_to_json(x):
 
 
 def element_from_json(G, data):
+    """The element with the sparse JSON form data, a list of [label, "p/q"]
+    pairs; the values at a repeated label add up. Summed in integers over
+    the lcm of the denominators and reduced once, as BurnsideElement would
+    from the same coefficients as Fractions."""
     lat = subgroup_lattice(G)
-    coeffs = [Fraction(0)] * lat.n_classes()
     if not isinstance(data, list):
         raise PreconditionError("element JSON must be a list of [label, rational] pairs")
+    terms = []
     for item in data:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise PreconditionError(f"malformed element entry {item!r}")
         label, value = item
-        coeffs[lat.class_by_label(str(label))] += parse_rational(str(value))
-    return BurnsideElement(G, coeffs)
+        terms.append((lat.class_by_label(str(label)), *_rational_ints(str(value))))
+    den = math.lcm(*(q for _, _, q in terms))
+    cnum = [0] * lat.n_classes()
+    for c, p, q in terms:
+        cnum[c] += p * (den // q)
+    coeffs = _reduce(cnum, den)
+    return _element(G, *_marks_from_coeffs(lat, *coeffs), coeffs)

@@ -5,10 +5,12 @@ Verbs: group, lattice, marks, idempotents, mconst, op, and the fw family
 rationals appear as "p/q" strings and elements as sparse [label, rational]
 pair lists over the canonical class labels ("<order>:<index>").
 
-Each verb is declared once, by `_verb`, with its handler and the output
+Each verb is declared once, in `_VERBS`, with its handler and the output
 formats it writes, the first being the default: lattice json|table, marks
 json|csv|table, fw survey csv|json|table, every other verb json. Any other
 --format is a usage error, raised while parsing, before any group is built.
+A request builds the parser of the one verb it names; --help and a missing
+or unknown verb build them all.
 
 A handler finishes all the algebra and returns its output as an iterable of
 text pieces, which main writes one at a time to stdout or the --out file:
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from itertools import chain, islice
 from operator import itemgetter
@@ -48,7 +49,7 @@ from .errors import (
     SpecParseError,
 )
 from .fw import check_commutes, fw_apply, fw_context
-from .groups import DEFAULT_ORDER_CAP, construct_group
+from .groups import DEFAULT_ORDER_CAP, ascii_digits, construct_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, m_constant, subgroup_lattice
 from .survey import SURVEY_COLUMNS, SurveyConfig, full_catalog, survey_rows, write_survey_csv
 
@@ -72,9 +73,6 @@ def _positive_int(text):
     return value
 
 
-_SELECTOR_RE = re.compile(r"order=([0-9]+):([0-9]+)")
-
-
 def resolve_selector(G, text):
     """Resolve center | frattini | maxcyc | order=<k>:<i> to a subgroup."""
     lat = subgroup_lattice(G)
@@ -84,9 +82,9 @@ def resolve_selector(G, text):
         return lat.frattini()
     if text == "maxcyc":
         return lat.max_cyclic_intersection()
-    m = _SELECTOR_RE.fullmatch(text)
-    if m:
-        return lat.class_rep(lat.class_by_label(f"{m.group(1)}:{m.group(2)}"))
+    k, colon, i = text.removeprefix("order=").partition(":")
+    if text.startswith("order=") and colon and ascii_digits(k) and ascii_digits(i):
+        return lat.class_rep(lat.class_by_label(f"{k}:{i}"))
     raise SpecParseError(f"unknown subgroup selector {text!r}")
 
 
@@ -331,8 +329,8 @@ def cmd_fw_survey(args):
     return lines
 
 
-def _verb(sub, name, handler, help, *arguments, formats=("json",)):
-    """Declare one verb: its parser, its handler, its own arguments (a name,
+def _verb(sub, name, handler, help, arguments, formats):
+    """Add one verb's parser to sub: its handler, its own arguments (a name,
     or a name and add_argument keywords), and the common flags, with
     --format limited to the formats the verb writes, the first the default."""
     p = sub.add_parser(name, help=help)
@@ -350,38 +348,57 @@ def _verb(sub, name, handler, help, *arguments, formats=("json",)):
     p.add_argument("--out", default=None, help="write output to a file")
 
 
-def build_parser():
+_ELEMENT = ("element", {"help": "inline JSON or a path to an element file"})
+_JSON = ("json",)
+
+# Each verb declared once, in help order: (argv words naming it, handler,
+# help, arguments, formats). "fw <verb>" is a verb of the fw family.
+_VERBS = (
+    (("group",), cmd_group, "order, abelianness, and element-order census", ("spec",), _JSON),
+    (("lattice",), cmd_lattice, "subgroup classes with normalizer indices", ("spec",),
+     ("json", "table")),
+    (("marks",), cmd_marks, "table of marks over the canonical classes", ("spec",),
+     ("json", "csv", "table")),
+    (("idempotents",), cmd_idempotents, "primitive rational idempotents", ("spec",), _JSON),
+    (("mconst",), cmd_mconst, "m-constant of a normal pair K <= L",
+     ("spec", ("L", {"help": "subgroup selector for L"}),
+      ("K", {"help": "subgroup selector for K (normal in L)"})), _JSON),
+    (("op",), cmd_op, "apply a change-of-group operation to an element",
+     (("operation", {"choices": OPERATIONS}), "spec",
+      ("selector", {"help": "center | frattini | maxcyc | order=<k>:<i>"}), _ELEMENT), _JSON),
+    (("fw", "apply"), cmd_fw_apply, "lift an element over the cyclic source ring",
+     ("spec", _ELEMENT), _JSON),
+    (("fw", "check"), cmd_fw_check, "commutativity of one operation at one subgroup",
+     ("spec", ("--op", {"required": True, "choices": OPERATIONS}),
+      ("--sub", {"required": True, "help": "subgroup selector"})), _JSON),
+    (("fw", "survey"), cmd_fw_survey, "normal-subgroup survey over a catalog",
+     (("--catalog", {"help": "file with one group spec per line (default: built-in catalog)"}),),
+     ("csv", "json", "table")),
+)
+
+
+def build_parser(argv=()):
+    """The parser for argv: the root and the one verb argv's first words
+    name, or, when they name none (no argv, --help, a missing or unknown
+    verb), the root and every verb. A verb's parser, and so its --help and
+    every usage error it raises, is the same either way."""
+    argv = tuple(argv)
+    named = [v for v in _VERBS if argv[: len(v[0])] == v[0]]
     parser = _Parser(prog="fwburnside", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    element = ("element", {"help": "inline JSON or a path to an element file"})
-    _verb(sub, "group", cmd_group, "order, abelianness, and element-order census", "spec")
-    _verb(sub, "lattice", cmd_lattice, "subgroup classes with normalizer indices", "spec",
-          formats=("json", "table"))
-    _verb(sub, "marks", cmd_marks, "table of marks over the canonical classes", "spec",
-          formats=("json", "csv", "table"))
-    _verb(sub, "idempotents", cmd_idempotents, "primitive rational idempotents", "spec")
-    _verb(sub, "mconst", cmd_mconst, "m-constant of a normal pair K <= L", "spec",
-          ("L", {"help": "subgroup selector for L"}),
-          ("K", {"help": "subgroup selector for K (normal in L)"}))
-    _verb(sub, "op", cmd_op, "apply a change-of-group operation to an element",
-          ("operation", {"choices": OPERATIONS}), "spec",
-          ("selector", {"help": "center | frattini | maxcyc | order=<k>:<i>"}), element)
-
-    fw = sub.add_parser("fw", help="the cyclic-to-G lift and its checks")
-    fwsub = fw.add_subparsers(dest="fw_command", required=True)
-    _verb(fwsub, "apply", cmd_fw_apply, "lift an element over the cyclic source ring",
-          "spec", element)
-    _verb(fwsub, "check", cmd_fw_check, "commutativity of one operation at one subgroup",
-          "spec", ("--op", {"required": True, "choices": OPERATIONS}),
-          ("--sub", {"required": True, "help": "subgroup selector"}))
-    _verb(fwsub, "survey", cmd_fw_survey, "normal-subgroup survey over a catalog",
-          ("--catalog", {"help": "file with one group spec per line (default: built-in catalog)"}),
-          formats=("csv", "json", "table"))
+    fwsub = None
+    for words, handler, help, arguments, formats in named or _VERBS:
+        if words[0] == "fw" and fwsub is None:
+            fw = sub.add_parser("fw", help="the cyclic-to-G lift and its checks")
+            fwsub = fw.add_subparsers(dest="fw_command", required=True)
+        _verb(fwsub if words[0] == "fw" else sub, words[-1], handler, help, arguments, formats)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         try:
             args = parser.parse_args(argv)

@@ -9,12 +9,12 @@ same spec string always yields the identical table.
 Tables are built a row at a time. A permutation or matrix group computes
 the rows of a few generators directly and every other row as the
 composition row(x g) = row(x) o row(g), one itemgetter call per element;
-a direct product shifts the second factor's rows into the blocks the
-first factor's row names. The same generator argument checks and extends
-a table: Group.validate reads the generators' rows in full and runs
-Light's associativity test on them, which is exact for the whole table,
-and conjugation rows compose as conj(x g) = conj(x) o conj(g). Every atom
-and every product is validated.
+a direct product does the same, its generators' rows from the pair
+formula. The same generator argument checks and extends a table:
+Group.validate reads the generators' rows in full and runs Light's
+associativity test on them, which is exact for the whole table, and
+conjugation rows compose as conj(x g) = conj(x) o conj(g). Every atom and
+every product is validated.
 
 Subgroups and quotients are realized as one kind of object, a section
 T/S of a parent G with S normal in T (Bouc 2010): a subgroup H is the
@@ -38,9 +38,8 @@ Group-spec grammar (whitespace insignificant):
 from __future__ import annotations
 
 import math
-import re
 from functools import reduce
-from itertools import chain, permutations
+from itertools import permutations
 from operator import itemgetter, or_
 
 from .errors import (
@@ -593,17 +592,17 @@ def _sl2_table(p):
 def direct_product(A, B):
     """Direct product with pair (i, j) at index i * |B| + j.
 
-    The row of (i, j) is B's row j shifted into the block of |B| indices
-    at each entry of A's row i.
+    The row of (i, j) holds A[i][k] * |B| + B[j][l] at k * |B| + l; only
+    the generators' rows are computed so, the rest composed.
     """
-    nb = B.n
-    blocks = [tuple(range(o * nb, (o + 1) * nb)) for o in range(A.n)]
-    shifted = [list(map(_composer(brow), blocks)) for brow in B.mul]
-    table = [
-        tuple(chain.from_iterable(map(shifted[j].__getitem__, arow)))
-        for arow in A.mul
-        for j in range(nb)
-    ]
+    nb, amul, bmul = B.n, A.mul, B.mul
+
+    def row_of(g):
+        i, j = divmod(g, nb)
+        brow = bmul[j]
+        return [a * nb + b for a in amul[i] for b in brow]
+
+    table = _regular_table(A.n * nb, A.identity * nb + B.identity, row_of)
     return Group(table, f"{A.label}x{B.label}")
 
 
@@ -656,6 +655,12 @@ def _split_top_level(norm):
     return parts
 
 
+def ascii_digits(text):
+    """Whether text is a nonempty run of 0-9; str.isdigit alone admits
+    other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 def _spec_int(digits, offset):
     """int() of an ASCII digit string; one too long for int() is a parse error."""
     try:
@@ -678,7 +683,7 @@ def _parse_cycles(body, offset):
             raise SpecParseError("empty cycle", offset + pos)
         points = []
         for tok in inner.split(","):
-            if not (tok.isascii() and tok.isdigit()):
+            if not ascii_digits(tok):
                 raise SpecParseError(f"bad cycle point {tok!r}", offset + pos)
             points.append(_spec_int(tok, offset + pos))
         if min(points) < 1:
@@ -710,19 +715,21 @@ def _parse_atom(text, offset):
             raise SpecParseError("perm spec has no generators", offset)
         return ("perm", gens, text)
     if text.startswith("SL"):
-        m = re.match(r"SL\(([0-9]+),([0-9]+)\)$", text)
-        if not m:
+        dim, comma, p = text[3:-1].partition(",")
+        if not (text.startswith("SL(") and text.endswith(")") and comma
+                and ascii_digits(dim) and ascii_digits(p)):
             raise SpecParseError(f"malformed SL spec {text!r}", offset)
-        dim, p = _spec_int(m.group(1), offset), _spec_int(m.group(2), offset)
+        dim, p = _spec_int(dim, offset), _spec_int(p, offset)
         if dim != 2:
             raise InvalidParameterError("only SL(2,p) is supported")
         if p not in _PRIMES:
             raise InvalidParameterError(f"SL(2,{p}) needs a prime p <= 7")
         return ("sl2", p, text)
-    m = re.match(r"(Dic|C|D|Q|S|A)([0-9]+)$", text)
-    if not m:
+    kind = "Dic" if text.startswith("Dic") else text[:1]
+    digits = text[len(kind):]
+    if kind not in ("Dic", "C", "D", "Q", "S", "A") or not ascii_digits(digits):
         raise SpecParseError(f"unrecognized group spec {text!r}", offset)
-    kind, n = m.group(1), _spec_int(m.group(2), offset)
+    n = _spec_int(digits, offset)
     if kind == "C":
         if n < 1:
             raise InvalidParameterError("cyclic groups need n >= 1")

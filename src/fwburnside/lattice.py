@@ -62,7 +62,6 @@ and a recursion over H's interval otherwise.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from itertools import groupby
 
@@ -544,6 +543,8 @@ def m_constant(lat, L, K):
     # K <= L <= N_G(K)
     if km & L.mask != km or L.mask & ~lat.masks[lat.normalizer_idx[ki]]:
         raise PreconditionError("m-constant needs K normal in L")
+    from fractions import Fraction
+
     return Fraction(m_sum(lat, li, km), L.order)
 
 
@@ -551,6 +552,8 @@ def m_cyclic(t, n):
     """Closed form of the m-constant for cyclic groups of orders t and n | t."""
     if t % n:
         raise PreconditionError("m_cyclic needs n | t")
+    from fractions import Fraction
+
     return Fraction(totient(t), n * totient(t // n))
 
 

@@ -15,7 +15,6 @@ catalog always produces a complete, deterministic table.
 
 from __future__ import annotations
 
-import csv
 from collections import namedtuple
 
 from .errors import AlgebraError
@@ -129,6 +128,8 @@ def survey_rows(config):
 
 
 def write_survey_csv(rows, fp):
+    import csv
+
     writer = csv.DictWriter(fp, fieldnames=SURVEY_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:

@@ -406,6 +406,7 @@ def test_mixed_ring_elements_rejected(s3, q8):
 def test_rational_formatting_roundtrip():
     for fr in (Fraction(0), Fraction(3), Fraction(-7, 2), Fraction(5, 12)):
         assert parse_rational(format_rational(fr)) == fr
+    assert type(parse_rational("7")) is Fraction and parse_rational("-6/4") == Fraction(-3, 2)
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(4)) == "4/1"
     with pytest.raises(SpecParseError):
@@ -427,6 +428,65 @@ def test_element_json_rejects_garbage(s3):
         element_from_json(s3, [["6:0"]])
     with pytest.raises(PreconditionError):
         element_from_json(s3, [["9:0", "1/1"]])
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["Q8", "S4", "C12", "C2xC2xC2"]),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=-60, max_value=60),
+            st.integers(min_value=1, max_value=60),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+def test_element_from_json_sums_like_fractions(spec, terms):
+    # repeated labels, negative and unreduced p/q, and bare integers "p"
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    n = lat.n_classes()
+    coeffs = [Fraction(0)] * n
+    data = []
+    for c, p, q, bare in terms:
+        c %= n
+        value = str(p) if bare else f"{p}/{q}"
+        coeffs[c] += Fraction(p) if bare else Fraction(p, q)
+        data.append([lat.class_label(c), value])
+    x, y = element_from_json(G, data), BurnsideElement(G, coeffs)
+    assert (x.num, x.den, x._coeff_ints()) == (y.num, y.den, y._coeff_ints())
+    assert x.coeffs == tuple(coeffs)
+
+
+def test_element_from_json_errors_in_item_order(s3):
+    big = "1" + "0" * 5000
+    cases = [
+        # a bad label fails before its own bad value
+        ([["9:0", "1/0"]], PreconditionError, "no subgroup class '9:0' in S3"),
+        # the first bad item fails first
+        ([["2:0", "1/0"], ["9:0", "1"]], SpecParseError, "malformed rational '1/0'"),
+        ([["2:0", "1"], ["2:0", "x"], ["2:0", "1/0"]], SpecParseError,
+         "malformed rational 'x'"),
+        ([["2:0", big]], SpecParseError, f"malformed rational {big!r}"),
+        ([["2:0", "1/" + big]], SpecParseError, f"malformed rational {'1/' + big!r}"),
+        ([["2:0", "1"], ["2:0"]], PreconditionError, "malformed element entry ['2:0']"),
+    ]
+    for data, error, message in cases:
+        with pytest.raises(error) as info:
+            element_from_json(s3, data)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "+1", "1/", "/2", "1/-2", "--1", " 1", "1 ", "1_0", "1/2/3",
+             "\u0661", "\u00b2", "1.5", "1/0", "-0/0"],
+)
+def test_parse_rational_rejects(text):
+    with pytest.raises(SpecParseError) as info:
+        parse_rational(text)
+    assert str(info.value) == f"malformed rational {text!r}"
 
 
 def test_format_element_strings(s3):

@@ -32,7 +32,8 @@ from fwburnside import (
     tensor_induce,
     write_survey_csv,
 )
-from fwburnside.cli import main, resolve_selector
+from fwburnside import cli
+from fwburnside.cli import build_parser, main, resolve_selector
 
 
 def run_cli(capsys, *argv):
@@ -564,6 +565,40 @@ def test_verb_help_exits_zero(capsys, verb):
     assert out.startswith(f"usage: fwburnside {' '.join(verb)} ")
 
 
+_VERB_WORDS = [["group"], ["lattice"], ["marks"], ["idempotents"], ["mconst"], ["op"],
+               ["fw"], ["fw", "apply"], ["fw", "check"], ["fw", "survey"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]]
+    + [[*words, "--help"] for words in _VERB_WORDS]
+    + [
+        [], ["fw"], ["bogus"], ["fw", "bogus"], ["-h", "group"], ["--cap", "5", "group", "S4"],
+        ["lattice"], ["mconst", "S3", "center"], ["fw", "check", "Q8", "--op", "def"],
+        ["op", "bogus", "S4", "center", "[]"],
+        ["fw", "check", "Q8", "--op", "bogus", "--sub", "center"],
+        ["group", "S3", "--format", "csv"], ["fw", "survey", "--format", "bogus"],
+        ["group", "S4", "--cap", "0"], ["fw", "apply", "Q8", "[]", "--cap", "0"],
+        ["group", "S4", "extra"], ["group", "S4"],
+        ["fw", "check", "Q8", "--op", "def", "--sub", "center"],
+    ],
+)
+def test_request_parser_matches_full_parser(capsys, monkeypatch, argv):
+    scoped = run_cli(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full_parser())
+    assert run_cli(capsys, *argv) == scoped
+
+
+def test_request_parser_holds_one_verb():
+    every = "{group,lattice,marks,idempotents,mconst,op,fw}"
+    assert build_parser().format_usage() == f"usage: fwburnside [-h] {every} ...\n"
+    assert build_parser(["bogus"]).format_usage() == build_parser().format_usage()
+    assert build_parser(["group", "S4"]).format_usage() == "usage: fwburnside [-h] {group} ...\n"
+    assert build_parser(["fw", "check"]).format_usage() == "usage: fwburnside [-h] {fw} ...\n"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fwburnside.cli", "group", "C4"],
@@ -608,6 +643,53 @@ def test_import_does_not_load_dataclasses_or_inspect():
     added = _modules_loaded_by("import fwburnside, fwburnside.cli;") - _modules_loaded_by("")
     assert "fwburnside.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# made or used only by requests that need them: a Fraction, the survey CSV
+RARE_MODULES = {"fractions", "decimal", "csv"}
+
+
+def _imported_by(*args):
+    """The modules `python -X importtime ARGS` imports that a bare
+    interpreter does not, read from the import-time report on stderr."""
+
+    def imported(args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    return imported(args) - imported(["-c", "pass"])
+
+
+def test_import_does_not_load_fractions_or_csv():
+    added = _modules_loaded_by("import fwburnside;") - _modules_loaded_by("")
+    assert "fwburnside.survey" in added
+    assert not added & RARE_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "S4"],
+        ["lattice", "D8"],
+        ["marks", "A4", "--format", "csv"],
+        ["idempotents", "Q8"],
+        ["op", "ind", "Q8", "center", '[["1:0","1/1"]]'],
+        ["fw", "apply", "Q8", '[["2:0","1/1"]]'],
+        ["fw", "check", "Q8", "--op", "def", "--sub", "center"],
+    ],
+)
+def test_request_does_not_load_fractions_or_csv(argv):
+    # under -m the cli runs as __main__, so the report names only its imports
+    added = _imported_by("-m", "fwburnside.cli", *argv)
+    assert {"argparse", "fwburnside.burnside"} <= added
+    assert not added & RARE_MODULES
 
 
 def test_propositions_and_oracles_do_not_load_dataclasses_or_inspect():

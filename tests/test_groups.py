@@ -17,6 +17,7 @@ from fwburnside import (
     Subgroup,
     construct_group,
     cyclic_group,
+    direct_product,
     quotient_group,
     subgroup_embedding,
     subgroup_lattice,
@@ -569,6 +570,41 @@ def _cycles(perm):
 def test_random_perm_tables_match_entry_by_entry_oracle(gens):
     spec = "perm:[" + ";".join(_cycles(g) for g in gens) + "]"
     assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
+
+
+def _assert_pair_formula(A, B):
+    """Every entry of direct_product(A, B): (i, j)(k, l) = (ik, jl) at
+    index (i k) |B| + j l, the pair (i, j) at i |B| + j."""
+    nb = B.n
+    P = direct_product(A, B)
+    assert P.n == A.n * nb and P.identity == A.identity * nb + B.identity
+    for i, arow in enumerate(A.mul):
+        for j, brow in enumerate(B.mul):
+            row = P.mul[i * nb + j]
+            for k, a in enumerate(arow):
+                for l, b in enumerate(brow):
+                    assert row[k * nb + l] == a * nb + b
+
+
+# SL(2,3) has its identity at a nonzero index; A5 needs two generators
+PRODUCT_FACTORS = ["C1", "C2", "C6", "S3", "D8", "Q8", "A4", "SL(2,3)", "Dic12", "A5"]
+
+
+@pytest.mark.parametrize("a", PRODUCT_FACTORS)
+@pytest.mark.parametrize("b", ["C1", "C3", "S3", "SL(2,3)"])
+def test_product_tables_match_pair_formula(a, b):
+    _assert_pair_formula(construct_group(a), construct_group(b))
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.permutations(range(4)), min_size=1, max_size=2),
+    st.lists(st.permutations(range(3)), min_size=1, max_size=2),
+)
+def test_random_perm_product_tables_match_pair_formula(gens_a, gens_b):
+    A, B = construct_group(perm_spec(gens_a)), construct_group(perm_spec(gens_b))
+    _assert_pair_formula(A, B)
+    _assert_pair_formula(B, A)
 
 
 @given(
