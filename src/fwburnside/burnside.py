@@ -222,9 +222,11 @@ def zero(G):
 
 
 def basis_element(G, c):
-    """The transitive set [G/H] for the c-th subgroup class."""
+    """The transitive set [G/H] for the c-th subgroup class, from integer
+    coefficients: its marks are row H of the table of marks."""
     lat = subgroup_lattice(G)
-    return BurnsideElement(G, tuple(int(j == c) for j in range(lat.n_classes())))
+    indicator = tuple(int(j == c) for j in range(lat.n_classes()))
+    return _element(G, *_marks_from_coeffs(lat, indicator, 1), (indicator, 1))
 
 
 def identity_element(G):

@@ -184,7 +184,7 @@ class Group:
         return gens
 
     def is_solvable(self):
-        """Whether the derived series reaches 1, cached.
+        """Whether the derived series reaches 1.
 
         Each term D' is the normal closure in D of the commutators of D's
         generators: those are joined one at a time, then their conjugates
@@ -192,30 +192,27 @@ class Group:
         into D'. The series stops at 1 (solvable) or at a term equal to
         the one before it (not solvable).
         """
-        solvable = self._cache.get("solvable")
-        if solvable is None:
-            mul, inv = self.mul, self.inv
-            one = 1 << self.identity
-            mask, gens = (1 << self.n) - 1, self.generators()
-            while mask != one:
-                dmask, dgens = one, []
+        mul, inv = self.mul, self.inv
+        one = 1 << self.identity
+        mask, gens = (1 << self.n) - 1, self.generators()
+        while mask != one:
+            dmask, dgens = one, []
+            for a in gens:
+                for b in gens:
+                    c = mul[mul[inv[a]][inv[b]]][mul[a][b]]
+                    if not (dmask >> c) & 1:
+                        dmask = self.join_mask(dmask, c)
+                        dgens.append(c)
+            for c in dgens:
                 for a in gens:
-                    for b in gens:
-                        c = mul[mul[inv[a]][inv[b]]][mul[a][b]]
-                        if not (dmask >> c) & 1:
-                            dmask = self.join_mask(dmask, c)
-                            dgens.append(c)
-                for c in dgens:
-                    for a in gens:
-                        x = mul[mul[a][c]][inv[a]]
-                        if not (dmask >> x) & 1:
-                            dmask = self.join_mask(dmask, x)
-                            dgens.append(x)
-                if dmask == mask:
-                    break
-                mask, gens = dmask, dgens
-            solvable = self._cache["solvable"] = mask == one
-        return solvable
+                    x = mul[mul[a][c]][inv[a]]
+                    if not (dmask >> x) & 1:
+                        dmask = self.join_mask(dmask, x)
+                        dgens.append(x)
+            if dmask == mask:
+                break
+            mask, gens = dmask, dgens
+        return mask == one
 
     def validate(self):
         """Check the group axioms exactly; raises AlgebraError on failure.
@@ -844,11 +841,10 @@ def construct_group(spec, cap=DEFAULT_ORDER_CAP):
         _check_cap(total, cap, norm)
         factors.append(g)
     G = reduce(direct_product, factors)
-    if norm not in _GROUP_CACHE:
+    if len(factors) > 1:
+        # a single atom was validated and cached under its label, norm
         G.validate()
         _GROUP_CACHE[norm] = G
-    else:
-        G = _GROUP_CACHE[norm]
     return G
 
 

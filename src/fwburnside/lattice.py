@@ -281,14 +281,6 @@ def _subgroup_classes(G, max_subgroups):
     return orbits, normalizer
 
 
-def _meet_of_maximal(masks, top):
-    """top intersected with each of the masks that no other one contains."""
-    for m in masks:
-        if not any(x != m and x & m == m for x in masks):
-            top &= m
-    return top
-
-
 class SubgroupLattice:
     """All subgroups of a finite group, with conjugation and Moebius data."""
 
@@ -476,30 +468,29 @@ class SubgroupLattice:
     def frattini_of(self, H):
         """Intersection of the maximal proper subgroups of H (H itself if none).
 
-        A maximal subgroup M has mu(M, H) = -1, and every proper subgroup
-        lies in a maximal one, so the maximal subgroups are those with a
-        nonzero Moebius value that no other proper one of them contains.
+        mu(K, H) is nonzero only when K is an intersection of maximal
+        subgroups of H, and mu(M, H) = -1 for each maximal M (P. Hall,
+        1936), so the meet of H's Moebius column is Phi(H).
         """
         h = self.subgroup_index(H)
-        proper = [self.masks[j] for j in self.mu_column(h) if j != h]
-        return Subgroup(self.group, _meet_of_maximal(proper, H.mask))
+        phi = H.mask
+        for j in self.mu_column(h):
+            phi &= self.masks[j]
+        return Subgroup(self.group, phi)
 
     def frattini(self):
-        sub = self._cache.get("frattini")
-        if sub is None:
-            sub = self.frattini_of(self.group.full_subgroup())
-            self._cache["frattini"] = sub
-        return sub
+        return self.frattini_of(self.group.full_subgroup())
 
     def max_cyclic_intersection(self):
-        """Intersection of the maximal cyclic subgroups."""
-        sub = self._cache.get("maxcyc")
-        if sub is None:
-            # the trivial subgroup is cyclic, so there is a maximal one
-            cyc = [s.mask for s in self.subgroups if s.is_cyclic()]
-            sub = Subgroup(self.group, _meet_of_maximal(cyc, (1 << self.group.n) - 1))
-            self._cache["maxcyc"] = sub
-        return sub
+        """Intersection of the maximal cyclic subgroups: the cyclic
+        subgroups that no other cyclic subgroup contains (the trivial
+        subgroup is cyclic, so there is one)."""
+        cyc = [s.mask for s in self.subgroups if s.is_cyclic()]
+        meet = (1 << self.group.n) - 1
+        for m in cyc:
+            if not any(x != m and x & m == m for x in cyc):
+                meet &= m
+        return Subgroup(self.group, meet)
 
 
 def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):

@@ -377,6 +377,20 @@ def test_deflate_idempotent_closed_form(q8):
         assert deflate_idempotent(lat, lat.class_rep(c), qm) == direct
 
 
+@pytest.mark.parametrize("spec", full_catalog())
+def test_basis_elements_from_integers_match_constructor(spec):
+    G = construct_group(spec)
+    n = subgroup_lattice(G).n_classes()
+    for c in range(n):
+        indicator = tuple(int(j == c) for j in range(n))
+        x, y = basis_element(G, c), BurnsideElement(G, indicator)
+        assert (x.num, x.den, x._coeff_ints()) == (y.num, y.den, y._coeff_ints())
+        assert x.marks == y.marks and x.coeffs == y.coeffs
+    one = identity_element(G)
+    top = (0,) * (n - 1) + (1,)
+    assert (one.num, one.den, one._coeff_ints()) == ((1,) * n, 1, (top, 1))
+
+
 def test_is_integral():
     G = construct_group("S3")
     lat = subgroup_lattice(G)

@@ -673,6 +673,16 @@ def test_import_does_not_load_fractions_or_csv():
     assert not added & RARE_MODULES
 
 
+def test_basis_elements_do_not_load_fractions():
+    # [G/H] is built from integer coefficients, with no Fraction
+    code = (
+        "from fwburnside import basis_element, construct_group, identity_element;"
+        "G = construct_group('C2xS4'); [basis_element(G, c) for c in range(5)];"
+        "identity_element(G);"
+    )
+    assert not _modules_loaded_by(code) & RARE_MODULES
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +34,7 @@ from fwburnside import (
     totient,
 )
 from fwburnside.burnside import _coeffs_from_marks, _marks_table
+from fwburnside.cli import main
 from fwburnside.groups import Group, bits, mask_of
 from fwburnside.lattice import SubgroupLattice, divisors, m_sum
 from fwburnside.oracles import (
@@ -556,14 +559,16 @@ def _assert_moebius_and_idempotents_match_oracles(G):
         # back-substituting the class indicator does not use mu
         indicator = (0,) * c + (1,) + (0,) * (lat.n_classes() - c - 1)
         assert idempotent(lat, c)._coeff_ints() == _coeffs_from_marks(lat, indicator, 1)
-    # the Frattini subgroup of G against its maximal subgroups found by containment
-    top = lat.reps[-1]
-    proper = [lat.subgroups[k].mask for k in oracle[top] if k != top]
-    phi = (1 << G.n) - 1
-    for m in proper:
-        if not any(x != m and x & m == m for x in proper):
-            phi &= m
-    assert lat.frattini().mask == phi
+    # Phi(H) at every representative against H's maximal subgroups, found
+    # by containment among the pairs K <= H with no Moebius value read
+    for h in lat.reps:
+        proper = [lat.masks[k] for k in oracle[h] if k != h]
+        phi = lat.masks[h]
+        for m in proper:
+            if not any(x != m and x & m == m for x in proper):
+                phi &= m
+        assert lat.frattini_of(lat.subgroups[h]).mask == phi
+    assert lat.frattini() == lat.frattini_of(lat.subgroups[lat.reps[-1]])
 
 
 @pytest.mark.parametrize("spec", MOEBIUS_SPECS)
@@ -607,6 +612,18 @@ def test_sparse_marks_match_dense_and_fixed_point_count(spec):
 def test_random_perm_sparse_marks_match_dense_and_fixed_point_count(gens):
     spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
     _assert_sparse_marks_match_dense_and_oracle(construct_group(spec))
+
+
+def test_requests_cache_no_solvable_frattini_or_maxcyc():
+    # each is read at most once per request, so none is kept
+    spec = "C2xC2xC2xC2xC2"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["lattice", spec]) == 0
+    G = construct_group(spec)
+    assert G.is_solvable()
+    keys = {"solvable", "frattini", "maxcyc"}
+    assert not keys & set(G._cache)
+    assert not keys & set(subgroup_lattice(G)._cache)
 
 
 def _max_cyclic_intersection_by_powers(G):
