@@ -38,11 +38,13 @@ Biset Functors for Finite Groups, 2010):
 
 Conversion is exact integer arithmetic on the table of marks, which is
 lower triangular in the class order with positive diagonal. The engine
-holds it sparse, built from containments: the nonzero entries by row,
-those below the diagonal by column, and the diagonal; table_of_marks
-expands it for output only. Forward, the coefficient numerators times the
-rows are the mark numerators over the same denominator. Backward, Gluck's
-formula e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K] shows that the
+holds it sparse, built from containments: the nonzero entries of each
+row, the diagonal last; table_of_marks expands it for output only.
+Forward, the coefficient numerators times the rows are the mark
+numerators over the same denominator. Backward, the rows are subtracted
+from the last up, each times its coefficient: the mark left at its
+diagonal over the diagonal entry. Gluck's formula
+e_H = (1/|N_G(H)|) sum_{K <= H} |K| mu(K, H) [G/K] shows that the
 inverse table has denominators dividing |N_G(H)|, hence |G|; scaled by |G|
 times the denominator of the marks, every coefficient is an integer, so each
 division of the back-substitution is exact (asserted). The set-level
@@ -236,18 +238,17 @@ def identity_element(G):
 
 def _marks_table(lat):
     """The sparse table of marks, cached per lattice: the nonzero (column,
-    mark) pairs of each row [G/H], the (row, mark) pairs of each column K
-    below the diagonal, and the diagonal.
+    mark) pairs of each row [G/H].
 
     Read from containments (Pfeiffer 1997): |(G/H)^K| equals
     |N_G(K)| * #{K' ~ K : K' <= H} / |H|. below(H) runs from 1 to H, the
     one member of its class below H, so a row opens with the mark at 1 and
     closes with the diagonal."""
-    table = lat._cache.get("marks")
-    if table is None:
+    rows = lat._cache.get("marks")
+    if rows is None:
         masks, class_of = lat.masks, lat.class_of
         norm_orders = [masks[lat.normalizer_idx[r]].bit_count() for r in lat.reps]
-        rows, cols, diag = [], [[] for _ in lat.reps], []
+        rows = []
         for i, rep in enumerate(lat.reps):
             h = masks[rep].bit_count()
             row = tuple(
@@ -256,19 +257,16 @@ def _marks_table(lat):
             )
             assert row[0] == (0, lat.group.n // h), "mark at 1 must be the index"
             assert row[-1] == (i, norm_orders[i] // h), "diagonal must be [N_G(H):H]"
-            for j, t in row[:-1]:
-                cols[j].append((i, t))
             rows.append(row)
-            diag.append(row[-1][1])
-        table = lat._cache["marks"] = (tuple(rows), tuple(map(tuple, cols)), tuple(diag))
-    return table
+        rows = lat._cache["marks"] = tuple(rows)
+    return rows
 
 
 def table_of_marks(lat):
     """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower
     triangular. The dense form of the sparse table, for output: expanded
     on each call, never cached, and read by nothing in the engine."""
-    rows = _marks_table(lat)[0]
+    rows = _marks_table(lat)
     dense = []
     for row in rows:
         marks = [0] * len(rows)
@@ -281,7 +279,7 @@ def table_of_marks(lat):
 def _marks_from_coeffs(lat, cnum, cden):
     """Coefficients cnum / cden times the table of marks: the mark
     numerators over the same denominator, reduced."""
-    rows = _marks_table(lat)[0]
+    rows = _marks_table(lat)
     acc = [0] * len(cnum)
     for c, row in zip(cnum, rows):
         if c:
@@ -291,18 +289,22 @@ def _marks_from_coeffs(lat, cnum, cden):
 
 
 def _coeffs_from_marks(lat, num, den):
-    """Back-substitution on the triangular table in integers scaled by
-    |G| times the denominator of the marks (exact; see above)."""
-    _, cols, diag = _marks_table(lat)
+    """Back-substitution by rows, from the last up, in integers scaled by
+    |G| times the denominator of the marks (exact; see above): with the
+    rows after i subtracted, row i alone has a mark in column i, so its
+    coefficient is what is left there over the row's last entry."""
+    rows = _marks_table(lat)
     n = lat.group.n
+    rest = [m * n for m in num]
     acc = [0] * len(num)
-    for j in range(len(num) - 1, -1, -1):
-        v = num[j] * n
-        for i, t in cols[j]:
-            v -= acc[i] * t
-        q, r = divmod(v, diag[j])
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        q, r = divmod(rest[i], row[-1][1])
         assert r == 0, "scaled back-substitution must divide exactly"
-        acc[j] = q
+        if q:
+            acc[i] = q
+            for j, t in row:
+                rest[j] -= q * t
     return _reduce(acc, den * n)
 
 

@@ -27,13 +27,12 @@ from math import gcd
 from .burnside import (
     _gather,
     _idempotent_sum,
-    _marks_table,
     format_element,
     idempotent,
     operation,
 )
 from .errors import PreconditionError
-from .groups import cyclic_group
+from .groups import bits, cyclic_group
 from .lattice import divisors, m_sum, subgroup_lattice, totient
 
 __all__ = [
@@ -150,22 +149,23 @@ def check_commutes(ctx, op, sub):
 
 
 def _classes_above(lat, N):
-    """The classes of the subgroups L >= N, for N normal in G: N's own class
-    and the rows with a mark at N's column in the sparse table of marks.
-    [G/L] has a nonzero mark at N iff N lies in a conjugate of L, and as N
-    is normal, that holds iff N lies in L and in every conjugate of L."""
+    """The classes of the subgroups L >= N, for N normal in G, ascending:
+    the classes of the representatives in lat.above(N). As N is normal, it
+    lies in L iff it lies in every conjugate of L, so a class above N lies
+    above it whole."""
     c = lat.class_index(N)  # raises for a subgroup of another group
     if not lat.is_normal_class(c):
         raise PreconditionError(f"subgroup of order {N.order} is not normal in {lat.group.label}")
-    return (c,) + tuple(i for i, _ in _marks_table(lat)[1][c])
+    reps, class_of = lat.reps, lat.class_of
+    return tuple(class_of[s] for s in bits(lat.above(N.mask)) if reps[class_of[s]] == s)
 
 
 def deflation_commutes(G, N):
     """Whether the square of deflation along G -> G/N commutes:
     check_commutes(fw_context(G), "def", N).commutes, decided over the same
     idempotents e[d] in ascending d, stopping at the first mismatch. Only
-    G's lattice, its Moebius columns and N's column of its sparse table of
-    marks are read: no section, element or idempotent is built.
+    G's lattice, its containment map and its Moebius columns are read: no
+    section, element, idempotent or table of marks is built.
 
     Inflation along G -> G/N is injective: Inf x has mark x(L/N) at each
     L >= N, and every subgroup of G/N is such an L/N. So the two routes
@@ -177,7 +177,9 @@ def deflation_commutes(G, N):
       the classes of order d, and Bouc's Def e_H = t(H, N) e_{HN/N} with
       t(H, N) = s_H |cl H| / (|HN| |cl HN|), where s_H = m_sum(H, N) is
       |H| m(H, H ∩ N) (propositions.t_constant). Inflated, e_{HN/N} has
-      mark 1 at the class of HN and 0 at the other classes L >= N.
+      mark 1 at the class of HN and 0 at the other classes L >= N. HN is
+      the smallest subgroup above both H and N, so the lowest index in
+      lat.above(N) & lat.above(H), subgroups ascending by order.
     - Right route. In C every normalizer is C, so the same formula reads
       Def e[d] = r e[d/g] along C -> C/C_N, with g = gcd(d, |N|) and
       r = phi(d) / (|N| phi(d/g)) (propositions.r_constant). Lifted to
@@ -188,29 +190,14 @@ def deflation_commutes(G, N):
     """
     lat = subgroup_lattice(G)
     above = _classes_above(lat, N)
-    reps, classes, index, class_of = lat.reps, lat.classes, lat.index, lat.class_of
-    mul, nm, nmembers, n = G.mul, N.mask, N.members, N.order
-    cosets = {}  # element -> mask of its coset of N
-
-    def push(c):
-        """The class of HN for H the representative of class c: the union of
-        N's cosets over H's members."""
-        hn = nm
-        for g in lat.subgroups[reps[c]].members:
-            if not (hn >> g) & 1:
-                coset = cosets.get(g)
-                if coset is None:
-                    row, coset = mul[g], 0
-                    for x in nmembers:
-                        coset |= 1 << row[x]
-                    cosets[g] = coset
-                hn |= coset
-        return class_of[index[hn]]
-
+    reps, classes, masks, class_of = lat.reps, lat.classes, lat.masks, lat.class_of
+    nm, n = N.mask, N.order
+    over_n = lat.above(nm)
     for d in divisors(G.n)[1:]:
         acc = {}  # class of HN -> sum of s_H |cl H|
         for c in lat.classes_of_order(d):
-            j = push(c)
+            hn = over_n & lat.above(masks[reps[c]])
+            j = class_of[(hn & -hn).bit_length() - 1]
             acc[j] = acc.get(j, 0) + len(classes[c]) * m_sum(lat, reps[c], nm)
         q = d // gcd(d, n)
         scale, phi = n * totient(q), totient(d)
@@ -224,8 +211,8 @@ def deflation_commutes(G, N):
 def check_m_equality(G, N):
     """Whether m(T, N) matches the cyclic closed form for every T >= N.
 
-    The classes T >= N are read from N's column of G's sparse table of
-    marks, and each is compared in integers: |T| m(T, N) is
+    The classes T >= N are read off G's containment map (_classes_above),
+    and each is compared in integers: |T| m(T, N) is
     lattice.m_sum(T, N), and the cyclic form is
     phi(|T|) / (|N| phi(|T| / |N|)) (lattice.m_cyclic)."""
     lat = subgroup_lattice(G)

@@ -52,18 +52,23 @@ representatives are the minimal subgroups of their classes under that
 order, which makes every derived table (marks, idempotent coefficients)
 reproducible.
 
-Containments and Moebius values are computed per subgroup on first read
-(SubgroupLattice.below and mu_column) and cached, so the table of marks
-and the idempotents, which read class representatives only, never touch
-the rest. mu(., H) is in closed form when H is nilpotent (P. Hall, 1936)
+Containments are read off one map, built with the lattice: for each
+zuppo generator z, the subgroups holding z, as a mask over subgroup
+indices. A group is generated by its elements of prime-power order, each
+generating the same cyclic subgroup as some zuppo generator, so K <= H
+iff every zuppo generator in K lies in H (SubgroupLattice.below and
+above). below rows and Moebius values (mu_column) are computed per
+subgroup on first read and cached, so the table of marks and the
+idempotents, which read class representatives only, never touch the
+rest. mu(., H) is in closed form when H is nilpotent (P. Hall, 1936)
 and a recursion over H's interval otherwise.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import groupby
 
 from .errors import CapExceededError, PreconditionError
 from .groups import Subgroup, bits, mask_of
@@ -166,10 +171,11 @@ def _zuppos(G):
 def _subgroup_classes(G, max_subgroups):
     """Every subgroup of G by conjugacy class, with its normalizer.
 
-    Returns (orbits, normalizer): orbits lists each class as its member
-    masks, and normalizer maps every subgroup mask to the mask of its
-    normalizer. Raises CapExceededError as soon as the classes found hold
-    more than max_subgroups subgroups (None: no bound).
+    Returns (orbits, normalizer, zuppos): orbits lists each class as its
+    member masks, normalizer maps every subgroup mask to the mask of its
+    normalizer, and zuppos is _zuppos(G)[0]. Raises CapExceededError as
+    soon as the classes found hold more than max_subgroups subgroups
+    (None: no bound).
     """
     mul, conj = G.mul, G.conj_rows()
     # conjugation by a central element is trivial
@@ -278,7 +284,7 @@ def _subgroup_classes(G, max_subgroups):
                     seen.update(map(zuppo_of.__getitem__, bits(jmask & ~hmask)))
             if jmask not in normalizer:
                 add_class(jmask, hgens + (z,))
-    return orbits, normalizer
+    return orbits, normalizer, zuppos
 
 
 class SubgroupLattice:
@@ -295,7 +301,8 @@ class SubgroupLattice:
         "masks",
         "class_labels",
         "_label_to_class",
-        "_order_runs",
+        "_class_orders",
+        "_holders",
         "_below",
         "_mu",
         "_cache",
@@ -310,7 +317,7 @@ class SubgroupLattice:
         parent = G._cache.get("section")
         if parent is not None and "lattice" in parent._cache:
             max_subgroups = None
-        orbits, normalizer = _subgroup_classes(G, max_subgroups)
+        orbits, normalizer, zuppos = _subgroup_classes(G, max_subgroups)
         keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in normalizer)
         masks = [m for _, _, m in keyed]
         self.subgroups = tuple(Subgroup(G, m, members) for _, members, m in keyed)
@@ -327,13 +334,14 @@ class SubgroupLattice:
         self.reps = tuple(cls[0] for cls in self.classes)
         self.normalizer_idx = tuple(self.index[normalizer[m]] for m in masks)
         self.masks = tuple(masks)
-        # (order, first index, end index) of each run of subgroups of one order
-        runs, start = [], 0
-        for order, run in groupby(m.bit_count() for m in masks):
-            stop = start + sum(1 for _ in run)
-            runs.append((order, start, stop))
-            start = stop
-        self._order_runs = tuple(runs)
+        self._class_orders = tuple(masks[r].bit_count() for r in self.reps)
+        # for each zuppo generator z, the subgroups holding z, as a mask
+        # over subgroup indices
+        holders = {z: [] for z, _ in zuppos}
+        for i, (_, members, _) in enumerate(keyed):
+            for z in filter(holders.__contains__, members):
+                holders[z].append(i)
+        self._holders = {z: mask_of(held) for z, held in holders.items()}
         self._below = {}
         self._mu = {}
 
@@ -366,20 +374,16 @@ class SubgroupLattice:
         return len(self.classes)
 
     def classes_of_order(self, d):
-        """The classes of subgroups of order d, as a range: representatives
-        ascend by order, and the first subgroup of each order's run is the
-        representative of the first class of that order."""
-        for order, start, stop in self._order_runs:
-            if order == d:
-                end = self.class_of[stop] if stop < len(self.masks) else len(self.classes)
-                return range(self.class_of[start], end)
-        return range(0)
+        """The classes of subgroups of order d, as a range: classes ascend
+        by order."""
+        orders = self._class_orders
+        return range(bisect_left(orders, d), bisect_right(orders, d))
 
     def class_rep(self, c):
         return self.subgroups[self.reps[c]]
 
     def class_order(self, c):
-        return self.subgroups[self.reps[c]].order
+        return self._class_orders[c]
 
     def class_label(self, c):
         return self.class_labels[c]
@@ -401,21 +405,26 @@ class SubgroupLattice:
 
     def below(self, h):
         """Indices of the subgroups of subgroup h, ascending, h itself last;
-        computed on first read."""
+        computed on first read: the indices before h of the subgroups that
+        hold no zuppo generator outside H."""
         row = self._below.get(h)
         if row is None:
-            masks = self.masks
-            hm = masks[h]
-            ho = hm.bit_count()
-            row = []
-            for order, start, stop in self._order_runs:
-                if order >= ho:
-                    break
-                if ho % order == 0:
-                    row.extend(j for j in range(start, stop) if masks[j] & hm == masks[j])
-            row.append(h)
-            row = self._below[h] = tuple(row)
+            hm, outside = self.masks[h], 0
+            for z, held in self._holders.items():
+                if not (hm >> z) & 1:
+                    outside |= held
+            row = self._below[h] = (*bits(~outside & ((1 << h) - 1)), h)
         return row
+
+    def above(self, kmask):
+        """The subgroups that contain the subgroup with element mask kmask,
+        as a mask over subgroup indices: those holding every zuppo
+        generator in K."""
+        acc = (1 << len(self.masks)) - 1
+        for z, held in self._holders.items():
+            if (kmask >> z) & 1:
+                acc &= held
+        return acc
 
     def mu_column(self, h):
         """The nonzero Moebius values mu(K, H) for H = subgroup h, as

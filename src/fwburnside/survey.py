@@ -1,12 +1,14 @@
 """Catalog survey: one row per (group, conjugacy class of normal subgroups)
 recording the structural predicates next to the four commutativity outcomes.
 
-Every column is read off G's subgroup lattice, its Moebius function and
-its sparse table of marks. For a normal subgroup N, inf, ind and ten
-commute exactly when N has the gcd property, so one test fills all three
-(and the gcd column). Deflation is decided by fw.deflation_commutes from
-Bouc's t(H, N) against the cyclic constant r. No section, element or
-idempotent of any group is built, and neither is the cyclic group.
+Every column is read off G's subgroup lattice, its containment map and
+its Moebius function. For a normal subgroup N, inf, ind and ten commute
+exactly when N has the gcd property, so one test fills all three (and
+the gcd column). Deflation commutes only when N has the gcd property and
+is cyclic, central and m-equal (criterion 08 of the paper), so only on
+those rows is it decided, by fw.deflation_commutes from Bouc's t(H, N)
+against the cyclic constant r. No section, element, idempotent or table
+of marks of any group is built, and neither is the cyclic group.
 
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
@@ -120,7 +122,12 @@ def survey_rows(config):
                 row["central"] = _bool(N.mask & G.center().mask == N.mask)
                 row["m_equal"] = _bool(check_m_equality(G, N))
                 row["commutes_inf"] = row["commutes_ind"] = row["commutes_ten"] = gcd
-                row["commutes_def"] = _bool(deflation_commutes(G, N))
+                # criterion 08, proved in the paper: deflation along G -> G/N
+                # commutes only if N has all four properties
+                row["commutes_def"] = _bool(
+                    all(row[k] == "true" for k in ("gcd", "cyclic", "central", "m_equal"))
+                    and deflation_commutes(G, N)
+                )
             except (AlgebraError, AssertionError) as exc:
                 row["error"] = str(exc)
             rows.append(row)

@@ -50,7 +50,7 @@ from fwburnside.propositions import (
 )
 from fwburnside.survey import full_catalog
 
-from conftest import cycle_notation, small_perm
+from conftest import cycle_notation, perm_spec, small_perm, two_perms_of_5
 
 
 def coeffs_strategy(k):
@@ -342,6 +342,34 @@ def test_random_perm_deflation_commutes_matches_walk(gens):
     _assert_deflation_decides_like_the_walk(
         construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
     )
+
+
+@settings(max_examples=100)
+@given(two_perms_of_5)
+def test_random_s5_subgroup_deflation_commutes_matches_walk(gens):
+    # reaches A5 and S5, whose HN are read off the containment map across
+    # classes of more than one member
+    _assert_deflation_decides_like_the_walk(construct_group(perm_spec(gens)))
+
+
+def _assert_def_necessary_where_the_walk_commutes(G):
+    # the premise of the survey's gate on commutes_def (criterion 08)
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in lat.normal_class_indices():
+        assert check_def_necessary(ctx, lat.class_rep(c)), (G.label, c)
+
+
+@settings(max_examples=150)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_def_necessary_where_the_walk_commutes(gens):
+    _assert_def_necessary_where_the_walk_commutes(construct_group(perm_spec(gens)))
+
+
+@settings(max_examples=100)
+@given(two_perms_of_5)
+def test_random_s5_subgroup_def_necessary_where_the_walk_commutes(gens):
+    _assert_def_necessary_where_the_walk_commutes(construct_group(perm_spec(gens)))
 
 
 @pytest.mark.parametrize("spec", full_catalog() + ORDER_VERDICT_EXTRAS)

@@ -590,16 +590,16 @@ LADDER_SPECS = ("S4", "SL(2,3)", "A5", "S5", "SL(2,5)", "SL(2,7)",
 
 def _assert_sparse_marks_match_dense_and_oracle(G):
     lat = subgroup_lattice(G)
-    rows, cols, diag = _marks_table(lat)
+    rows = _marks_table(lat)
     dense = table_of_marks(lat)
     assert dense == marks_by_fixed_points(lat)
     n = lat.n_classes()
-    assert len(rows) == len(cols) == len(diag) == len(dense) == n
+    assert len(rows) == len(dense) == n
     for i in range(n):
         assert all(t for _, t in rows[i]) and len(dict(rows[i])) == len(rows[i])
         assert dict(rows[i]) == {j: t for j, t in enumerate(dense[i]) if t}
-        assert diag[i] == dense[i][i] > 0
-        assert cols[i] == tuple((r, dense[r][i]) for r in range(i + 1, n) if dense[r][i])
+        # the diagonal closes the row
+        assert rows[i][-1] == (i, dense[i][i]) and dense[i][i] > 0
 
 
 @pytest.mark.parametrize("spec", LADDER_SPECS)
@@ -668,6 +668,32 @@ def test_classes_of_order_match_scan(spec):
 def test_random_perm_classes_of_order_match_scan(gens):
     G = construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
     _assert_classes_of_order_match_scan(subgroup_lattice(G))
+
+
+def _assert_containment_map_matches_scan(lat):
+    # at every subgroup, not only at class representatives
+    masks = lat.masks
+    for h, hm in enumerate(masks):
+        assert lat.below(h) == tuple(j for j in range(h + 1) if masks[j] & hm == masks[j])
+        assert lat.above(hm) == mask_of(s for s, m in enumerate(masks) if m & hm == hm)
+
+
+@pytest.mark.parametrize("spec", full_catalog() + tuple(MOEBIUS_SPECS))
+def test_containment_map_matches_scan(spec):
+    # a fresh lattice, so that below is computed here and not read back
+    _assert_containment_map_matches_scan(SubgroupLattice(construct_group(spec)))
+
+
+@settings(max_examples=30)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_containment_map_matches_scan(gens):
+    _assert_containment_map_matches_scan(SubgroupLattice(construct_group(perm_spec(gens))))
+
+
+@settings(max_examples=15)
+@given(two_perms_of_5)
+def test_random_s5_subgroup_containment_map_matches_scan(gens):
+    _assert_containment_map_matches_scan(SubgroupLattice(construct_group(perm_spec(gens))))
 
 
 def test_marks_and_idempotents_read_only_representatives():

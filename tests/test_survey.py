@@ -8,6 +8,7 @@ import pytest
 import fwburnside.burnside
 import fwburnside.fw
 import fwburnside.groups
+import fwburnside.survey
 from fwburnside import (
     SurveyConfig,
     survey_rows,
@@ -42,6 +43,37 @@ def test_survey_never_reads_the_dense_table_of_marks(monkeypatch):
     monkeypatch.setattr(fwburnside.burnside, "table_of_marks", refuse)
     rows = survey_rows(SurveyConfig(specs=specs))
     assert rows == expected and not any(r["error"] for r in rows)
+
+
+def test_survey_builds_no_table_of_marks(monkeypatch):
+    # every column is read off the containment map and the Moebius columns
+    monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
+    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "S4", "SL(2,3)xC2")))
+    assert not any(r["error"] for r in rows)
+    lattices = [G._cache["lattice"] for G in fwburnside.groups._GROUP_CACHE.values()
+                if "lattice" in G._cache]
+    assert len(lattices) >= 3
+    assert not any("marks" in lat._cache for lat in lattices)
+
+
+def test_survey_decides_deflation_only_where_criterion_08_allows(monkeypatch):
+    # a kernel along which deflation commutes has the gcd property and is
+    # cyclic, central and m-equal, so no other row calls deflation_commutes
+    real, calls = fwburnside.survey.deflation_commutes, []
+
+    def counting(G, N):
+        calls.append((G.label, N.order))
+        return real(G, N)
+
+    monkeypatch.setattr(fwburnside.survey, "deflation_commutes", counting)
+    rows = survey_rows(SurveyConfig(specs=("C2xC2xC2xC2xC2", "C2xC2xC2xC2xC2xC2")))
+    assert len(rows) == 374 + 2825 and not any(r["error"] for r in rows)
+    gated = [
+        (r["group"], int(r["sub_order"]))
+        for r in rows
+        if all(r[k] == "true" for k in ("gcd", "cyclic", "central", "m_equal"))
+    ]
+    assert calls == gated and len(calls) < 10
 
 
 def _map_keys(G):
