@@ -30,6 +30,7 @@ CHECKS = (
     (C2_6 + "xC3", "inf", "order=3:0"),
     ("S4xS4", "res", "order=288:0"),
     (C2_6, "fix", "order=8:0"),
+    (C2_6, "ten", "order=32:0"),  # fails: walks to its certificate
 )
 CAP = ("--cap", "720")  # admits S6, the largest group listed
 

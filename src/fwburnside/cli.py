@@ -48,7 +48,7 @@ from .errors import (
     PreconditionError,
     SpecParseError,
 )
-from .fw import check_commutes, fw_apply, fw_context
+from .fw import decide_commutes, fw_apply, fw_context
 from .groups import DEFAULT_ORDER_CAP, ascii_digits, construct_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, m_constant, subgroup_lattice
 from .survey import SURVEY_COLUMNS, SurveyConfig, full_catalog, survey_rows, write_survey_csv
@@ -290,7 +290,7 @@ def cmd_fw_check(args):
     G = _lattice(args).group
     ctx = fw_context(G)
     sub = resolve_selector(G, args.sub)
-    report = check_commutes(ctx, args.op, sub)
+    report = decide_commutes(ctx, args.op, sub)
     cert = None
     if report.certificate is not None:
         cert = {

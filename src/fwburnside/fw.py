@@ -8,10 +8,22 @@ subgroup of C. On idempotents it acts by e_D -> sum of the same-order
 idempotents, so each change-of-group operation either commutes with the
 lift or fails on some idempotent; check_commutes walks the idempotent
 basis in ascending divisor order and reports the first counterexample.
-deflation_commutes decides the deflation square without that walk, from
-G's lattice and Moebius function alone: Bouc's Def e_H = t(H, N) e_{HN/N}
-on G's side against its cyclic closed form Def e[d] = r e[d/g], compared
-in integers. check_m_equality reads the same classes and the same m-sums.
+
+decide_commutes gives the same report verdict first, and walks only to
+print a failing square's certificate. Every operand of the walk is a
+lifted idempotent, whose mark at K is [|K| = d], so:
+- res and fix always commute. Restriction to H keeps the marks at K <= H,
+  so [|K| = d] stays a lift. Fixed points along G -> G/N send the mark at
+  L >= N to L/N, so [|L| = d] becomes [|L/N| = d/|N|], a lift again
+  (zero when |N| does not divide d, on both routes).
+- inf, ind and ten commute iff the subgroup has the gcd property
+  (criterion 05 of the paper; survey.py gives the derivation).
+- def commutes iff deflation_commutes, which decides the deflation square
+  without the walk, from G's lattice and Moebius function alone: Bouc's
+  Def e_H = t(H, N) e_{HN/N} on G's side against its cyclic closed form
+  Def e[d] = r e[d/g], compared in integers. Along G -> G/1 deflation is
+  the identity, so the trivial kernel commutes at once.
+check_m_equality reads the same classes and the same m-sums.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
@@ -33,7 +45,7 @@ from .burnside import (
 )
 from .errors import PreconditionError
 from .groups import bits, cyclic_group
-from .lattice import divisors, m_sum, subgroup_lattice, totient
+from .lattice import check_gcd_property, divisors, m_sum, subgroup_lattice, totient
 
 __all__ = [
     "FwContext",
@@ -42,6 +54,7 @@ __all__ = [
     "Certificate",
     "CommutativityReport",
     "check_commutes",
+    "decide_commutes",
     "deflation_commutes",
     "check_m_equality",
 ]
@@ -148,6 +161,30 @@ def check_commutes(ctx, op, sub):
     return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
 
 
+def decide_commutes(ctx, op, sub):
+    """check_commutes(ctx, op, sub), with the verdict taken from the
+    theorems in the module docstring. A commuting square is reported as
+    the walk would report it: every divisor of the source ring's order
+    checked, no certificate. A failing square is walked, and the walk
+    stops at the first failing divisor with its certificate.
+
+    operation(op, sub) runs first, so an unknown operation and a
+    non-normal kernel for inf, def and fix raise as the walk raises."""
+    if sub.parent is not ctx.G:
+        raise PreconditionError("subgroup belongs to a different group")
+    src = operation(op, sub)[2]
+    if op in ("res", "fix"):
+        commutes = True
+    elif op == "def":
+        commutes = deflation_commutes(ctx.G, sub)
+    else:
+        commutes = check_gcd_property(ctx.G, sub)
+    if not commutes:
+        return check_commutes(ctx, op, sub)
+    sub_label = subgroup_lattice(ctx.G).class_label_of(sub)
+    return CommutativityReport(op, ctx.G.label, sub_label, True, len(divisors(src.n)), None)
+
+
 def _classes_above(lat, N):
     """The classes of the subgroups L >= N, for N normal in G, ascending:
     the classes of the representatives in lat.above(N). As N is normal, it
@@ -189,6 +226,9 @@ def deflation_commutes(G, N):
     is compared with r |L| |cl L| [|L| / |N| = d/g], times |N| phi(d/g).
     """
     lat = subgroup_lattice(G)
+    lat.class_index(N)  # raises for a subgroup of another group
+    if N.order == 1:  # Def along G -> G/1 is the identity
+        return True
     above = _classes_above(lat, N)
     reps, classes, masks, class_of = lat.reps, lat.classes, lat.masks, lat.class_of
     nm, n = N.mask, N.order

@@ -4,11 +4,19 @@ recording the structural predicates next to the four commutativity outcomes.
 Every column is read off G's subgroup lattice, its containment map and
 its Moebius function. For a normal subgroup N, inf, ind and ten commute
 exactly when N has the gcd property, so one test fills all three (and
-the gcd column). Deflation commutes only when N has the gcd property and
-is cyclic, central and m-equal (criterion 08 of the paper), so only on
-those rows is it decided, by fw.deflation_commutes from Bouc's t(H, N)
-against the cyclic constant r. No section, element, idempotent or table
-of marks of any group is built, and neither is the cyclic group.
+the gcd column). Two columns are computed only where a theorem leaves
+them open:
+- m_equal is computed only for cyclic N. At T = N the m-sum is
+  P. Hall's Eulerian sum over X <= N of |X| mu(X, N), the number of
+  x in N with <x> = N (1936): phi(|N|) when N is cyclic and 0 otherwise,
+  against phi(|N|) in the cyclic form. N's own class is the lowest above
+  N, so check_m_equality reads it first, and a non-cyclic N fails there.
+- commutes_def is computed only where N has the gcd property and is
+  cyclic, central and m-equal, as deflation cannot commute elsewhere
+  (criterion 08 of the paper). It is decided by fw.deflation_commutes,
+  from Bouc's t(H, N) against the cyclic constant r.
+No section, element, idempotent or table of marks of any group is
+built, and neither is the cyclic group.
 
 Rows never abort the run: a failing cell stores its error message in the
 final column and leaves the unknown fields blank, so a survey over a large
@@ -118,9 +126,11 @@ def survey_rows(config):
                 #   They agree iff every K whose order divides |N| lies in
                 #   N, the gcd property's form (ii).
                 gcd = row["gcd"] = _bool(check_gcd_property(G, N))
-                row["cyclic"] = _bool(N.is_cyclic())
+                cyclic = N.is_cyclic()
+                row["cyclic"] = _bool(cyclic)
                 row["central"] = _bool(N.mask & G.center().mask == N.mask)
-                row["m_equal"] = _bool(check_m_equality(G, N))
+                # Hall's identity: m-equality fails at T = N unless N is cyclic
+                row["m_equal"] = _bool(cyclic and check_m_equality(G, N))
                 row["commutes_inf"] = row["commutes_ind"] = row["commutes_ten"] = gcd
                 # criterion 08, proved in the paper: deflation along G -> G/N
                 # commutes only if N has all four properties

@@ -549,6 +549,16 @@ def test_exit_code_preconditions(capsys):
     assert run_cli(capsys, "op", "res", "S3", "order=4:0", "[]")[0] == 2
 
 
+@pytest.mark.parametrize("op", ("inf", "def", "fix"))
+@pytest.mark.parametrize("order", (2, 3))
+def test_fw_check_non_normal_kernel_exits_two(capsys, op, order):
+    # the quotient is realized before any verdict, so the request fails as
+    # the walk fails, with one line on stderr
+    code, out, err = run_cli(capsys, "fw", "check", "S4", "--op", op, "--sub", f"order={order}:0")
+    assert (code, out) == (2, "")
+    assert err == f"precondition failed: subgroup of order {order} is not normal in S4\n"
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "fw", "--help")[0] == 0

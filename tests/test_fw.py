@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fwburnside import (
     BurnsideElement,
+    OPERATIONS,
     PreconditionError,
     basis_element,
     GroupHom,
@@ -17,6 +18,7 @@ from fwburnside import (
     check_m_equality,
     construct_group,
     cyclic_group,
+    decide_commutes,
     deflate,
     deflation_commutes,
     fw_apply,
@@ -31,7 +33,7 @@ from fwburnside import (
 from fwburnside.burnside import _coeffs_from_marks, _idempotent_sum
 from fwburnside.fw import _route_pairs
 from fwburnside.groups import Subgroup, mask_of
-from fwburnside.lattice import divisors, m_constant, m_cyclic, totient
+from fwburnside.lattice import divisors, m_constant, m_cyclic, m_sum, totient
 from fwburnside.oracles import (
     check_subgroup,
     coset_space,
@@ -50,7 +52,7 @@ from fwburnside.propositions import (
 )
 from fwburnside.survey import full_catalog
 
-from conftest import cycle_notation, perm_spec, small_perm, two_perms_of_5
+from conftest import SURVEY_EXTRAS, cycle_notation, perm_spec, small_perm, two_perms_of_5
 
 
 def coeffs_strategy(k):
@@ -317,7 +319,8 @@ def test_deflation_commutes_rejects_bad_inputs(s4):
 
 
 def _assert_deflation_decides_like_the_walk(G):
-    """deflation_commutes agrees with check_commutes on every normal class."""
+    """deflation_commutes agrees with check_commutes on every normal class,
+    the trivial one included, which it answers at once."""
     ctx = fw_context(G)
     lat = subgroup_lattice(G)
     for c in lat.normal_class_indices():
@@ -429,6 +432,32 @@ def test_random_perm_m_equality_matches_fraction_reference(gens):
     )
 
 
+def _assert_halls_identity_at_the_kernel(G):
+    """The premise of the survey's m_equal gate. By P. Hall's Eulerian
+    identity, m_sum at T = N is the number of x in N with <x> = N, so a
+    non-cyclic N, which has no such x, is never m-equal."""
+    lat = subgroup_lattice(G)
+    orders = G.element_orders()
+    for c in lat.normal_class_indices():
+        N = lat.class_rep(c)
+        generators = sum(orders[x] == N.order for x in N.members)
+        assert m_sum(lat, lat.subgroup_index(N), N.mask) == generators, (G.label, c)
+        if not N.is_cyclic():
+            assert not check_m_equality(G, N), (G.label, c)
+
+
+@settings(max_examples=150)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_m_sum_at_the_kernel_counts_its_generators(gens):
+    _assert_halls_identity_at_the_kernel(construct_group(perm_spec(gens)))
+
+
+@settings(max_examples=100)
+@given(two_perms_of_5)
+def test_random_s5_subgroup_m_sum_at_the_kernel_counts_its_generators(gens):
+    _assert_halls_identity_at_the_kernel(construct_group(perm_spec(gens)))
+
+
 def test_def_counterexample_certificate():
     G = construct_group("C2xC2")
     ctx = fw_context(G)
@@ -503,16 +532,64 @@ def test_ind_ten_match_gcd_on_s4(s4):
         assert check_commutes(ctx, "ten", H).commutes == expected
 
 
+def _assert_res_and_fix_commute(G):
+    """The walk finds res commuting at every class and fix at every normal
+    class: the verdict decide_commutes gives them without walking."""
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in range(lat.n_classes()):
+        H = lat.class_rep(c)
+        assert check_commutes(ctx, "res", H).commutes, (G.label, c)
+        if H.is_normal():
+            assert check_commutes(ctx, "fix", H).commutes, (G.label, c)
+
+
 def test_res_and_fix_always_commute():
     for spec in ("S3", "Q8", "A4", "D10"):
-        G = construct_group(spec)
-        ctx = fw_context(G)
-        lat = subgroup_lattice(G)
-        for c in range(lat.n_classes()):
-            H = lat.class_rep(c)
-            assert check_commutes(ctx, "res", H).commutes
-            if H.is_normal():
-                assert check_commutes(ctx, "fix", H).commutes
+        _assert_res_and_fix_commute(construct_group(spec))
+
+
+# small_perm groups are walked by the verdict-first test below
+@given(two_perms_of_5)
+def test_random_s5_subgroup_res_and_fix_always_commute(gens):
+    _assert_res_and_fix_commute(construct_group(perm_spec(gens)))
+
+
+def _assert_verdict_first_reports_like_the_walk(G):
+    """decide_commutes gives check_commutes's report, field for field, for
+    res, ind and ten at every class and all six operations at every
+    normal class."""
+    ctx = fw_context(G)
+    lat = subgroup_lattice(G)
+    for c in range(lat.n_classes()):
+        H = lat.class_rep(c)
+        ops = OPERATIONS if lat.is_normal_class(c) else ("res", "ind", "ten")
+        for op in ops:
+            assert decide_commutes(ctx, op, H) == check_commutes(ctx, op, H), (G.label, op, c)
+
+
+@pytest.mark.parametrize("spec", full_catalog() + SURVEY_EXTRAS)
+def test_verdict_first_reports_like_the_walk(spec):
+    _assert_verdict_first_reports_like_the_walk(construct_group(spec))
+
+
+@settings(max_examples=100)
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_verdict_first_reports_like_the_walk(gens):
+    _assert_verdict_first_reports_like_the_walk(construct_group(perm_spec(gens)))
+
+
+def test_decide_commutes_rejects_bad_inputs_like_the_walk(s4, q8):
+    ctx = fw_context(s4)
+    H = subgroup_lattice(s4).class_rep(3)
+    for op in ("inf", "def", "fix", "bogus"):
+        with pytest.raises(PreconditionError) as walked:
+            check_commutes(ctx, op, H)
+        with pytest.raises(PreconditionError) as decided:
+            decide_commutes(ctx, op, H)
+        assert str(decided.value) == str(walked.value), op
+    with pytest.raises(PreconditionError, match="different group"):
+        decide_commutes(ctx, "res", q8.center())
 
 
 def test_inf_matches_gcd_property():

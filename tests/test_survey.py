@@ -10,6 +10,7 @@ import fwburnside.fw
 import fwburnside.groups
 import fwburnside.survey
 from fwburnside import (
+    SubgroupLattice,
     SurveyConfig,
     survey_rows,
     write_survey_csv,
@@ -74,6 +75,55 @@ def test_survey_decides_deflation_only_where_criterion_08_allows(monkeypatch):
         if all(r[k] == "true" for k in ("gcd", "cyclic", "central", "m_equal"))
     ]
     assert calls == gated and len(calls) < 10
+
+
+GATE_SPECS = ("C2xC2xC2xC2xC2", "S4", "C2xS4", "SL(2,3)xC2")
+
+
+def test_survey_checks_m_equality_only_at_cyclic_kernels(monkeypatch):
+    # P. Hall's Eulerian identity: the m-sum at T = N counts the x in N
+    # with <x> = N, so a non-cyclic N fails m-equality at its own class
+    real, calls = fwburnside.survey.check_m_equality, []
+
+    def counting(G, N):
+        calls.append(N.is_cyclic())
+        return real(G, N)
+
+    monkeypatch.setattr(fwburnside.survey, "check_m_equality", counting)
+    rows = survey_rows(SurveyConfig(specs=GATE_SPECS))
+    assert not any(r["error"] for r in rows)
+    assert all(calls)
+    assert len(calls) == sum(r["cyclic"] == "true" for r in rows) < len(rows)
+
+
+def test_survey_decides_deflation_at_the_trivial_kernel_at_once(monkeypatch):
+    # deflation along G -> G/1 is the identity, so deflation_commutes reads
+    # no m-sum and no containment row for the trivial kernel
+    reads, trivial = [], []
+    real_m_sum, real_above = fwburnside.fw.m_sum, SubgroupLattice.above
+    real_def = fwburnside.survey.deflation_commutes
+
+    def m_sum(*args):
+        reads.append("m_sum")
+        return real_m_sum(*args)
+
+    def above(self, kmask):
+        reads.append("above")
+        return real_above(self, kmask)
+
+    def deflation_commutes(G, N):
+        before = len(reads)
+        result = real_def(G, N)
+        if N.order == 1:
+            trivial.append((G.label, result, reads[before:]))
+        return result
+
+    monkeypatch.setattr(fwburnside.fw, "m_sum", m_sum)
+    monkeypatch.setattr(SubgroupLattice, "above", above)
+    monkeypatch.setattr(fwburnside.survey, "deflation_commutes", deflation_commutes)
+    rows = survey_rows(SurveyConfig(specs=GATE_SPECS))
+    assert not any(r["error"] for r in rows)
+    assert trivial == [(spec, True, []) for spec in GATE_SPECS]
 
 
 def _map_keys(G):
