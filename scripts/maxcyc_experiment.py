@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Evidence gathering: deflation kernels versus the max-cyclic intersection.
 
-Two observations are probed over the catalog, neither of which is settled
-in general, so this script reports counts and never asserts an answer:
+Two observations are probed over the catalog, and the script reports
+counts without asserting an answer:
 
   1. whenever deflation along N commutes with the lift, is N contained in
      the intersection M of all maximal cyclic subgroups?
   2. does deflation along M itself commute with the lift?
 
-M is characteristic, hence normal, so (2) is always well posed. A "no"
-in column (1) would be a counterexample worth a close look; a "no" in
-column (2) is unremarkable since containment in M is only known to be
-necessary-looking, not sufficient.
+(1) is settled: a commuting N has the gcd property and is cyclic and
+central (criterion 08), and those three put N inside every maximal cyclic
+subgroup (the argument is in propositions.check_def_necessary). So a
+"no" in column (1) would be an engine defect. (2) is open, and the
+closing line of the output refers to it: M is characteristic, hence
+normal, so it is always well posed, and a "no" is unremarkable, since
+containment in M is necessary, not sufficient.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from fwburnside import (
     check_commutes,
     construct_group,
     full_catalog,
-    fw_context,
     subgroup_lattice,
 )
 
@@ -31,18 +33,17 @@ from fwburnside import (
 def examine(spec, cap):
     G = construct_group(spec, cap=cap)
     lat = subgroup_lattice(G)
-    ctx = fw_context(G)
     M = lat.max_cyclic_intersection()
 
     commuting = []
     contained = True
     for c in lat.normal_class_indices():
         N = lat.class_rep(c)
-        if check_commutes(ctx, "def", N).commutes:
+        if check_commutes(G, "def", N).commutes:
             commuting.append(lat.class_label(c))
             if not N <= M:
                 contained = False
-    m_commutes = check_commutes(ctx, "def", M).commutes
+    m_commutes = check_commutes(G, "def", M).commutes
     return {
         "group": G.label,
         "maxcyc": lat.class_label(lat.class_index(M)),

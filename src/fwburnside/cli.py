@@ -48,8 +48,8 @@ from .errors import (
     PreconditionError,
     SpecParseError,
 )
-from .fw import decide_commutes, fw_apply, fw_context
-from .groups import DEFAULT_ORDER_CAP, ascii_digits, construct_group
+from .fw import decide_commutes, fw_apply
+from .groups import DEFAULT_ORDER_CAP, ascii_digits, construct_group, cyclic_group
 from .lattice import DEFAULT_SUBGROUP_BUDGET, m_constant, subgroup_lattice
 from .survey import SURVEY_COLUMNS, SurveyConfig, full_catalog, survey_rows, write_survey_csv
 
@@ -274,13 +274,12 @@ def cmd_op(args):
 
 def cmd_fw_apply(args):
     G = _lattice(args).group
-    ctx = fw_context(G)
-    x = element_from_json(ctx.C, _load_element_data(args.element))
-    y = fw_apply(ctx, x)
+    C = cyclic_group(G.n)
+    y = fw_apply(G, element_from_json(C, _load_element_data(args.element)))
     return _dump(
         {
             "group": G.label,
-            "source": ctx.C.label,
+            "source": C.label,
             "element": element_to_json(y),
         }
     )
@@ -288,9 +287,8 @@ def cmd_fw_apply(args):
 
 def cmd_fw_check(args):
     G = _lattice(args).group
-    ctx = fw_context(G)
     sub = resolve_selector(G, args.sub)
-    report = decide_commutes(ctx, args.op, sub)
+    report = decide_commutes(G, args.op, sub)
     cert = None
     if report.certificate is not None:
         cert = {

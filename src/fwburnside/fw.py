@@ -27,8 +27,10 @@ check_m_equality reads the same classes and the same m-sums.
 
 Quotients and subgroups of the canonical cyclic group canonicalize back to
 canonical cyclic instances (see groups.py), so B(C/C_N) and B(C_H) are
-literally the rings the smaller contexts are built on, and the two routes
-around each square meet in the same ring with no identification step.
+literally the rings that fw_apply over G/N and H lifts from, and the two
+routes around each square meet in the same ring with no identification
+step. The lift reads C's classes off the divisors of |G| (_cyclic_classes),
+so only the walk and a caller that makes an element over C build C.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .groups import bits, cyclic_group
 from .lattice import check_gcd_property, divisors, m_sum, subgroup_lattice, totient
 
 __all__ = [
-    "FwContext",
-    "fw_context",
     "fw_apply",
     "Certificate",
     "CommutativityReport",
@@ -59,56 +59,21 @@ __all__ = [
     "check_m_equality",
 ]
 
-class FwContext:
-    """A finite group paired with the canonical cyclic group of its order."""
 
-    __slots__ = ("G", "C", "_lift")
-
-    def __init__(self, G):
-        self.G = G
-        self.C = cyclic_group(G.n)
-        self._lift = None
-
-    def __repr__(self):
-        return f"<FwContext for {self.G.label}>"
-
-    def c_class(self, d):
-        """The class of the unique subgroup of C of order d: C has one
-        subgroup per divisor of its order."""
-        n = self.G.n
-        if d < 1 or n % d:
-            raise PreconditionError(f"{d} does not divide the group order {n}")
-        return subgroup_lattice(self.C).classes_of_order(d)[0]
-
-    def c_subgroup(self, d):
-        """The unique subgroup of C of order d."""
-        return subgroup_lattice(self.C).class_rep(self.c_class(d))
-
-    def lift_classes(self):
-        """For each subgroup class of G: the class of the subgroup of C
-        of the same order."""
-        if self._lift is None:
-            glat = subgroup_lattice(self.G)
-            self._lift = tuple(
-                self.c_class(glat.class_order(c)) for c in range(glat.n_classes())
-            )
-        return self._lift
+def _cyclic_classes(n):
+    """Subgroup order -> class in cyclic_group(n), read without building
+    it: C has one subgroup per divisor of n and its classes ascend by
+    order, so the class of order d is d's position in divisors(n)."""
+    return {d: c for c, d in enumerate(divisors(n))}
 
 
-def fw_context(G):
-    ctx = G._cache.get("fw_context")
-    if ctx is None:
-        ctx = FwContext(G)
-        G._cache["fw_context"] = ctx
-    return ctx
-
-
-def fw_apply(ctx, x):
-    """Lift an element over C to the element over G with the same marks,
-    matched through subgroup orders: a gather."""
-    if x.group is not ctx.C:
+def fw_apply(G, x):
+    """Lift an element over C = cyclic_group(|G|) to the element over G
+    with the same marks, matched through subgroup orders: a gather."""
+    if x.group is not cyclic_group(G.n):
         raise PreconditionError("element does not live over the cyclic source ring")
-    return _gather(x, ctx.G, ctx.lift_classes())
+    glat, cls = subgroup_lattice(G), _cyclic_classes(G.n)
+    return _gather(x, G, [cls[glat.class_order(c)] for c in range(glat.n_classes())])
 
 
 # the first idempotent on which the two routes differ, with both images formatted
@@ -120,7 +85,7 @@ CommutativityReport = namedtuple(
 )
 
 
-def _route_pairs(ctx, op, sub):
+def _route_pairs(op, sub):
     """Yield (basis_label, left, right) per idempotent e of the cyclic ring
     the operation maps from, with left = op(lift(e)) and right = lift(op(e)).
     Each e and each lift of it is built for its own pair and then dropped.
@@ -129,60 +94,61 @@ def _route_pairs(ctx, op, sub):
     classes of order d, built with its coefficients as well as its marks,
     so a pushforward needs no back-substitution. Subgroups and quotients of
     C canonicalize to the shared cyclic instances, so op(e) lands in the
-    ring the other context lifts from.
+    ring that fw_apply over the target group lifts from.
     """
     fn, f, src, dst = operation(op, sub)
-    f_c = operation(op, ctx.c_subgroup(sub.order))[1]
-    inner, outer = fw_context(src), fw_context(dst)
-    lat, glat = subgroup_lattice(inner.C), subgroup_lattice(src)
-    for d in divisors(inner.C.n):
-        e = idempotent(lat, inner.c_class(d))
+    n = sub.parent.n
+    c_sub = subgroup_lattice(cyclic_group(n)).class_rep(_cyclic_classes(n)[sub.order])
+    f_c = operation(op, c_sub)[1]
+    lat, glat = subgroup_lattice(cyclic_group(src.n)), subgroup_lattice(src)
+    for c, d in enumerate(divisors(src.n)):
         left = fn(_idempotent_sum(glat, glat.classes_of_order(d)), f)
-        right = fw_apply(outer, fn(e, f_c))
+        right = fw_apply(dst, fn(idempotent(lat, c), f_c))
         yield f"e[{d}]", left, right
 
 
-def check_commutes(ctx, op, sub):
+def check_commutes(G, op, sub):
     """Compare both ways around the square for one operation and subgroup.
 
     Walks the idempotent basis of the source ring in ascending divisor
     order; on the first mismatch the report carries the offending basis
     element and both images.
     """
-    if sub.parent is not ctx.G:
+    if sub.parent is not G:
         raise PreconditionError("subgroup belongs to a different group")
-    sub_label = subgroup_lattice(ctx.G).class_label_of(sub)
+    sub_label = subgroup_lattice(G).class_label_of(sub)
     checked = 0
-    for label, left, right in _route_pairs(ctx, op, sub):
+    for label, left, right in _route_pairs(op, sub):
         checked += 1
         if left != right:
             cert = Certificate(label, format_element(left), format_element(right))
-            return CommutativityReport(op, ctx.G.label, sub_label, False, checked, cert)
-    return CommutativityReport(op, ctx.G.label, sub_label, True, checked, None)
+            return CommutativityReport(op, G.label, sub_label, False, checked, cert)
+    return CommutativityReport(op, G.label, sub_label, True, checked, None)
 
 
-def decide_commutes(ctx, op, sub):
-    """check_commutes(ctx, op, sub), with the verdict taken from the
+def decide_commutes(G, op, sub):
+    """check_commutes(G, op, sub), with the verdict taken from the
     theorems in the module docstring. A commuting square is reported as
     the walk would report it: every divisor of the source ring's order
     checked, no certificate. A failing square is walked, and the walk
-    stops at the first failing divisor with its certificate.
+    stops at the first failing divisor with its certificate. Only the walk
+    builds the cyclic group.
 
     operation(op, sub) runs first, so an unknown operation and a
     non-normal kernel for inf, def and fix raise as the walk raises."""
-    if sub.parent is not ctx.G:
+    if sub.parent is not G:
         raise PreconditionError("subgroup belongs to a different group")
     src = operation(op, sub)[2]
     if op in ("res", "fix"):
         commutes = True
     elif op == "def":
-        commutes = deflation_commutes(ctx.G, sub)
+        commutes = deflation_commutes(G, sub)
     else:
-        commutes = check_gcd_property(ctx.G, sub)
+        commutes = check_gcd_property(G, sub)
     if not commutes:
-        return check_commutes(ctx, op, sub)
-    sub_label = subgroup_lattice(ctx.G).class_label_of(sub)
-    return CommutativityReport(op, ctx.G.label, sub_label, True, len(divisors(src.n)), None)
+        return check_commutes(G, op, sub)
+    sub_label = subgroup_lattice(G).class_label_of(sub)
+    return CommutativityReport(op, G.label, sub_label, True, len(divisors(src.n)), None)
 
 
 def _classes_above(lat, N):
@@ -199,7 +165,7 @@ def _classes_above(lat, N):
 
 def deflation_commutes(G, N):
     """Whether the square of deflation along G -> G/N commutes:
-    check_commutes(fw_context(G), "def", N).commutes, decided over the same
+    check_commutes(G, "def", N).commutes, decided over the same
     idempotents e[d] in ascending d, stopping at the first mismatch. Only
     G's lattice, its containment map and its Moebius columns are read: no
     section, element, idempotent or table of marks is built.

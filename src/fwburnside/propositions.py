@@ -27,7 +27,7 @@ from .burnside import (
 )
 from .errors import PreconditionError
 from .fw import check_commutes, check_m_equality, fw_apply
-from .groups import Subgroup, mask_of, quotient_group
+from .groups import Subgroup, cyclic_group, mask_of, quotient_group
 from .lattice import (
     _prime_factors,
     check_gcd_property,
@@ -150,37 +150,38 @@ def is_generalized_quaternion(P):
 TransitiveImage = namedtuple("TransitiveImage", "element transitive stabilizer")
 
 
-def fw_transitive_image(ctx, D):
-    """Lift of the transitive set [C/D], flagged when the image is itself
-    transitive; asserts that this happens exactly when G has an order-|D|
-    subgroup with the gcd property, and then that subgroup is the
+def fw_transitive_image(G, D):
+    """Lift of the transitive set [C/D] to G, flagged when the image is
+    itself transitive; asserts that this happens exactly when G has an
+    order-|D| subgroup with the gcd property, and then that subgroup is the
     stabilizer."""
-    if D.parent is not ctx.C:
+    C = cyclic_group(G.n)
+    if D.parent is not C:
         raise PreconditionError("D must be a subgroup of the cyclic source group")
-    clat = subgroup_lattice(ctx.C)
-    glat = subgroup_lattice(ctx.G)
-    x = fw_apply(ctx, basis_element(ctx.C, clat.class_index(D)))
+    glat = subgroup_lattice(G)
+    x = fw_apply(G, basis_element(C, subgroup_lattice(C).class_index(D)))
     hits = [c for c, v in enumerate(x.coeffs) if v != 0]
     transitive = len(hits) == 1 and x.coeffs[hits[0]] == 1
     stabilizer = glat.class_rep(hits[0]) if transitive else None
     witness = any(
         glat.class_order(c) == D.order
-        and check_gcd_property(ctx.G, glat.class_rep(c))
+        and check_gcd_property(G, glat.class_rep(c))
         for c in range(glat.n_classes())
     )
     assert transitive == witness, "transitivity criterion violated"
     if transitive:
         assert stabilizer.order == D.order
-        assert check_gcd_property(ctx.G, stabilizer)
+        assert check_gcd_property(G, stabilizer)
     return TransitiveImage(x, transitive, stabilizer)
 
 
-def check_integrality(ctx):
-    """Whether every lifted transitive set [C/D] has integer coefficients."""
-    clat = subgroup_lattice(ctx.C)
+def check_integrality(G):
+    """Whether every transitive set [C/D] lifts to G with integer
+    coefficients."""
+    C = cyclic_group(G.n)
     return all(
-        is_integral(fw_apply(ctx, basis_element(ctx.C, j)))
-        for j in range(clat.n_classes())
+        is_integral(fw_apply(G, basis_element(C, j)))
+        for j in range(subgroup_lattice(C).n_classes())
     )
 
 
@@ -204,11 +205,13 @@ def t_constant(G, H, N):
     return ratio * m_constant(lat, H, Subgroup(G, H.mask & N.mask))
 
 
-def r_constant(ctx, D, CN):
-    """Cyclic-side deflation coefficient: (|D| / |D CN|) m(D, D ∩ CN)."""
-    clat = subgroup_lattice(ctx.C)
-    meet = Subgroup(ctx.C, D.mask & CN.mask)
-    return Fraction(D.order, _times_normal(D, CN).order) * m_constant(clat, D, meet)
+def r_constant(D, CN):
+    """Cyclic-side deflation coefficient, for subgroups D and CN of one
+    cyclic group: (|D| / |D CN|) m(D, D ∩ CN)."""
+    meet = Subgroup(D.parent, D.mask & CN.mask)
+    return Fraction(D.order, _times_normal(D, CN).order) * m_constant(
+        subgroup_lattice(D.parent), D, meet
+    )
 
 
 def deflate_idempotent(lat, H, qm):
@@ -221,7 +224,7 @@ def deflate_idempotent(lat, H, qm):
     return t_constant(lat.group, H, qm.kernel()) * idempotent(qlat, qlat.class_index(HN_bar))
 
 
-def deflation_closed_forms(ctx, N, d):
+def deflation_closed_forms(G, N, d):
     """Both routes around the deflation square at N, on the idempotent e[d]
     of B(C), in closed form, as (deflate after lift, lift after deflate).
 
@@ -231,13 +234,16 @@ def deflation_closed_forms(ctx, N, d):
     times the idempotent at order d / gcd(d, |N|), so the second is r
     times the sum of the idempotents of G/N at that order.
     """
-    qm = quotient_group(ctx.G, N)
-    glat, qlat = subgroup_lattice(ctx.G), subgroup_lattice(qm.target)
+    qm = quotient_group(G, N)
+    glat, qlat = subgroup_lattice(G), subgroup_lattice(qm.target)
     ambient = zero(qm.target)
     for c in range(glat.n_classes()):
         if glat.class_order(c) == d:
             ambient = ambient + deflate_idempotent(glat, glat.class_rep(c), qm)
-    r = r_constant(ctx, ctx.c_subgroup(d), ctx.c_subgroup(N.order))
+    clat = subgroup_lattice(cyclic_group(G.n))
+    C_d = clat.class_rep(clat.classes_of_order(d)[0])
+    C_N = clat.class_rep(clat.classes_of_order(N.order)[0])
+    r = r_constant(C_d, C_N)
     d_bar = d // math.gcd(d, N.order)
     cyclic = element_from_marks(
         qm.target,
@@ -249,13 +255,18 @@ def deflation_closed_forms(ctx, N, d):
 # -- when deflation commutes ----------------------------------------------------
 
 
-def check_def_necessary(ctx, N):
+def check_def_necessary(G, N):
     """If deflation by N commutes, the structural conditions must all hold:
     gcd property, N cyclic, N central, the m-equality, and N inside the
-    intersection of the maximal cyclic subgroups. Vacuously true otherwise."""
-    if not check_commutes(ctx, "def", N).commutes:
+    intersection of the maximal cyclic subgroups. Vacuously true otherwise.
+
+    The fifth is a corollary of the first three. Let Z be maximal cyclic.
+    NZ is abelian, as N is central. At each prime p, N_p and Z_p are
+    cyclic, and |N ∩ Z| = gcd(|N|, |Z|), so the smaller of N_p and Z_p
+    lies in the larger. So every Sylow subgroup of NZ is cyclic, NZ is
+    cyclic, and NZ = Z: N lies in every maximal cyclic Z."""
+    if not check_commutes(G, "def", N).commutes:
         return True
-    G = ctx.G
     lat = subgroup_lattice(G)
     return (
         check_gcd_property(G, N)
@@ -266,12 +277,11 @@ def check_def_necessary(ctx, N):
     )
 
 
-def check_prime_kernel_sufficient(ctx, N):
+def check_prime_kernel_sufficient(G, N):
     """Sufficiency for a central subgroup of prime order that is the unique
     subgroup of its order: the m-equality forces deflation by N to
     commute. Returns whether the implication holds; raises on hypothesis
     violations so they are not mistaken for answers."""
-    G = ctx.G
     lat = subgroup_lattice(G)
     p = N.order
     if _prime_factors(p) != [p]:
@@ -282,7 +292,7 @@ def check_prime_kernel_sufficient(ctx, N):
         raise PreconditionError(f"N is not the unique subgroup of order {p}")
     if not check_m_equality(G, N):
         return True
-    return check_commutes(ctx, "def", N).commutes
+    return check_commutes(G, "def", N).commutes
 
 
 def check_divisor_lemma(G, N):

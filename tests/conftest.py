@@ -14,7 +14,7 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
-from fwburnside import Subgroup, construct_group
+from fwburnside import Subgroup, construct_group, cyclic_group, subgroup_lattice
 
 # the groups the benchmark's survey adds to the catalog
 SURVEY_EXTRAS = (
@@ -26,6 +26,13 @@ SURVEY_EXTRAS = (
 def generated(G, gens):
     """The subgroup of G generated by gens, joined one element at a time."""
     return Subgroup(G, reduce(G.join_mask, gens, 1 << G.identity))
+
+
+def cyclic_subgroup(n, d):
+    """The subgroup of order d of the cyclic group of order n, found by its
+    order."""
+    lat = subgroup_lattice(cyclic_group(n))
+    return lat.class_rep(lat.classes_of_order(d)[0])
 
 
 def cycle_notation(perm):

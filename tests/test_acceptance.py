@@ -10,6 +10,7 @@ per criterion.
 import random
 from fractions import Fraction
 
+from conftest import cyclic_subgroup
 from fwburnside import (
     BurnsideElement,
     Subgroup,
@@ -21,7 +22,6 @@ from fwburnside import (
     cyclic_group,
     deflate,
     fw_apply,
-    fw_context,
     full_catalog,
     idempotent,
     identity_element,
@@ -109,15 +109,15 @@ def test_criterion_02_gcd_property_methods_agree():
 def test_criterion_03_lift_integral_and_multiplicative():
     rng = random.Random(97)
     for G in groups():
-        ctx = fw_context(G)
-        assert check_integrality(ctx)
-        clat = subgroup_lattice(ctx.C)
+        C = cyclic_group(G.n)
+        assert check_integrality(G)
+        clat = subgroup_lattice(C)
         glat = subgroup_lattice(G)
         # independent re-verification through marks: the lifted element must
         # show the source mark of the equal-order cyclic subgroup everywhere
         for j in range(clat.n_classes()):
-            x = basis_element(ctx.C, j)
-            y = fw_apply(ctx, x)
+            x = basis_element(C, j)
+            y = fw_apply(G, x)
             assert is_integral(y)
             mx, my = x.marks, y.marks
             for c in range(glat.n_classes()):
@@ -126,27 +126,24 @@ def test_criterion_03_lift_integral_and_multiplicative():
         k = clat.n_classes()
         for _ in range(50):
             a = BurnsideElement(
-                ctx.C,
+                C,
                 [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)],
             )
             b = BurnsideElement(
-                ctx.C,
+                C,
                 [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)],
             )
-            assert fw_apply(ctx, multiply(a, b)) == multiply(
-                fw_apply(ctx, a), fw_apply(ctx, b)
-            )
-            assert fw_apply(ctx, a + b) == fw_apply(ctx, a) + fw_apply(ctx, b)
+            assert fw_apply(G, multiply(a, b)) == multiply(fw_apply(G, a), fw_apply(G, b))
+            assert fw_apply(G, a + b) == fw_apply(G, a) + fw_apply(G, b)
     print(f"criterion 3 PASS: lift integral and a ring map on {len(CATALOG)} groups, 50 random pairs each")
 
 
 def test_criterion_04_transitive_image_characterization():
     checked = 0
     for G in groups():
-        ctx = fw_context(G)
         glat = subgroup_lattice(G)
         for d in divisors(G.n):
-            ti = fw_transitive_image(ctx, ctx.c_subgroup(d))
+            ti = fw_transitive_image(G, cyclic_subgroup(G.n, d))
             witnesses = [
                 c
                 for c in range(glat.n_classes())
@@ -164,13 +161,12 @@ def test_criterion_04_transitive_image_characterization():
 def test_criterion_05_induction_iff_gcd():
     checked = 0
     for G in groups():
-        ctx = fw_context(G)
         lat = subgroup_lattice(G)
         for c in range(lat.n_classes()):
             H = lat.class_rep(c)
             expected = check_gcd_property(G, H)
-            assert check_commutes(ctx, "ind", H).commutes == expected, (G.label, c)
-            assert check_commutes(ctx, "ten", H).commutes == expected, (G.label, c)
+            assert check_commutes(G, "ind", H).commutes == expected, (G.label, c)
+            assert check_commutes(G, "ten", H).commutes == expected, (G.label, c)
             checked += 1
     print(f"criterion 5 PASS: ind and ten commute iff gcd on {checked} classes")
 
@@ -178,7 +174,6 @@ def test_criterion_05_induction_iff_gcd():
 def test_criterion_06_deflation_routes_agree():
     checked = squares = 0
     for G in groups():
-        ctx = fw_context(G)
         lat = subgroup_lattice(G)
         for nc in lat.normal_class_indices():
             N = lat.class_rep(nc)
@@ -194,8 +189,8 @@ def test_criterion_06_deflation_routes_agree():
                 checked += 1
             # both routes around the commutation square, at every divisor,
             # against the closed forms t(H, N) and r
-            for d, (_, left, right) in zip(divisors(G.n), _route_pairs(ctx, "def", N)):
-                assert (left, right) == deflation_closed_forms(ctx, N, d), (G.label, nc, d)
+            for d, (_, left, right) in zip(divisors(G.n), _route_pairs("def", N)):
+                assert (left, right) == deflation_closed_forms(G, N, d), (G.label, nc, d)
                 squares += 1
     print(
         f"criterion 6 PASS: closed-form, linear and orbit-space deflation agree on {checked}"
@@ -206,14 +201,14 @@ def test_criterion_06_deflation_routes_agree():
 def test_criterion_07_center_deflation_family():
     for spec in ("SL(2,5)", "Q8", "Q16", "Dic12", "Dic20", "SL(2,3)"):
         G = construct_group(spec)
-        report = check_commutes(fw_context(G), "def", G.center())
+        report = check_commutes(G, "def", G.center())
         assert report.commutes, spec
 
     # the one-page counterexample: the Klein group loses a quarter of e[2]
     V = construct_group("C2xC2")
     lat = subgroup_lattice(V)
     N = lat.class_rep(1)
-    report = check_commutes(fw_context(V), "def", N)
+    report = check_commutes(V, "def", N)
     assert not report.commutes
     assert report.certificate.basis_label == "e[2]"
     assert report.certificate.left == "-1/4[C2/1:0] + [C2/2:0]"
@@ -256,13 +251,12 @@ def test_criterion_07_center_deflation_family():
 def test_criterion_08_necessary_conditions_for_deflation():
     commuting = 0
     for G in groups():
-        ctx = fw_context(G)
         lat = subgroup_lattice(G)
         maxcyc = lat.max_cyclic_intersection()
         center = G.center()
         for nc in lat.normal_class_indices():
             N = lat.class_rep(nc)
-            if not check_commutes(ctx, "def", N).commutes:
+            if not check_commutes(G, "def", N).commutes:
                 continue
             commuting += 1
             assert check_gcd_property(G, N), (G.label, nc)

@@ -32,6 +32,8 @@ from fwburnside import (
     tensor_induce,
     write_survey_csv,
 )
+import fwburnside.fw
+import fwburnside.groups
 from fwburnside import cli
 from fwburnside.cli import build_parser, main, resolve_selector
 
@@ -130,6 +132,39 @@ def test_fw_check_commuting(capsys):
     payload = json.loads(out)
     assert payload["commutes"] is True
     assert payload["certificate"] is None
+
+
+# commuting squares of all six operations: group, op, selector, the
+# subgroup's label and the number of divisors reported checked
+COMMUTING_CHECKS = [
+    ("S4", "res", "order=6:0", "6:0", 8),
+    ("Dic20", "ind", "center", "2:0", 2),
+    ("Dic20", "ten", "center", "2:0", 2),
+    ("Q8", "inf", "center", "2:0", 3),
+    ("Q8", "def", "center", "2:0", 4),
+    ("S4", "def", "order=1:0", "1:0", 8),
+    ("C12", "def", "order=3:0", "3:0", 6),
+    ("D12", "fix", "center", "2:0", 6),
+]
+
+
+@pytest.mark.parametrize("spec, op, selector, label, checked", COMMUTING_CHECKS)
+def test_commuting_fw_check_builds_no_cyclic_group(capsys, monkeypatch, spec, op, selector,
+                                                  label, checked):
+    # the verdict needs only G's lattice: a commuting request never builds
+    # the cyclic group of G's order, and prints the walk's report
+    def refuse(n):
+        raise AssertionError(f"built the cyclic group of order {n}")
+
+    monkeypatch.setattr(fwburnside.groups, "_GROUP_CACHE", {})
+    monkeypatch.setattr(fwburnside.fw, "cyclic_group", refuse)
+    monkeypatch.setattr(cli, "cyclic_group", refuse, raising=False)
+    code, out, err = run_cli(capsys, "fw", "check", spec, "--op", op, "--sub", selector)
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{\n  "group": "{spec}",\n  "op": "{op}",\n  "sub": "{label}",\n'
+        f'  "commutes": true,\n  "checked": {checked},\n  "certificate": null\n}}\n'
+    )
 
 
 def test_fw_check_counterexample(capsys):
@@ -722,9 +757,10 @@ def test_propositions_and_oracles_do_not_load_dataclasses_or_inspect():
 
 @pytest.mark.parametrize("k", [7, 9])
 def test_subgroup_budget_stops_elementary_abelian_groups(k):
-    # C2^7 has 29,212 subgroups and took about 6 s to enumerate unbounded;
-    # the default budget of 10,000 stops it, and C2^9, within a second or
-    # so on a 2-vCPU machine, so 5 s leaves room for slower hosts
+    # C2^7 has 29,212 subgroups and takes about 2-3 s to enumerate
+    # unbounded (test_lattice builds it so); the default budget of 10,000
+    # stops it, and C2^9, in about 0.15 s on a 2-vCPU machine, so 5 s
+    # leaves room for slower hosts
     spec = "x".join(["C2"] * k)
     out, err = io.StringIO(), io.StringIO()
     start = perf_counter()

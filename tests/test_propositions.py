@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 from conftest import SURVEY_EXTRAS
-from fwburnside import check_commutes, construct_group, full_catalog, fw_context, subgroup_lattice
+from fwburnside import check_commutes, construct_group, full_catalog, subgroup_lattice
 from fwburnside.fw import _route_pairs
 from fwburnside.lattice import divisors
 from fwburnside.propositions import deflation_closed_forms
@@ -22,23 +22,22 @@ def test_deflation_closed_forms_on_every_square():
     squares = 0
     for spec in full_catalog() + SURVEY_EXTRAS:
         G = construct_group(spec)
-        ctx = fw_context(G)
         lat = subgroup_lattice(G)
         for nc in lat.normal_class_indices():
             N = lat.class_rep(nc)
             first_mismatch = None
             for k, (d, (label, left, right)) in enumerate(
-                zip(divisors(G.n), _route_pairs(ctx, "def", N)), 1
+                zip(divisors(G.n), _route_pairs("def", N)), 1
             ):
                 assert label == f"e[{d}]"
-                ambient, cyclic = deflation_closed_forms(ctx, N, d)
+                ambient, cyclic = deflation_closed_forms(G, N, d)
                 assert left == ambient, (spec, lat.class_label(nc), d)
                 assert right == cyclic, (spec, lat.class_label(nc), d)
                 if first_mismatch is None and ambient != cyclic:
                     first_mismatch = k
                 squares += 1
             assert k == len(divisors(G.n))
-            report = check_commutes(ctx, "def", N)
+            report = check_commutes(G, "def", N)
             assert report.commutes == (first_mismatch is None)
             assert report.checked == (first_mismatch or k)
     assert squares == 2248
