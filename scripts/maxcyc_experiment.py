@@ -33,7 +33,7 @@ from fwburnside import (
 def examine(spec, cap):
     G = construct_group(spec, cap=cap)
     lat = subgroup_lattice(G)
-    M = lat.max_cyclic_intersection()
+    M = G.max_cyclic_intersection()
 
     commuting = []
     contained = True

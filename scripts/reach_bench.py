@@ -32,6 +32,13 @@ CHECKS = (
     (C2_6, "fix", "order=8:0"),
     (C2_6, "ten", "order=32:0"),  # fails: walks to its certificate
 )
+OTHERS = (
+    ("group", "Q512"),
+    # the JSON form reads the maximal-cyclic meet of C2^7 (29,212 subgroups)
+    ("lattice", C2_6 + "xC2", "--max-subgroups", "30000"),
+    # enumerates the lattice of the quotient C2^6 (2,825 subgroups)
+    ("op", "inf", C2_6 + "xC3", "order=3:0", '[["1:0","1"]]'),
+)
 CAP = ("--cap", "720")  # admits S6, the largest group listed
 
 
@@ -47,6 +54,8 @@ def requests(catalog_dir):
         yield f"fw survey {g}", ("fw", "survey", "--catalog", path, *CAP)
     for g, op, sub in CHECKS:
         argv = ("fw", "check", g, "--op", op, "--sub", sub)
+        yield " ".join(argv), (*argv, *CAP)
+    for argv in OTHERS:
         yield " ".join(argv), (*argv, *CAP)
 
 

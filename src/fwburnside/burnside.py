@@ -265,7 +265,7 @@ def _marks_table(lat):
 def table_of_marks(lat):
     """Rows indexed by [G/H], columns by K: entry |(G/H)^K|. Lower
     triangular. The dense form of the sparse table, for output: expanded
-    on each call, never cached, and read by nothing in the engine."""
+    on each call, never cached, and read only by cli.cmd_marks."""
     rows = _marks_table(lat)
     dense = []
     for row in rows:

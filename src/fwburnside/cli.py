@@ -81,7 +81,7 @@ def resolve_selector(G, text):
     if text == "frattini":
         return lat.frattini()
     if text == "maxcyc":
-        return lat.max_cyclic_intersection()
+        return G.max_cyclic_intersection()
     k, colon, i = text.removeprefix("order=").partition(":")
     if text.startswith("order=") and colon and ascii_digits(k) and ascii_digits(i):
         return lat.class_rep(lat.class_by_label(f"{k}:{i}"))
@@ -163,10 +163,7 @@ def _lattice(args):
 
 def cmd_group(args):
     G = construct_group(args.spec, cap=args.cap)
-    census = {}
-    for a in range(G.n):
-        k = G.element_order(a)
-        census[k] = census.get(k, 0) + 1
+    orders = G.element_orders()
     return _dump(
         {
             "spec": args.spec.strip(),
@@ -175,7 +172,7 @@ def cmd_group(args):
             "abelian": G.is_abelian(),
             "exponent": G.exponent(),
             "center_order": G.center().order,
-            "element_order_counts": {str(k): census[k] for k in sorted(census)},
+            "element_order_counts": {str(k): orders.count(k) for k in sorted(set(orders))},
         }
     )
 
@@ -205,7 +202,7 @@ def cmd_lattice(args):
             "class_count": lat.n_classes(),
             "classes": classes,
             "frattini": lat.class_label_of(lat.frattini()),
-            "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
+            "max_cyclic_intersection": lat.class_label_of(G.max_cyclic_intersection()),
         }
     )
 

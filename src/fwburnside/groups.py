@@ -6,15 +6,15 @@ direct products lexicographically, permutation groups by lexicographic
 permutation tuples, matrix groups by lexicographic entry tuples), so the
 same spec string always yields the identical table.
 
-Tables are built a row at a time. A permutation or matrix group computes
-the rows of a few generators directly and every other row as the
-composition row(x g) = row(x) o row(g), one itemgetter call per element;
-a direct product does the same, its generators' rows from the pair
-formula. The same generator argument checks and extends a table:
-Group.validate reads the generators' rows in full and runs Light's
-associativity test on them, which is exact for the whole table, and
-conjugation rows compose as conj(x g) = conj(x) o conj(g). Every atom and
-every product is validated.
+Every table but a cyclic one (slices of a doubled range) is built by
+_regular_table: a few generator rows directly, from permutations,
+matrices, a dihedral or dicyclic presentation, a product's pair formula
+or a section's cosets, and every other row as row(x g) = row(x) o row(g),
+one itemgetter call each. The same generator argument checks and extends
+a table: Group.validate reads the generators' rows in full and runs
+Light's associativity test on them, which is exact for the whole table,
+and conjugation rows compose as conj(x g) = conj(x) o conj(g). Every
+atom and every product is validated.
 
 Subgroups and quotients are realized as one kind of object, a section
 T/S of a parent G with S normal in T (Bouc 2010): a subgroup H is the
@@ -66,6 +66,20 @@ def mask_of(indices):
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 class Group:
@@ -254,25 +268,50 @@ class Group:
         except (IndexError, TypeError, ValueError):
             raise AlgebraError(f"{label}: some entry is not an element index") from None
 
-    def element_orders(self):
-        """Order of every element, by index, cached. One walk over the
-        powers of each cyclic subgroup not yet covered: the power g^e of an
-        element g of order k has order k / gcd(e, k)."""
-        orders = self._cache.get("element_orders")
-        if orders is None:
+    def cyclic_subgroups(self):
+        """The cyclic subgroups <g> > 1, each walked once from its least
+        generator g, cached: (walks, cyclic_of, orders), where walks lists
+        the powers (g, g^2, ..., g^k = 1) of each, cyclic_of[x] is the
+        position in walks of <x> (None for the identity) and orders[x] the
+        order of x. A walk marks the generators g^e, gcd(e, k) = 1, so
+        none starts another walk."""
+        walk = self._cache.get("cyclic_subgroups")
+        if walk is None:
             mul, ident = self.mul, self.identity
-            orders = [0] * self.n
+            walks, cyclic_of, orders = [], [None] * self.n, [1] * self.n
             for g in range(self.n):
-                if orders[g]:
+                if g == ident or cyclic_of[g] is not None:
                     continue
                 powers = [g]
                 while powers[-1] != ident:
                     powers.append(mul[powers[-1]][g])
                 k = len(powers)
                 for e, x in enumerate(powers, 1):
-                    orders[x] = k // math.gcd(e, k)
-            orders = self._cache["element_orders"] = tuple(orders)
-        return orders
+                    if math.gcd(e, k) == 1:
+                        cyclic_of[x], orders[x] = len(walks), k
+                walks.append(tuple(powers))
+            walk = tuple(walks), tuple(cyclic_of), tuple(orders)
+            self._cache["cyclic_subgroups"] = walk
+        return walk
+
+    def element_orders(self):
+        """Order of every element, by index, from the power walk."""
+        return self.cyclic_subgroups()[2]
+
+    def max_cyclic_intersection(self):
+        """Intersection of the maximal cyclic subgroups (G when G = 1), read
+        off the power walk. A cyclic C lies in a larger cyclic subgroup iff
+        C = <k^p> for a walked k and a prime p dividing its order: <k^p> has
+        index p in <k>; and if K = <k> is minimal among the cyclic subgroups
+        properly containing C and p divides [K : C], then C lies in K's one
+        subgroup of index p, <k^p>, so C = <k^p> by minimality."""
+        walks, cyclic_of, _ = self.cyclic_subgroups()
+        inner = {cyclic_of[k[p - 1]] for k in walks for p in _prime_factors(len(k))}
+        meet = (1 << self.n) - 1
+        for c, powers in enumerate(walks):
+            if c not in inner:
+                meet &= mask_of(powers)
+        return Subgroup(self, meet)
 
     def element_order(self, a):
         return self.element_orders()[a]
@@ -418,8 +457,9 @@ def _section(G, top, bottom, label):
     proj, q = tuple(proj), len(reps)
     if q == G.n:
         return G, proj
-    table = [[proj[mul[a][b]] for b in reps] for a in reps]
-    double = list(range(q)) * 2
+    pick, coset = _composer(reps), proj.__getitem__
+    table = _regular_table(q, coset(G.identity), lambda a: map(coset, pick(mul[reps[a]])))
+    double = tuple(range(q)) * 2
     if all(row == double[i : i + q] for i, row in enumerate(table)):
         return cyclic_group(q), proj
     D = Group(table, label)
@@ -501,44 +541,48 @@ def _cyclic_table(n):
 
 
 def _dihedral_table(n):
-    # indices 0..m-1 are rotations r^i, m..n-1 are reflections s r^i
+    # indices 0..m-1 are rotations r^i, m..n-1 are reflections s r^i, and
+    # (s^e r^i)(s^f r^j) = s^(e+f) r^(j -+ i), minus when f = 1
     m = n // 2
-    table = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            table[i][j] = (i + j) % m
-            table[i][m + j] = m + (j - i) % m
-            table[m + i][j] = m + (i + j) % m
-            table[m + i][m + j] = (j - i) % m
-    return table
+
+    def row_of(g):
+        e, i = divmod(g, m)
+        return [(e ^ f) * m + (j - i if f else j + i) % m for f in (0, 1) for j in range(m)]
+
+    return _regular_table(n, 0, row_of)
 
 
 def _dicyclic_table(n):
     # generators a of order n/2 and b with b^2 = a^(n/4), b a b^-1 = a^-1;
-    # indices 0..2m-1 are a^i, 2m..4m-1 are a^i b, where m = n/4
+    # indices 0..2m-1 are a^i, 2m..4m-1 are a^i b, where m = n/4, and
+    # (a^i b^e)(a^j b^f) = a^(i -+ j + e f m) b^(e+f), minus when e = 1
     m = n // 4
     h = 2 * m
-    table = [[0] * n for _ in range(n)]
-    for i in range(h):
-        for j in range(h):
-            table[i][j] = (i + j) % h
-            table[i][h + j] = h + (i + j) % h
-            table[h + i][j] = h + (i - j) % h
-            table[h + i][h + j] = (i - j + m) % h
-    return table
+
+    def row_of(g):
+        e, i = divmod(g, h)
+        return [
+            (e ^ f) * h + (i - j + f * m if e else i + j) % h for f in (0, 1) for j in range(h)
+        ]
+
+    return _regular_table(n, 0, row_of)
+
+
+def _table_of(elems, identity, product):
+    """Table of the group elems, numbered in their order, under product;
+    only the generators' rows call it."""
+    pos = {x: i for i, x in enumerate(elems)}
+    return _regular_table(
+        len(elems), pos[identity], lambda g: [pos[product(elems[g], y)] for y in elems]
+    )
 
 
 def _perm_group_table(perms):
     """Table of a permutation group, elements in lexicographic order and
     p q the map i -> p[q[i]]."""
     elems = sorted(perms)
-    pos = {p: i for i, p in enumerate(elems)}
-
-    def row_of(g):
-        p = elems[g].__getitem__
-        return [pos[tuple(map(p, q))] for q in elems]
-
-    return _regular_table(len(elems), pos[tuple(range(len(elems[0])))], row_of)
+    ident = tuple(range(len(elems[0])))
+    return _table_of(elems, ident, lambda p, q: tuple(map(p.__getitem__, q)))
 
 
 def _symmetric_perms(n):
@@ -572,18 +616,11 @@ def _sl2_elements(p):
 
 
 def _sl2_table(p):
-    elems = _sl2_elements(p)
-    pos = {m: i for i, m in enumerate(elems)}
+    def product(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
-    def row_of(i):
-        a, b, c, d = elems[i]
-        return [
-            pos[((a * e + b * g) % p, (a * f + b * h) % p,
-                 (c * e + d * g) % p, (c * f + d * h) % p)]
-            for e, f, g, h in elems
-        ]
-
-    return _regular_table(len(elems), pos[(1, 0, 0, 1)], row_of)
+    return _table_of(_sl2_elements(p), (1, 0, 0, 1), product)
 
 
 def direct_product(A, B):

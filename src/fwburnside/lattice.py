@@ -71,7 +71,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache
 
 from .errors import CapExceededError, PreconditionError
-from .groups import Subgroup, bits, mask_of
+from .groups import Subgroup, _prime_factors, bits, mask_of
 
 __all__ = [
     "DEFAULT_SUBGROUP_BUDGET",
@@ -111,20 +111,6 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, ascending."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 @cache
 def _elementary_mu(index):
     """mu(K, H) when H/K is a product of elementary abelian groups (C_p)^r
@@ -145,27 +131,16 @@ def _zuppos(G):
     Returns (zuppos, zuppo_of): zuppos lists the pairs (z, z^p) for the
     minimal-index generator z of each, and zuppo_of lists, by element,
     the position in zuppos of the cyclic subgroup it generates, or None
-    when that is not a zuppo.
+    when that is not a zuppo; both read off G.cyclic_subgroups().
     """
-    mul, ident = G.mul, G.identity
-    zuppos, zuppo_of = [], [None] * G.n
-    done = 1 << ident
-    for g in range(G.n):
-        if (done >> g) & 1:
-            continue
-        powers = [g]
-        while powers[-1] != ident:
-            powers.append(mul[powers[-1]][g])
-        k = len(powers)
-        p = next(d for d in range(2, k + 1) if k % d == 0)
-        z = len(zuppos) if p_part(k, p) == k else None
-        for e, x in enumerate(powers, 1):
-            if math.gcd(e, k) == 1:
-                zuppo_of[x] = z
-                done |= 1 << x
-        if z is not None:
-            zuppos.append((g, powers[p - 1]))
-    return zuppos, zuppo_of
+    walks, cyclic_of, _ = G.cyclic_subgroups()
+    zuppos, position = [], [None] * len(walks)
+    for c, powers in enumerate(walks):
+        primes = _prime_factors(len(powers))
+        if len(primes) == 1:
+            position[c] = len(zuppos)
+            zuppos.append((powers[0], powers[primes[0] - 1]))
+    return zuppos, [None if c is None else position[c] for c in cyclic_of]
 
 
 def _subgroup_classes(G, max_subgroups):
@@ -489,17 +464,6 @@ class SubgroupLattice:
 
     def frattini(self):
         return self.frattini_of(self.group.full_subgroup())
-
-    def max_cyclic_intersection(self):
-        """Intersection of the maximal cyclic subgroups: the cyclic
-        subgroups that no other cyclic subgroup contains (the trivial
-        subgroup is cyclic, so there is one)."""
-        cyc = [s.mask for s in self.subgroups if s.is_cyclic()]
-        meet = (1 << self.group.n) - 1
-        for m in cyc:
-            if not any(x != m and x & m == m for x in cyc):
-                meet &= m
-        return Subgroup(self.group, meet)
 
 
 def subgroup_lattice(G, max_subgroups=DEFAULT_SUBGROUP_BUDGET):

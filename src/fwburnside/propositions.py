@@ -267,13 +267,12 @@ def check_def_necessary(G, N):
     cyclic, and NZ = Z: N lies in every maximal cyclic Z."""
     if not check_commutes(G, "def", N).commutes:
         return True
-    lat = subgroup_lattice(G)
     return (
         check_gcd_property(G, N)
         and N.is_cyclic()
         and N <= G.center()
         and check_m_equality(G, N)
-        and N <= lat.max_cyclic_intersection()
+        and N <= G.max_cyclic_intersection()
     )
 
 

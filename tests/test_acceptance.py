@@ -252,7 +252,7 @@ def test_criterion_08_necessary_conditions_for_deflation():
     commuting = 0
     for G in groups():
         lat = subgroup_lattice(G)
-        maxcyc = lat.max_cyclic_intersection()
+        maxcyc = G.max_cyclic_intersection()
         center = G.center()
         for nc in lat.normal_class_indices():
             N = lat.class_rep(nc)

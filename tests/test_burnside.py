@@ -36,7 +36,7 @@ from fwburnside import (
     tensor_induce,
     zero,
 )
-from conftest import SURVEY_EXTRAS, cycle_notation, small_perm
+from conftest import SURVEY_EXTRAS, perm_spec, small_perm
 from fwburnside.burnside import _mackey_table, _push_table
 from fwburnside.groups import mask_of
 from fwburnside.oracles import (
@@ -258,7 +258,7 @@ def _assert_class_tables_match_oracles(f):
 def test_random_perm_class_tables_and_tensor_induction_match_oracles(gens, data):
     # every subgroup embedding and quotient map of a random subgroup of
     # S4 x S2, and the embeddings out of one drawn quotient
-    G = construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    G = construct_group(perm_spec(gens))
     lat = subgroup_lattice(G)
     quotients = [quotient_group(G, lat.class_rep(c)) for c in lat.normal_class_indices()]
     q = data.draw(st.sampled_from(quotients))

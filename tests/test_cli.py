@@ -243,7 +243,7 @@ def _ref_lattice(lat, fmt):
             "class_count": lat.n_classes(),
             "classes": classes,
             "frattini": lat.class_label_of(lat.frattini()),
-            "max_cyclic_intersection": lat.class_label_of(lat.max_cyclic_intersection()),
+            "max_cyclic_intersection": lat.class_label_of(G.max_cyclic_intersection()),
         }
     )
 

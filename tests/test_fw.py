@@ -53,7 +53,6 @@ from fwburnside.survey import full_catalog
 
 from conftest import (
     SURVEY_EXTRAS,
-    cycle_notation,
     cyclic_subgroup,
     perm_spec,
     small_perm,
@@ -303,9 +302,7 @@ def test_commutes_by_orders_matches_walk(spec):
 @settings(max_examples=150)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_commutes_by_orders_matches_walk(gens):
-    _assert_gcd_property_decides_like_the_walk(
-        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
-    )
+    _assert_gcd_property_decides_like_the_walk(construct_group(perm_spec(gens)))
 
 
 def test_deflation_commutes_rejects_bad_inputs(s4):
@@ -344,9 +341,7 @@ def test_deflation_commutes_matches_walk(spec):
 @settings(max_examples=150)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_deflation_commutes_matches_walk(gens):
-    _assert_deflation_decides_like_the_walk(
-        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
-    )
+    _assert_deflation_decides_like_the_walk(construct_group(perm_spec(gens)))
 
 
 @settings(max_examples=100)
@@ -362,7 +357,7 @@ def _assert_gcd_cyclic_central_kernels_lie_in_maxcyc(G):
     normal N that is cyclic, central and has the gcd property lies in
     every maximal cyclic subgroup (propositions.check_def_necessary)."""
     lat = subgroup_lattice(G)
-    maxcyc, center = lat.max_cyclic_intersection(), G.center()
+    maxcyc, center = G.max_cyclic_intersection(), G.center()
     for c in lat.normal_class_indices():
         N = lat.class_rep(c)
         if N.is_cyclic() and N <= center and check_gcd_property(G, N):
@@ -451,9 +446,7 @@ def test_m_equality_matches_fraction_reference(spec):
 @settings(max_examples=150)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_m_equality_matches_fraction_reference(gens):
-    _assert_m_equality_matches_fraction_reference(
-        construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
-    )
+    _assert_m_equality_matches_fraction_reference(construct_group(perm_spec(gens)))
 
 
 def _assert_halls_identity_at_the_kernel(G):

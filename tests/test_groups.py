@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import generated, perm_spec, two_perms_of_5
+from conftest import generated, perm_spec, small_perm, two_perms_of_5
 from test_fw import ORDER_VERDICT_EXTRAS
 from fwburnside import (
     AlgebraError,
@@ -22,7 +22,7 @@ from fwburnside import (
     subgroup_embedding,
     subgroup_lattice,
 )
-from fwburnside.groups import mask_of
+from fwburnside.groups import _section, mask_of
 from fwburnside.oracles import (
     cayley_table_by_entries,
     check_subgroup,
@@ -503,7 +503,7 @@ def test_is_normal_matches_conjugation_by_every_element(spec):
 TABLE_SPECS = [
     "S1", "S2", "S3", "S4", "S5", "A3", "A4", "A5",
     "SL(2,2)", "SL(2,3)", "SL(2,5)", "SL(2,7)",
-    "D4", "D8", "D12", "D128", "Dic12", "Q16", "Dic60",
+    "D4", "D6", "D8", "D12", "D128", "D512", "Dic4", "Dic12", "Q16", "Dic60", "Q512",
     "C1xC1", "C2xC256", "SL(2,3)xC2", "Q8xC3",
     "perm:[(1,2,3)(4,5);(1,2)]", "perm:[(1,2);(3,4);(1,3)(2,4)]",
     "perm:[(2,4,6)]", "perm:[(1,5)(2,3)]", "perm:[(1)]",
@@ -548,18 +548,32 @@ def test_conj_rows_of_realized_groups_match_entries():
     assert realized == 6
 
 
-def _cycles(perm):
-    """1-based cycle notation of a permutation tuple, fixed points included."""
-    seen, out = set(), ""
-    for start in range(len(perm)):
-        if start not in seen:
-            cycle, x = [], start
-            while x not in seen:
-                seen.add(x)
-                cycle.append(str(x + 1))
-                x = perm[x]
-            out += "(" + ",".join(cycle) + ")"
-    return out
+def _coset_table(G, top, bottom):
+    """(table, proj) of the section T/S, every entry computed on its own:
+    the cosets numbered by their minimal elements, ascending, and coset a
+    times coset b the coset of the product of their minimal elements."""
+    mul = G.mul
+    proj, reps = [-1] * G.n, []
+    for g in top:
+        if proj[g] < 0:
+            for h in bottom:
+                proj[mul[g][h]] = len(reps)
+            reps.append(g)
+    return tuple(tuple(proj[mul[a][b]] for b in reps) for a in reps), tuple(proj)
+
+
+@pytest.mark.parametrize("spec", full_catalog())
+def test_section_tables_match_coset_entries(spec):
+    # every subgroup H = H/1 and every quotient G/N, whether realized as a
+    # new group, the shared cyclic group or G itself
+    G = construct_group(spec)
+    lat = subgroup_lattice(G)
+    for i, H in enumerate(lat.subgroups):
+        D, _ = _section(G, H.members, (G.identity,), "H")
+        assert D.mul == _coset_table(G, H.members, (G.identity,))[0], (spec, i)
+        if H.is_normal():
+            D, proj = _section(G, range(G.n), H.members, "G/N")
+            assert (D.mul, proj) == _coset_table(G, range(G.n), H.members), (spec, i)
 
 
 @given(
@@ -568,7 +582,7 @@ def _cycles(perm):
     )
 )
 def test_random_perm_tables_match_entry_by_entry_oracle(gens):
-    spec = "perm:[" + ";".join(_cycles(g) for g in gens) + "]"
+    spec = perm_spec(gens)
     assert _group_tables(construct_group(spec)) == cayley_table_by_entries(spec)
 
 
@@ -613,21 +627,42 @@ def test_random_perm_product_tables_match_pair_formula(gens_a, gens_b):
     )
 )
 def test_random_perm_is_abelian_matches_all_pairs(gens):
-    G = construct_group("perm:[" + ";".join(_cycles(g) for g in gens) + "]")
+    G = construct_group(perm_spec(gens))
     assert G.is_abelian() is _abelian_by_all_pairs(G)
 
 
-@pytest.mark.parametrize("spec", ["C2xC256", "S5", "SL(2,3)xC2", "Dic60", "C1"])
-def test_element_orders_match_power_walks(spec):
-    G = construct_group(spec)
+def _orders_by_powers(G):
+    """The order of every element, each walked power by power."""
+    orders = []
     for a in range(G.n):
         k, x = 1, a
         while x != G.identity:
             x = G.mul[x][a]
             k += 1
-        assert G.element_orders()[a] == G.element_order(a) == k
+        orders.append(k)
+    return tuple(orders)
+
+
+@pytest.mark.parametrize("spec", ["C2xC256", "S5", "SL(2,3)xC2", "Dic60", "C1"])
+def test_element_orders_match_power_walks(spec):
+    G = construct_group(spec)
+    orders = _orders_by_powers(G)
+    for a in range(G.n):
+        assert G.element_orders()[a] == G.element_order(a) == orders[a]
     lat = subgroup_lattice(G)
     for H in lat.subgroups:
         # cyclic: generated by one of its own elements
         expected = any(generated(G, [a]).mask == H.mask for a in H.members)
         assert H.is_cyclic() == expected
+
+
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_element_orders_match_power_walks(gens):
+    G = construct_group(perm_spec(gens))
+    assert G.element_orders() == _orders_by_powers(G)
+
+
+@given(two_perms_of_5)
+def test_random_s5_subgroup_element_orders_match_power_walks(gens):
+    G = construct_group(perm_spec(gens))
+    assert G.element_orders() == _orders_by_powers(G)

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     SURVEY_EXTRAS,
-    cycle_notation,
     generated,
     perm_spec,
     small_perm,
@@ -127,7 +126,7 @@ def test_lattice_matches_bruteforce(spec):
 @settings(max_examples=30)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_lattice_matches_bruteforce(gens):
-    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+    spec = perm_spec(gens)
     try:
         G = construct_group(spec, cap=16)
     except CapExceededError:
@@ -453,13 +452,13 @@ def test_frattini_orders(spec, order):
 )
 def test_max_cyclic_intersection_orders(spec, order):
     G = construct_group(spec)
-    assert subgroup_lattice(G).max_cyclic_intersection().order == order
+    assert G.max_cyclic_intersection().order == order
 
 
 def test_max_cyclic_intersection_is_normal():
     for spec in ("S4", "Q16", "SL(2,3)", "Dic20"):
         G = construct_group(spec)
-        assert subgroup_lattice(G).max_cyclic_intersection().is_normal()
+        assert G.max_cyclic_intersection().is_normal()
 
 
 def test_double_cosets_partition(s4):
@@ -586,7 +585,7 @@ def test_moebius_matches_all_pairs_recursion(spec):
 @settings(max_examples=30)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_moebius_matches_all_pairs_recursion(gens):
-    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+    spec = perm_spec(gens)
     _assert_moebius_and_idempotents_match_oracles(construct_group(spec))
 
 
@@ -617,7 +616,7 @@ def test_sparse_marks_match_dense_and_fixed_point_count(spec):
 @settings(max_examples=30)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_sparse_marks_match_dense_and_fixed_point_count(gens):
-    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+    spec = perm_spec(gens)
     _assert_sparse_marks_match_dense_and_oracle(construct_group(spec))
 
 
@@ -653,7 +652,28 @@ def _max_cyclic_intersection_by_powers(G):
 @pytest.mark.parametrize("spec", full_catalog() + SURVEY_EXTRAS)
 def test_max_cyclic_intersection_matches_powers(spec):
     G = construct_group(spec)
-    meet = subgroup_lattice(G).max_cyclic_intersection()
+    meet = G.max_cyclic_intersection()
+    assert set(bits(meet.mask)) == _max_cyclic_intersection_by_powers(G)
+
+
+@given(st.lists(small_perm, min_size=2, max_size=3))
+def test_random_perm_max_cyclic_intersection_matches_powers(gens):
+    G = construct_group(perm_spec(gens))
+    assert set(bits(G.max_cyclic_intersection().mask)) == _max_cyclic_intersection_by_powers(G)
+
+
+@given(two_perms_of_5)
+def test_random_s5_subgroup_max_cyclic_intersection_matches_powers(gens):
+    G = construct_group(perm_spec(gens))
+    assert set(bits(G.max_cyclic_intersection().mask)) == _max_cyclic_intersection_by_powers(G)
+
+
+@pytest.mark.parametrize("spec", ["C1", "S4", "Q16", "SL(2,5)", "C2xC2xC2xC2xC2xC2xC2"])
+def test_max_cyclic_intersection_builds_no_lattice(spec):
+    # a fresh group: nothing cached by earlier tests
+    G = Group(construct_group(spec).mul, spec)
+    meet = G.max_cyclic_intersection()
+    assert "lattice" not in G._cache
     assert set(bits(meet.mask)) == _max_cyclic_intersection_by_powers(G)
 
 
@@ -673,7 +693,7 @@ def test_classes_of_order_match_scan(spec):
 @settings(max_examples=100)
 @given(st.lists(small_perm, min_size=2, max_size=3))
 def test_random_perm_classes_of_order_match_scan(gens):
-    G = construct_group("perm:[" + ";".join(cycle_notation(g) for g in gens) + "]")
+    G = construct_group(perm_spec(gens))
     _assert_classes_of_order_match_scan(subgroup_lattice(G))
 
 
@@ -767,7 +787,7 @@ def test_derived_lattices_match_enumeration(spec):
 @settings(max_examples=30)
 @given(st.lists(small_perm, min_size=2, max_size=3), st.data())
 def test_random_perm_section_lattices_match_parent(gens, data):
-    spec = "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
+    spec = perm_spec(gens)
     G = construct_group(spec)
     lat = subgroup_lattice(G)
     N = lat.class_rep(data.draw(st.sampled_from(lat.normal_class_indices())))
@@ -777,9 +797,7 @@ def test_random_perm_section_lattices_match_parent(gens, data):
 
 
 # a permutation group on points 1..4, as a perm: spec
-small_perm_spec = st.lists(st.permutations(range(4)), min_size=1, max_size=2).map(
-    lambda gens: "perm:[" + ";".join(cycle_notation(g) for g in gens) + "]"
-)
+small_perm_spec = st.lists(st.permutations(range(4)), min_size=1, max_size=2).map(perm_spec)
 
 
 @settings(max_examples=75)
